@@ -30,11 +30,9 @@ from .formula import (
 )
 
 
-def _add_base_flags(sub, prefix: str = "", required: bool = False) -> None:
-    name = f"--{prefix}base" if prefix else "--base"
-    fn = f"--{prefix}fn" if prefix else "--fn"
-    sub.add_argument(name, metavar="FILE", help="base definition file")
-    sub.add_argument(fn, metavar="NAME/AR:BITS", action="append", default=[],
+def _add_base_flags(sub) -> None:
+    sub.add_argument("--base", metavar="FILE", help="base definition file")
+    sub.add_argument("--fn", metavar="NAME/AR:BITS", action="append", default=[],
                      help="inline base function (repeatable)")
 
 
@@ -213,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boolean clone identification and formula reductions")
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object on stdout")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized helpers (reserved)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("parse", help="parse and pretty-print a formula")

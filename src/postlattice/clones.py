@@ -55,6 +55,8 @@ from .formula import (
     Connective,
     Formula,
     Prop,
+    _projection_mask,
+    _unpack,
 )
 
 CLOSURE_ARITY_MAX = 4
@@ -273,10 +275,6 @@ def catalog_entry(name) -> CatalogEntry:
     return entry
 
 
-def clone_predicate(name) -> Callable[[BooleanFunction], bool]:
-    return catalog_entry(name).predicate
-
-
 # ---------------------------------------------------------------------------
 # identification
 
@@ -368,14 +366,6 @@ class ClosureSet:
         return w
 
 
-def _projection_table(j: int, k: int) -> int:
-    mask = 0
-    for p in range(1 << k):
-        if (p >> (k - 1 - j)) & 1:
-            mask |= 1 << p
-    return mask
-
-
 def _compose_int(fn: BooleanFunction, arg_tables: list[int], rows: int) -> int:
     out = 0
     m = fn.arity
@@ -420,7 +410,7 @@ def _closure_tables(base: Base, k: int) -> set[int]:
     table_count = 1 << rows
     full = table_count - 1
     dtype = np.uint8 if rows <= 8 else np.uint16
-    settled: set[int] = {_projection_table(j, k) for j in range(k)}
+    settled: set[int] = {_projection_mask(j, k) for j in range(k)}
     for c in base:
         if c.arity == 0:
             settled.add(full if c.fn.bits[0] else 0)
@@ -456,10 +446,6 @@ def _closure_tables(base: Base, k: int) -> set[int]:
     return settled
 
 
-def _unpack(table: int, k: int) -> BooleanFunction:
-    return BooleanFunction(k, tuple((table >> p) & 1 for p in range(1 << k)))
-
-
 def _pack(f: BooleanFunction) -> int:
     out = 0
     for p, b in enumerate(f.bits):
@@ -485,7 +471,7 @@ def _witness_search(base: Base, k: int, targets: set[int] | None = None,
     pending = set(targets) if targets is not None else None
 
     for j in range(k):
-        heapq.heappush(heap, (1, -2, (j,), _projection_table(j, k), Prop(f"x{j + 1}")))
+        heapq.heappush(heap, (1, -2, (j,), _projection_mask(j, k), Prop(f"x{j + 1}")))
     nullary = [c for c in base if c.arity == 0]
     for i, c in enumerate(nullary):
         heapq.heappush(heap, (1, -1, (i,), full if c.fn.bits[0] else 0, Apply(c)))

@@ -497,6 +497,11 @@ def _projection_mask(j: int, n: int) -> int:
     return mask
 
 
+def _unpack(table: int, n: int) -> BooleanFunction:
+    """The n-ary function whose packed table has bit p set for row p."""
+    return BooleanFunction(n, tuple((table >> p) & 1 for p in range(1 << n)))
+
+
 def _eval_mask(phi: Formula, masks: Mapping[str, int], nrows: int) -> int:
     full = (1 << nrows) - 1
     if isinstance(phi, Prop):
@@ -534,10 +539,8 @@ def truth_table(phi: Formula, var_order=None) -> BooleanFunction:
     n = len(var_order)
     if n > boolfun.ARITY_CAP:
         raise ArityError(f"truth table over {n} variables exceeds the arity cap")
-    rows = 1 << n
     masks = {name: _projection_mask(j, n) for j, name in enumerate(var_order)}
-    out = _eval_mask(phi, masks, rows)
-    return BooleanFunction(n, tuple((out >> p) & 1 for p in range(rows)))
+    return _unpack(_eval_mask(phi, masks, 1 << n), n)
 
 
 def equivalent(phi: Formula, psi: Formula, cap: int = EQUIVALENCE_CAP) -> bool:

@@ -10,11 +10,13 @@ Pipelines:
 
 * ``reduce_EVL``     - [B] inside E, V or L: probe the formula for its
   conjunctive / disjunctive / affine normal form, rebuild balanced.
-* ``reduce_S00/S10`` - monotone clones above S00/S10: monotone
-  restructuring, connective replacement, constant elimination.
-* ``reduce_S02/S12`` - clones above S02/S12: full restructuring into
-  {and, or, not}, replacement over B' with constants, elimination.
-* ``reduce_D``       - self-dual window D2..D.
+* ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` run one
+  shared body: restructure to logarithmic depth, replace every
+  connective by its target representation, eliminate the constants.
+  They differ only in data: the lower clone, the upper bound (monotone
+  or self-dual), the restructurer (``g``/``h`` for monotone clones, the
+  full form otherwise), the representation lookup, and the adjoined
+  connective (``and`` for S0 clones, ``or`` for their S1 duals).
 * ``theorem_reduce`` - dispatcher over the seven lattice cases.
 """
 
@@ -23,7 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import boolfun
-from .boolfun import AND_FN, BooleanFunction, NOT_FN, OR_FN, XOR_FN
+from .boolfun import (
+    AND_FN,
+    IFF_FN,
+    NOT_FN,
+    OR_FN,
+    XNOR3_FN,
+    XOR3_FN,
+    XOR_FN,
+    BooleanFunction,
+)
 from .clones import (
     CLOSURE_ARITY_MAX,
     CloneName,
@@ -39,6 +50,7 @@ from .formula import (
     EQUIVALENCE_CAP,
     FALSE,
     FALSE_F,
+    ID,
     IFF,
     NOT,
     OR,
@@ -69,10 +81,6 @@ from .restructure import (
     restructure_monotone_g,
     restructure_monotone_h,
 )
-
-IFF_FN = boolfun.IFF_FN
-XOR3_FN = boolfun.XOR3_FN
-XNOR3_FN = boolfun.XNOR3_FN
 
 
 class ReductionError(PostLatticeError):
@@ -141,6 +149,25 @@ def _check_subbase(base: Base, target: Base) -> None:
                 f"{c.name!r} is not generated by the target base")
 
 
+#: Upper bounds a pipeline places on [B], with the message when [B] exceeds it.
+_MONOTONE = ("M", "B must be monotone")
+_SELF_DUAL = ("D", "B must be self-dual")
+
+
+def _preconditions(phi: Formula, base: Base, target: Base, lower: str | None,
+                   upper: tuple[str, str] | None) -> CloneName:
+    """Check that phi is over B, that [B] contains the clone ``lower``
+    and lies inside ``upper``, and that B is generated by B'.  Returns [B]."""
+    _check_over_base(phi, base)
+    x = clone_of(base)
+    if lower is not None:
+        _require(includes(x, lower), f"the clone of B must contain {lower}")
+    if upper is not None:
+        _require(includes(upper[0], x), upper[1])
+    _check_subbase(base, target)
+    return x
+
+
 def _balanced(items: list[Formula], conn: Connective) -> Formula:
     """Left-heavy balanced tree; logarithmic depth."""
     if len(items) == 1:
@@ -153,6 +180,27 @@ def _balanced(items: list[Formula], conn: Connective) -> Formula:
 # normal forms for E / V / L
 
 
+def _normalize_monotone(phi: Formula, bit: int, conn: Connective
+                        ) -> tuple[int, tuple[str, ...], Formula]:
+    """Shared body of :func:`normalize_E` (``bit`` 1, ``conn`` and) and
+    :func:`normalize_V` (``bit`` 0, ``conn`` or): c is the value at the
+    all-``bit`` assignment; when c equals ``bit``, i enters I when
+    additionally flipping x_i changes the value."""
+    props = props_in_order(phi)
+    probe = dict.fromkeys(props, bit)
+    c = evaluate(phi, probe)
+    chosen: list[str] = []
+    if c == bit:
+        for p in props:
+            probe[p] = 1 - bit
+            if evaluate(phi, probe) != bit:
+                chosen.append(p)
+            probe[p] = bit
+    if c == bit and chosen:
+        return c, tuple(chosen), _balanced([Prop(p) for p in chosen], conn)
+    return c, tuple(chosen), constant(c)
+
+
 def normalize_E(phi: Formula) -> tuple[int, tuple[str, ...], Formula]:
     """Conjunctive normal data (c, I) and the balanced formula
     c AND (AND of x_i for i in I), with the constant dropped when I is
@@ -160,46 +208,14 @@ def normalize_E(phi: Formula) -> tuple[int, tuple[str, ...], Formula]:
     when additionally flipping x_i to 0 falsifies the formula."""
     _require(all(boolfun.is_conjunction(c.fn) for c in connectives_of(phi)),
              "every connective must be a conjunction or constant")
-    props = props_in_order(phi)
-    ones = {p: 1 for p in props}
-    c = evaluate(phi, ones)
-    chosen: list[str] = []
-    if c == 1:
-        for p in props:
-            probe = dict(ones)
-            probe[p] = 0
-            if evaluate(phi, probe) == 0:
-                chosen.append(p)
-    if c == 0:
-        out: Formula = FALSE_F
-    elif not chosen:
-        out = TRUE_F
-    else:
-        out = _balanced([Prop(p) for p in chosen], AND)
-    return c, tuple(chosen), out
+    return _normalize_monotone(phi, 1, AND)
 
 
 def normalize_V(phi: Formula) -> tuple[int, tuple[str, ...], Formula]:
     """Disjunctive dual of :func:`normalize_E`, probed at all-zeros."""
     _require(all(boolfun.is_disjunction(c.fn) for c in connectives_of(phi)),
              "every connective must be a disjunction or constant")
-    props = props_in_order(phi)
-    zeros = {p: 0 for p in props}
-    c = evaluate(phi, zeros)
-    chosen: list[str] = []
-    if c == 0:
-        for p in props:
-            probe = dict(zeros)
-            probe[p] = 1
-            if evaluate(phi, probe) == 1:
-                chosen.append(p)
-    if c == 1:
-        out: Formula = TRUE_F
-    elif not chosen:
-        out = FALSE_F
-    else:
-        out = _balanced([Prop(p) for p in chosen], OR)
-    return c, tuple(chosen), out
+    return _normalize_monotone(phi, 0, OR)
 
 
 def normalize_L(phi: Formula) -> tuple[int, tuple[str, ...], Formula]:
@@ -257,18 +273,9 @@ def _replace_connectives(phi: Formula, repmap: dict[BooleanFunction, Formula]) -
 
 
 def _constants_present(phi: Formula) -> set[int]:
-    out: set[int] = set()
-
-    def walk(node):
-        if isinstance(node, Apply):
-            if node.conn == TRUE:
-                out.add(1)
-            elif node.conn == FALSE:
-                out.add(0)
-            for a in node.args:
-                walk(a)
-    walk(phi)
-    return out
+    """The bits of the standard constants TRUE/FALSE occurring in phi;
+    other nullary connectives do not count."""
+    return {c.fn.bits[0] for c in connectives_of(phi) if c in (TRUE, FALSE)}
 
 
 def _constant_replacement(bit: int, target: Base, props: list[str]) -> Formula | None:
@@ -377,62 +384,52 @@ def _nonconstant_fns(phi: Formula) -> list[BooleanFunction]:
 
 def _pipeline_output(inp: Formula, out: Formula, target: Base, extra: str,
                      fresh: tuple[str, ...]) -> ReductionOutput:
+    """The checked result over B' plus the adjoined ``extra`` connective."""
+    if extra != "none":
+        target = target.extended(AND if extra == "and" else OR)
     return _check_target(ReductionOutput(out, target, extra, fresh,
                                          _certificate(inp, out)))
 
 
+def _replace_and_eliminate(shaped: Formula, target: Base, lookup,
+                           mode: str) -> tuple[Formula, tuple[str, ...]]:
+    """The body every restructuring pipeline shares: replace each
+    connective of the restructured formula by its representation from
+    ``lookup``, then eliminate the constants in ``mode``."""
+    repmap = {fn: lookup(fn, target) for fn in _nonconstant_fns(shaped)}
+    return eliminate_constants(_replace_connectives(shaped, repmap), target, mode)
+
+
+def _pipeline(phi: Formula, base: Base, target: Base, lower: str,
+              upper: tuple[str, str] | None, restructurer, lookup,
+              extra: str) -> ReductionOutput:
+    _preconditions(phi, base, target, lower, upper)
+    out, fresh = _replace_and_eliminate(restructurer(phi), target, lookup, extra)
+    return _pipeline_output(phi, out, target, extra, fresh)
+
+
 def reduce_S00(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Monotone pipeline for S00 <= [B] <= M; output over B' + {and}."""
-    _check_over_base(phi, base)
-    x = clone_of(base)
-    _require(includes(x, "S00"), "the clone of B must contain S00")
-    _require(includes("M", x), "B must be monotone")
-    _check_subbase(base, target)
-    shaped = restructure_monotone_g(phi)
-    repmap = {fn: _rep(fn, target) for fn in _nonconstant_fns(shaped)}
-    replaced = _replace_connectives(shaped, repmap)
-    out, fresh = eliminate_constants(replaced, target, "and")
-    return _pipeline_output(phi, out, target.extended(AND), "and", fresh)
+    return _pipeline(phi, base, target, "S00", _MONOTONE,
+                     restructure_monotone_g, _rep, "and")
 
 
 def reduce_S10(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Dual monotone pipeline for S10 <= [B] <= M; output over B' + {or}."""
-    _check_over_base(phi, base)
-    x = clone_of(base)
-    _require(includes(x, "S10"), "the clone of B must contain S10")
-    _require(includes("M", x), "B must be monotone")
-    _check_subbase(base, target)
-    shaped = restructure_monotone_h(phi)
-    repmap = {fn: _rep(fn, target) for fn in _nonconstant_fns(shaped)}
-    replaced = _replace_connectives(shaped, repmap)
-    out, fresh = eliminate_constants(replaced, target, "or")
-    return _pipeline_output(phi, out, target.extended(OR), "or", fresh)
+    return _pipeline(phi, base, target, "S10", _MONOTONE,
+                     restructure_monotone_h, _rep, "or")
 
 
 def reduce_S02(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Pipeline for S02 <= [B]; output over B' + {and}."""
-    _check_over_base(phi, base)
-    x = clone_of(base)
-    _require(includes(x, "S02"), "the clone of B must contain S02")
-    _check_subbase(base, target)
-    shaped = restructure_full(phi)
-    repmap = {fn: _rep_flexible(fn, target) for fn in _nonconstant_fns(shaped)}
-    replaced = _replace_connectives(shaped, repmap)
-    out, fresh = eliminate_constants(replaced, target, "and")
-    return _pipeline_output(phi, out, target.extended(AND), "and", fresh)
+    return _pipeline(phi, base, target, "S02", None,
+                     restructure_full, _rep_flexible, "and")
 
 
 def reduce_S12(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Dual pipeline for S12 <= [B]; output over B' + {or}."""
-    _check_over_base(phi, base)
-    x = clone_of(base)
-    _require(includes(x, "S12"), "the clone of B must contain S12")
-    _check_subbase(base, target)
-    shaped = restructure_full(phi)
-    repmap = {fn: _rep_flexible(fn, target) for fn in _nonconstant_fns(shaped)}
-    replaced = _replace_connectives(shaped, repmap)
-    out, fresh = eliminate_constants(replaced, target, "or")
-    return _pipeline_output(phi, out, target.extended(OR), "or", fresh)
+    return _pipeline(phi, base, target, "S12", None,
+                     restructure_full, _rep_flexible, "or")
 
 
 def _rep_flexible(fn: BooleanFunction, target: Base) -> Formula:
@@ -466,50 +463,30 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
     and nothing is adjoined."""
     if want not in ("and", "or"):
         raise ReductionError(f"want must be 'and' or 'or', not {want!r}")
-    _check_over_base(phi, base)
-    x = clone_of(base)
-    _require(includes(x, "D2"), "the clone of B must contain D2")
-    _require(includes("D", x), "B must be self-dual")
-    _check_subbase(base, target)
-    extra = want
-    fresh: tuple[str, ...] = ()
+    x = _preconditions(phi, base, target, "D2", _SELF_DUAL)
     if x == CloneName("D2"):
         shaped = (restructure_monotone_g(phi) if want == "and"
                   else restructure_monotone_h(phi))
-        repmap = {fn: _rep_flexible(fn, target) for fn in _nonconstant_fns(shaped)}
-        replaced = _replace_connectives(shaped, repmap)
-        try:
-            out, fresh = eliminate_constants(replaced, target, want)
-        except ConstantEliminationError:
-            out = _whole_formula_representation(phi, target)
+        mode = want
     else:
         shaped = restructure_full(phi)
-        repmap = {fn: _rep_flexible(fn, target) for fn in _nonconstant_fns(shaped)}
-        replaced = _replace_connectives(shaped, repmap)
-        if clone_of(target) == CloneName("BF"):
-            out, fresh = eliminate_constants(replaced, target, "fresh")
-            extra = "none"
-        else:
-            try:
-                out, fresh = eliminate_constants(replaced, target, want)
-            except ConstantEliminationError:
-                out = _whole_formula_representation(phi, target)
-    tgt = target if extra == "none" else target.extended(AND if extra == "and" else OR)
-    return _pipeline_output(phi, out, tgt, extra, fresh)
+        mode = "fresh" if clone_of(target) == CloneName("BF") else want
+    try:
+        out, fresh = _replace_and_eliminate(shaped, target, _rep_flexible, mode)
+    except ConstantEliminationError:
+        out, fresh = _whole_formula_representation(phi, target), ()
+    return _pipeline_output(phi, out, target,
+                            "none" if mode == "fresh" else want, fresh)
 
 
 def _emit_conjunctive(c: int, chosen: tuple[str, ...], target: Base,
                       props: list[str], conn: Connective) -> Formula:
-    if (conn is AND and c == 0) or (conn is OR and c == 1):
+    """Rebuild the output of :func:`normalize_E` (``conn`` and) or
+    :func:`normalize_V` (``conn`` or) over the target."""
+    if c != (1 if conn is AND else 0) or not chosen:
         out = _constant_replacement(c, target, props)
         if out is None:
             raise PreconditionError(f"constant {c} is not available in the target")
-        return out
-    if not chosen:
-        bit = 1 if conn is AND else 0
-        out = _constant_replacement(bit, target, props)
-        if out is None:
-            raise PreconditionError(f"constant {bit} is not available in the target")
         return out
     if len(chosen) == 1:
         return Prop(chosen[0])
@@ -559,9 +536,7 @@ def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Pipeline for [B] inside E, V or L: probe to the normal form, then
     rebuild balanced with every connective and needed constant replaced
     by its target representation.  Output over B' exactly."""
-    _check_over_base(phi, base)
-    x = clone_of(base)
-    _check_subbase(base, target)
+    x = _preconditions(phi, base, target, None, None)
     props = props_in_order(phi)
     if includes("V", x):
         c, chosen, _ = normalize_V(phi)
@@ -611,8 +586,8 @@ def theorem_reduce(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     Cases (a)-(c) and (g) land in the target base exactly; case (d)
     adjoins ``and``, case (e) adjoins ``or``, and case (f) adjoins the
     default ``and`` (or nothing over a functionally complete target).
+    Every pipeline checks that B is generated by B' itself.
     """
-    _check_subbase(base, target)
     x = clone_of(base)
     case = theorem_case(x)
     if case in ("a", "b", "c"):
@@ -627,9 +602,8 @@ def theorem_reduce(phi: Formula, base: Base, target: Base) -> ReductionOutput:
         return reduce_S12(phi, base, target)
     if case == "f":
         return reduce_D(phi, base, target, want="and")
-    # case (g): the target generates both and/or, so nothing is adjoined
-    _require(member(AND_FN, target) and member(OR_FN, target),
-             "case (g) requires and/or to be generated by the target")
+    # case (g): M2 <= [B] <= [B'] (checked by the pipeline), so the target
+    # generates both and/or and nothing is adjoined
     if includes("M", x):
         inner = reduce_S00(phi, base, target)
     else:
@@ -642,8 +616,7 @@ def theorem_reduce(phi: Formula, base: Base, target: Base) -> ReductionOutput:
 # canonical connective sets
 
 
-_STD_BY_NAME = {c.name: c for c in (AND, OR, NOT, XOR, IFF, FALSE, TRUE)}
-_STD_BY_NAME["id"] = Connective("id", boolfun.ID_FN)
+_STD_BY_NAME = {c.name: c for c in (AND, OR, NOT, XOR, IFF, FALSE, TRUE, ID)}
 
 _SIX_CANONICAL = {
     CloneName("BF"): ("and", "or", "not"),

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import boolfun
+from .clones import G, H
 from .errors import PostLatticeError
 from .formula import (
     AND,
@@ -30,6 +31,7 @@ from .formula import (
     Connective,
     Formula,
     Prop,
+    connectives_of,
     constant,
     constant_value,
     evaluate,
@@ -38,9 +40,6 @@ from .formula import (
     substitute,
     vars_of,
 )
-
-G = Connective("g", boolfun.G_FN)
-H = Connective("h", boolfun.H_FN)
 
 #: Empirical size-law factors asserted by the test suite:
 #: monotone outputs stay within SIZE_FACTOR_MONOTONE * size(input)**2,
@@ -69,9 +68,7 @@ class SplitChoice:
 
 
 def max_connective_arity(phi: Formula) -> int:
-    if isinstance(phi, Prop):
-        return 0
-    return max([phi.conn.arity] + [max_connective_arity(a) for a in phi.args])
+    return max((c.arity for c in connectives_of(phi)), default=0)
 
 
 def select_split(phi: Formula) -> SplitChoice:
@@ -111,21 +108,9 @@ def _unary_shape(phi: Formula, allow_negation: bool) -> Formula:
 
 
 def _check_monotone(phi: Formula) -> None:
-    bad = _first_non_monotone(phi)
-    if bad is not None:
-        raise RestructureError(f"connective {bad.name!r} is not monotone")
-
-
-def _first_non_monotone(phi: Formula):
-    if isinstance(phi, Prop):
-        return None
-    if not boolfun.is_monotone(phi.conn.fn):
-        return phi.conn
-    for a in phi.args:
-        bad = _first_non_monotone(a)
-        if bad is not None:
-            return bad
-    return None
+    for c in connectives_of(phi):
+        if not boolfun.is_monotone(c.fn):
+            raise RestructureError(f"connective {c.name!r} is not monotone")
 
 
 def _restructure_monotone(phi: Formula, conn: Connective, swap: bool) -> Formula:

@@ -49,8 +49,38 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,expected", GOLDEN,
-                         ids=[argv[1] for argv, _ in GOLDEN])
+#: The dual halves of the reduction and restructuring code: case (e) via
+#: reduce_S10, case (e) via reduce_S12, and the h restructurer.
+GOLDEN_DUAL = [
+    pytest.param(
+        ["--json", "reduce", "--formula", "h(x,y,y)",
+         "--from-fn", "h/3:00000111", "--to-fn", "h/3:00000111"],
+        '{"formula": "h(h(y | x, h(y, x, x), y), h(h(y, x, x), h(y, x, x), y), x)", '
+        '"target": ["h/3:00000111", "or/2:0111"], "extra": "or", '
+        '"fresh_vars": [], "depth_in": 1, "depth_out": 3, "size_in": 4, '
+        '"size_out": 21, "equivalent": true}',
+        id="reduce-S10"),
+    pytest.param(
+        ["--json", "reduce", "--formula", "hn(x,x,y)",
+         "--from-fn", "hn/3:00001011", "--to-fn", "hn/3:00001011"],
+        '{"formula": "hn(x, hn(x, hn(x, x, x), x), hn(x, hn(x, hn(x, x, x), x), '
+        'hn(x, x, x)))", "target": ["hn/3:00001011", "or/2:0111"], '
+        '"extra": "or", "fresh_vars": [], "depth_in": 1, "depth_out": 4, '
+        '"size_in": 4, "size_out": 22, "equivalent": true}',
+        id="reduce-S12"),
+    pytest.param(
+        ["--json", "depth-reduce", "--formula", "(x | y) & (z | w)", "--mode", "h"],
+        '{"formula": "h(h(1, w, z), h(0, 0, z), h(1, y, x))", "mode": "h", '
+        '"size_in": 7, "depth_in": 2, "leaf_count": 4, "size_out": 13, '
+        '"depth_out": 3, "equivalent": true}',
+        id="depth-reduce-h"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [pytest.param(argv, expected, id=argv[1]) for argv, expected in GOLDEN]
+    + GOLDEN_DUAL)
 def test_golden_json(argv, expected, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -103,8 +133,3 @@ def test_base_file_loading(tmp_path, capsys):
     path.write_text("# majority\nmaj3/3:00010111\n")
     assert main(["--json", "id", "--base", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"clone": "D2"}
-
-
-def test_seed_flag_accepted(capsys):
-    assert main(["--seed", "7", "--json", "id", "--fn", "imp/2:1101"]) == 0
-    capsys.readouterr()

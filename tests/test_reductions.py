@@ -309,9 +309,17 @@ def test_theorem_reduce_identity_case():
     assert out.extra == "none"
 
 
-def test_theorem_reduce_requires_subbase():
-    with pytest.raises(PreconditionError):
-        theorem_reduce(parse("x & y"), Base([AND]), Base([OR]))
+@pytest.mark.parametrize("text,source,target", [
+    ("x & y", [AND], [OR]),                   # (c) via reduce_EVL
+    ("g(x, y, z)", [G], [H]),                 # (d) via reduce_S00
+    ("h(x, y, z)", [H], [G]),                 # (e) via reduce_S10
+    ("maj3(x, y, z)", [MAJ3], [AND]),         # (f) via reduce_D
+    ("x & !y", [AND, NOT], [AND, OR, TRUE]),  # (g) via reduce_S02
+], ids=["c", "d", "e", "f", "g"])
+def test_theorem_reduce_requires_subbase(text, source, target):
+    base = Base(source)
+    with pytest.raises(PreconditionError, match="not generated by the target"):
+        theorem_reduce(parse(text, base), base, Base(target))
 
 
 def test_monotone_pipelines_never_negate():
