@@ -17,14 +17,11 @@ from .errors import PostLatticeError
 from .formula import (
     Base,
     Connective,
-    depth,
     equivalent,
     evaluate,
-    leaf_count,
     metrics,
     parse,
     render,
-    size,
     truth_table,
     vars_of,
 )
@@ -51,7 +48,7 @@ def _load_base(file_arg, fn_args, *, required: bool = True,
     return Base(conns)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: str | None) -> None:
     if args.json:
         print(json.dumps(payload))
     else:
@@ -62,9 +59,9 @@ def _cmd_parse(args) -> int:
     base = _load_base(args.base, args.fn, required=False)
     phi = parse(args.formula, base)
     m = metrics(phi)
-    _emit(args, {"formula": render(phi), "size": m.size, "depth": m.depth,
-                 "leaf_count": m.leaf_count, "vars": sorted(m.vars)},
-          render(phi))
+    text = render(phi)
+    _emit(args, {"formula": text, "size": m.size, "depth": m.depth,
+                 "leaf_count": m.leaf_count, "vars": sorted(m.vars)}, text)
     return 0
 
 
@@ -145,15 +142,17 @@ def _cmd_depth_reduce(args) -> int:
                "h": restructure.restructure_monotone_h}[args.mode]
     out = builder(phi)
     ok = equivalent(phi, out)
+    m_in, m_out = metrics(phi), metrics(out)
     payload = {
         "formula": render(out), "mode": args.mode,
-        "size_in": size(phi), "depth_in": depth(phi),
-        "leaf_count": leaf_count(phi),
-        "size_out": size(out), "depth_out": depth(out),
+        "size_in": m_in.size, "depth_in": m_in.depth,
+        "leaf_count": m_in.leaf_count,
+        "size_out": m_out.size, "depth_out": m_out.depth,
         "equivalent": ok,
     }
-    text = (f"depth {payload['depth_in']} -> {payload['depth_out']}, "
-            f"size {payload['size_in']} -> {payload['size_out']}\n{render(out)}")
+    text = None if args.json else (
+        f"depth {m_in.depth} -> {m_out.depth}, "
+        f"size {m_in.size} -> {m_out.size}\n{payload['formula']}")
     _emit(args, payload, text)
     return 0
 
@@ -175,7 +174,7 @@ def _cmd_reduce(args) -> int:
     }
     text = (f"target: {', '.join(c.name for c in result.target)} (extra: "
             f"{result.extra})\ndepth {cert.depth_in} -> {cert.depth_out}, "
-            f"size {cert.size_in} -> {cert.size_out}\n{render(result.formula)}")
+            f"size {cert.size_in} -> {cert.size_out}\n{payload['formula']}")
     _emit(args, payload, text)
     return 0
 

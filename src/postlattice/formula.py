@@ -3,7 +3,11 @@ evaluation, substitution and structural metrics.
 
 A formula is a finite tree of :class:`Prop` leaves and :class:`Apply`
 nodes; constants are connectives of arity 0.  All values are immutable,
-so every operation here is a pure function.
+so every operation here is a pure function, and a subtree may be shared
+by several parents in memory.  Every walk over a formula is iterative
+(an explicit stack, so deep formulas never exhaust the Python stack) and
+handles each distinct node object once within a call.  Size and leaf
+count are still tree counts: a shared subtree counts once per occurrence.
 
 Grammar (ASCII): identifiers ``[a-zA-Z_][a-zA-Z0-9_']*`` (a leading
 ``__`` is reserved for generated propositions), infix ``&`` ``|`` ``^``
@@ -312,8 +316,93 @@ class _Parser:
 def parse(text: str, base: Base | None = None) -> Formula:
     """Parse a formula.  Named prefix calls resolve in ``base`` first and
     in the standard connectives second; infix symbols always denote the
-    standard connectives."""
-    return _Parser(text, base).parse()
+    standard connectives.  Input nested deeper than the interpreter's
+    recursion limit allows raises :class:`ParseError`."""
+    parser = _Parser(text, base)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("nested too deeply",
+                         len(text) if tok is None else tok[2]) from None
+
+
+# ---------------------------------------------------------------------------
+# traversal
+#
+# Substitution shares subtrees in memory: a restructured formula uses its
+# split subformula in both case-split branches, so a tree of 300k nodes may
+# hold only a few thousand distinct node objects.  Every walk below is an
+# explicit-stack pass that handles each distinct node object once, with
+# per-node results memoised on ``id(node)``.  A memo lives for one call
+# only, because an id can be reused once its object is freed.
+
+
+def _postorder(phi: Formula) -> list[Formula]:
+    """The distinct node objects of ``phi``, each once, children before
+    parents and left to right."""
+    order: list[Formula] = []
+    seen: set[int] = set()      # expanded
+    done: set[int] = set()      # in ``order``
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key not in seen:
+            seen.add(key)
+            if isinstance(node, Apply):
+                # emitted when popped again, after its arguments
+                stack.append(node)
+                stack.extend(reversed(node.args))
+                continue
+        elif key in done:
+            continue
+        done.add(key)
+        order.append(node)
+    return order
+
+
+def _preorder(phi: Formula) -> list[Formula]:
+    """The distinct node objects of ``phi`` in order of first occurrence:
+    parents before children, left to right."""
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        order.append(node)
+        if isinstance(node, Apply):
+            stack.extend(reversed(node.args))
+    return order
+
+
+def _same(a: Formula, b: Formula) -> bool:
+    """Structural equality, without recursion; shared subtrees compare by
+    identity and leftmost arguments are compared first."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if isinstance(x, Prop):
+            if not (isinstance(y, Prop) and x.name == y.name):
+                return False
+        elif isinstance(y, Apply) and x.conn == y.conn:
+            stack.extend(zip(reversed(x.args), reversed(y.args)))
+        else:
+            return False
+    return True
+
+
+def _rebuild(node: Apply, args: list[Formula]) -> Apply:
+    """``node`` with the given arguments; ``node`` itself when every
+    argument is unchanged."""
+    if all(a is b for a, b in zip(args, node.args)):
+        return node
+    return Apply(node.conn, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +421,15 @@ _SYMBOL = {
 
 def render(phi: Formula) -> str:
     """Minimal-parenthesis ASCII form; reparses to an equal tree."""
-    text, _ = _render(phi)
-    return text
+    memo: dict[int, tuple[str, int]] = {}
+    for node in _postorder(phi):
+        memo[id(node)] = _render_node(node, memo)
+    return memo[id(phi)][0]
 
 
-def _render(phi: Formula) -> tuple[str, int]:
+def _render_node(phi: Formula, memo: dict[int, tuple[str, int]]) -> tuple[str, int]:
+    """Text and precedence level of one node, given its arguments' in
+    ``memo``."""
     if isinstance(phi, Prop):
         return phi.name, _LEVEL_ATOM
     conn = phi.conn
@@ -345,7 +438,7 @@ def _render(phi: Formula) -> tuple[str, int]:
     if conn == FALSE:
         return "0", _LEVEL_ATOM
     if conn == NOT:
-        inner, lvl = _render(phi.args[0])
+        inner, lvl = memo[id(phi.args[0])]
         if lvl < 60:
             inner = f"({inner})"
         return f"!{inner}", 60
@@ -354,13 +447,13 @@ def _render(phi: Formula) -> tuple[str, int]:
         sym, level, assoc = info
         parts = []
         for side, arg in zip(("left", "right"), phi.args):
-            text, lvl = _render(arg)
+            text, lvl = memo[id(arg)]
             same_op = isinstance(arg, Apply) and arg.conn == conn
             if lvl < level or (lvl == level and not (same_op and side == assoc)):
                 text = f"({text})"
             parts.append(text)
         return f"{parts[0]} {sym} {parts[1]}", level
-    args = ", ".join(_render(a)[0] for a in phi.args)
+    args = ", ".join(memo[id(a)][0] for a in phi.args)
     return f"{conn.name}({args})", _LEVEL_ATOM
 
 
@@ -372,51 +465,32 @@ Assignment = Mapping[str, int]
 
 def evaluate(phi: Formula, assignment: Assignment) -> int:
     """Bottom-up evaluation under a total assignment."""
-    if isinstance(phi, Prop):
-        try:
-            return assignment[phi.name] & 1
-        except KeyError:
-            raise EvaluationError(f"unbound proposition {phi.name!r}") from None
-    return phi.conn.fn.value([evaluate(a, assignment) for a in phi.args])
+    values: dict[int, int] = {}
+    for node in _postorder(phi):
+        if isinstance(node, Prop):
+            try:
+                values[id(node)] = assignment[node.name] & 1
+            except KeyError:
+                raise EvaluationError(f"unbound proposition {node.name!r}") from None
+        else:
+            values[id(node)] = node.conn.fn.value([values[id(a)] for a in node.args])
+    return values[id(phi)]
 
 
 def vars_of(phi: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    _collect_vars(phi, out)
-    return frozenset(out)
-
-
-def _collect_vars(phi: Formula, out: set) -> None:
-    if isinstance(phi, Prop):
-        out.add(phi.name)
-    else:
-        for a in phi.args:
-            _collect_vars(a, out)
+    return frozenset(node.name for node in _preorder(phi) if isinstance(node, Prop))
 
 
 def props_in_order(phi: Formula) -> list[str]:
     """Distinct proposition names in order of first occurrence."""
-    seen: dict[str, None] = {}
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Prop):
-            seen.setdefault(node.name, None)
-        else:
-            stack.extend(reversed(node.args))
-    return list(seen)
+    return list(dict.fromkeys(node.name for node in _preorder(phi)
+                              if isinstance(node, Prop)))
 
 
 def connectives_of(phi: Formula) -> list[Connective]:
     """Distinct connectives in first-occurrence order."""
-    seen: dict[Connective, None] = {}
-    def walk(node):
-        if isinstance(node, Apply):
-            seen.setdefault(node.conn, None)
-            for a in node.args:
-                walk(a)
-    walk(phi)
-    return list(seen)
+    return list(dict.fromkeys(node.conn for node in _preorder(phi)
+                              if isinstance(node, Apply)))
 
 
 class Metrics(NamedTuple):
@@ -426,29 +500,42 @@ class Metrics(NamedTuple):
     vars: frozenset[str]
 
 
+def metrics(phi: Formula) -> Metrics:
+    """Size (node count), depth, leaf count and variables in one pass.
+    Size and leaf count are tree counts: a subtree shared in memory counts
+    once per occurrence."""
+    memo: dict[int, tuple[int, int, int]] = {}
+    names: set[str] = set()
+    for node in _postorder(phi):
+        if isinstance(node, Prop):
+            names.add(node.name)
+            memo[id(node)] = (1, 0, 1)
+            continue
+        n, d, leaves = 1, 0, 0
+        for a in node.args:
+            a_n, a_d, a_leaves = memo[id(a)]
+            n += a_n
+            leaves += a_leaves
+            if a_d > d:
+                d = a_d
+        memo[id(node)] = (n, d + 1, leaves)
+    n, d, leaves = memo[id(phi)]
+    return Metrics(n, d, leaves, frozenset(names))
+
+
 def size(phi: Formula) -> int:
-    if isinstance(phi, Prop):
-        return 1
-    return 1 + sum(size(a) for a in phi.args)
+    return metrics(phi).size
 
 
 def depth(phi: Formula) -> int:
     """Maximum nesting of connective applications; a lone proposition has
     depth 0 and a lone constant depth 1."""
-    if isinstance(phi, Prop):
-        return 0
-    return 1 + max((depth(a) for a in phi.args), default=0)
+    return metrics(phi).depth
 
 
 def leaf_count(phi: Formula) -> int:
     """Number of proposition occurrences; constants do not count."""
-    if isinstance(phi, Prop):
-        return 1
-    return sum(leaf_count(a) for a in phi.args)
-
-
-def metrics(phi: Formula) -> Metrics:
-    return Metrics(size(phi), depth(phi), leaf_count(phi), vars_of(phi))
+    return metrics(phi).leaf_count
 
 
 def substitute(phi: Formula, alpha: Formula, beta: Formula) -> Formula:
@@ -456,30 +543,52 @@ def substitute(phi: Formula, alpha: Formula, beta: Formula) -> Formula:
 
     Occurrences are found outside-in and replacements are never re-scanned.
     """
-    if phi == alpha:
-        return beta
-    if isinstance(phi, Prop):
-        return phi
-    return Apply(phi.conn, tuple(substitute(a, alpha, beta) for a in phi.args))
+    target = leaf_count(alpha)
+    memo: dict[int, tuple[Formula, int]] = {}   # result and leaf count
+    for node in _postorder(phi):
+        if isinstance(node, Prop):
+            out, leaves = node, 1
+        else:
+            out = _rebuild(node, [memo[id(a)][0] for a in node.args])
+            leaves = sum(memo[id(a)][1] for a in node.args)
+        # a match discards whatever was rebuilt below it, so matching
+        # bottom-up replaces the same occurrences as matching outside-in
+        if leaves == target and _same(node, alpha):
+            out = beta
+        memo[id(node)] = (out, leaves)
+    return memo[id(phi)][0]
 
 
 def instantiate(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace propositions by formulas."""
-    if isinstance(phi, Prop):
-        return mapping.get(phi.name, phi)
-    return Apply(phi.conn, tuple(instantiate(a, mapping) for a in phi.args))
+    memo: dict[int, Formula] = {}
+    for node in _postorder(phi):
+        if isinstance(node, Prop):
+            memo[id(node)] = mapping.get(node.name, node)
+        else:
+            memo[id(node)] = _rebuild(node, [memo[id(a)] for a in node.args])
+    return memo[id(phi)]
 
 
 def fold(phi: Formula) -> Formula:
     """Evaluate every connective application whose arguments are all
     constants; equivalence-preserving."""
-    if isinstance(phi, Prop):
-        return phi
-    args = tuple(fold(a) for a in phi.args)
+    memo: dict[int, Formula] = {}
+    for node in _postorder(phi):
+        if isinstance(node, Prop):
+            memo[id(node)] = node
+        else:
+            memo[id(node)] = _fold_node(node, [memo[id(a)] for a in node.args])
+    return memo[id(phi)]
+
+
+def _fold_node(node: Apply, args: list[Formula]) -> Formula:
+    """``node`` over the given (folded) arguments, evaluated to a constant
+    when they are all constants."""
     vals = [constant_value(a) for a in args]
-    if all(v is not None for v in vals):
-        return constant(phi.conn.fn.value(vals))
-    return Apply(phi.conn, args)
+    if None in vals:
+        return _rebuild(node, args)
+    return constant(node.conn.fn.value(vals))
 
 
 def constant_value(phi: Formula):
@@ -490,10 +599,15 @@ def constant_value(phi: Formula):
 
 
 def _projection_mask(j: int, n: int) -> int:
-    mask = 0
-    for p in range(1 << n):
-        if (p >> (n - 1 - j)) & 1:
-            mask |= 1 << p
+    """Packed table of the j-th of n variables: bit p is set iff row p
+    has that variable true.  Built by doubling one period (a run of
+    zeros, then a run of ones) up to all 2^n rows."""
+    run = 1 << (n - 1 - j)
+    mask = ((1 << run) - 1) << run
+    period = 2 * run
+    while period < 1 << n:
+        mask |= mask << period
+        period *= 2
     return mask
 
 
@@ -504,24 +618,28 @@ def _unpack(table: int, n: int) -> BooleanFunction:
 
 def _eval_mask(phi: Formula, masks: Mapping[str, int], nrows: int) -> int:
     full = (1 << nrows) - 1
-    if isinstance(phi, Prop):
-        try:
-            return masks[phi.name]
-        except KeyError:
-            raise EvaluationError(f"unbound proposition {phi.name!r}") from None
-    child = [_eval_mask(a, masks, nrows) for a in phi.args]
-    fn = phi.conn.fn
-    out = 0
-    for v in range(1 << fn.arity):
-        if not fn.bits[v]:
+    memo: dict[int, int] = {}
+    for node in _postorder(phi):
+        if isinstance(node, Prop):
+            try:
+                memo[id(node)] = masks[node.name]
+            except KeyError:
+                raise EvaluationError(f"unbound proposition {node.name!r}") from None
             continue
-        term = full
-        for j, c in enumerate(child):
-            term &= c if (v >> (fn.arity - 1 - j)) & 1 else full ^ c
-            if not term:
-                break
-        out |= term
-    return out
+        child = [memo[id(a)] for a in node.args]
+        fn = node.conn.fn
+        out = 0
+        for v in range(1 << fn.arity):
+            if not fn.bits[v]:
+                continue
+            term = full
+            for j, c in enumerate(child):
+                term &= c if (v >> (fn.arity - 1 - j)) & 1 else full ^ c
+                if not term:
+                    break
+            out |= term
+        memo[id(node)] = out
+    return memo[id(phi)]
 
 
 def truth_table(phi: Formula, var_order=None) -> BooleanFunction:

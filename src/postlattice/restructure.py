@@ -5,7 +5,9 @@ child with the most proposition occurrences and take the first
 subformula on that path whose leaf count is at most k*m/(k+1), where m
 is the total leaf count and k the largest connective arity.  Both
 recursion branches then shrink by the factor k/(k+1), which gives depth
-O(k log m).
+O(k log m).  Each branch of a step is one pass over the formula that
+substitutes the split constant, folds, and records the leaf count and
+largest arity of every new node; the split rule reads those counts.
 
 * ``restructure_monotone_g``: for monotone connectives; rebuilds around
   g(x,y,z) = x | (y & z) and never introduces negation.
@@ -25,20 +27,19 @@ from .clones import G, H
 from .errors import PostLatticeError
 from .formula import (
     AND,
+    FALSE_F,
     NOT,
     OR,
+    TRUE_F,
     Apply,
-    Connective,
     Formula,
     Prop,
+    _fold_node,
+    _postorder,
+    _same,
     connectives_of,
     constant,
     constant_value,
-    evaluate,
-    fold,
-    leaf_count,
-    substitute,
-    vars_of,
 )
 
 #: Empirical size-law factors asserted by the test suite:
@@ -67,44 +68,120 @@ class SplitChoice:
     node: Formula
 
 
+#: Leaf count and largest connective arity (0 when there is none) of each
+#: distinct node, keyed by ``id(node)``.
+Counts = dict[int, tuple[int, int]]
+
+
+def _count(phi: Formula) -> Counts:
+    """The counts of every node of ``phi``, in one pass."""
+    counts: Counts = {}
+    for node in _postorder(phi):
+        counts[id(node)] = _tally(node, counts)
+    return counts
+
+
+def _tally(node: Formula, counts: Counts) -> tuple[int, int]:
+    """Counts of one node, given its arguments' in ``counts``."""
+    if isinstance(node, Prop):
+        return 1, 0
+    leaves, arity = 0, len(node.args)
+    for a in node.args:
+        a_leaves, a_arity = counts[id(a)]
+        leaves += a_leaves
+        if a_arity > arity:
+            arity = a_arity
+    return leaves, arity
+
+
 def max_connective_arity(phi: Formula) -> int:
-    return max((c.arity for c in connectives_of(phi)), default=0)
+    return _count(phi)[id(phi)][1]
 
 
 def select_split(phi: Formula) -> SplitChoice:
     """Pick the split subformula.  Requires at least two proposition
     occurrences.  The result psi satisfies
     m/(k+1) < leaves(psi) <= k*m/(k+1)."""
-    m = leaf_count(phi)
+    return _split(phi, _count(phi))
+
+
+def _split(phi: Formula, counts: Counts) -> SplitChoice:
+    """Descend from the root into the child with the most leaves (the
+    first on ties) until the leaf count is within the bound."""
+    m, k = counts[id(phi)]
     if m < 2:
         raise RestructureError("split requires at least two proposition occurrences")
-    k = max_connective_arity(phi)
     bound = k * m / (k + 1)
     path: list[int] = []
     node = phi
     count = m
     while count > bound:
-        counts = [leaf_count(a) for a in node.args]
-        idx = max(range(len(counts)), key=lambda i: (counts[i], -i))
+        best = -1
+        for i, a in enumerate(node.args):
+            leaves = counts[id(a)][0]
+            if leaves > best:
+                best, idx, child = leaves, i, a
         path.append(idx)
-        node = node.args[idx]
-        count = counts[idx]
+        node, count = child, best
     return SplitChoice(tuple(path), m, count, node)
 
 
-def _unary_shape(phi: Formula, allow_negation: bool) -> Formula:
-    """Canonical form of a formula with exactly one proposition
-    occurrence: the proposition, its negation, or a constant."""
-    (name,) = vars_of(phi)
-    v0 = evaluate(phi, {name: 0})
-    v1 = evaluate(phi, {name: 1})
+def _branch(phi: Formula, psi: Formula | None, bit: int, counts: Counts) -> Formula:
+    """One pass over ``phi``: replace every subformula equal to ``psi`` by
+    the constant ``bit``, fold constant applications, and add the counts
+    of every new node to ``counts``.  ``psi=None`` only folds.
+
+    ``counts`` is shared by a whole restructuring call.  It is only read
+    for nodes that are still alive and got their entry while alive, so an
+    entry left by a freed node whose id was reused is overwritten before
+    it is read."""
+    target = counts[id(psi)][0] if psi is not None else -1
+    memo: dict[int, Formula] = {}
+    stack: list[tuple[Formula, bool]] = [(phi, False)]
+    while stack:
+        node, expanded = stack.pop()
+        key = id(node)
+        if expanded:
+            out = memo[key] = _fold_node(node, [memo[id(a)] for a in node.args])
+            if out is not node:
+                counts[id(out)] = _tally(out, counts)
+        elif key in memo:
+            continue
+        elif counts[key][0] == target and _same(node, psi):
+            memo[key] = constant(bit)
+        elif isinstance(node, Prop):
+            memo[key] = node
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in reversed(node.args))
+    return memo[id(phi)]
+
+
+def _unary_shape(phi: Formula, counts: Counts, allow_negation: bool) -> Formula:
+    """Canonical form of a folded formula with exactly one proposition
+    occurrence: the proposition, its negation, or a constant.  Folding
+    leaves a constant in every argument off the path to the occurrence,
+    so evaluating that path is enough."""
+    path = []
+    leaf = phi
+    while isinstance(leaf, Apply):
+        path.append(leaf)
+        leaf = next(a for a in leaf.args if counts[id(a)][0])
+    v0, v1 = 0, 1       # values with the occurrence set to 0 and to 1
+    for node in reversed(path):
+        args = [constant_value(a) for a in node.args]
+        at = args.index(None)
+        args[at] = v0
+        v0 = node.conn.fn.value(args)
+        args[at] = v1
+        v1 = node.conn.fn.value(args)
     if v0 == v1:
         return constant(v0)
     if v0 == 0:
-        return Prop(name)
+        return leaf
     if not allow_negation:
         raise RestructureError("non-monotone behaviour under monotone connectives")
-    return Apply(NOT, (Prop(name),))
+    return Apply(NOT, (leaf,))
 
 
 def _check_monotone(phi: Formula) -> None:
@@ -113,22 +190,28 @@ def _check_monotone(phi: Formula) -> None:
             raise RestructureError(f"connective {c.name!r} is not monotone")
 
 
-def _restructure_monotone(phi: Formula, conn: Connective, swap: bool) -> Formula:
-    phi = fold(phi)
-    m = leaf_count(phi)
-    if m == 0:
-        if constant_value(phi) is None:
-            raise RestructureError("proposition-free formula did not fold")
-        return phi
-    if m == 1:
-        return _unary_shape(phi, allow_negation=False)
-    psi = select_split(phi).node
-    low = _restructure_monotone(substitute(phi, psi, constant(0)), conn, swap)
-    high = _restructure_monotone(substitute(phi, psi, constant(1)), conn, swap)
-    part = _restructure_monotone(psi, conn, swap)
-    if swap:
-        return Apply(conn, (high, low, part))
-    return Apply(conn, (low, high, part))
+def _restructure(phi: Formula, build, allow_negation: bool) -> Formula:
+    """Fold ``phi`` and rebuild it with ``build(low, high, part)`` around
+    each split subformula psi, where low and high restructure phi with
+    psi set to 0 and to 1 and part restructures psi."""
+    counts = _count(phi)
+    counts[id(TRUE_F)] = counts[id(FALSE_F)] = (0, 0)
+
+    def step(phi: Formula) -> Formula:
+        m = counts[id(phi)][0]
+        if m == 0:
+            if constant_value(phi) is None:
+                raise RestructureError("proposition-free formula did not fold")
+            return phi
+        if m == 1:
+            return _unary_shape(phi, counts, allow_negation)
+        # psi is a subformula of the folded phi, so it is folded and counted
+        psi = _split(phi, counts).node
+        low = step(_branch(phi, psi, 0, counts))
+        high = step(_branch(phi, psi, 1, counts))
+        return build(low, high, step(psi))
+
+    return step(_branch(phi, None, 0, counts))
 
 
 def restructure_monotone_g(phi: Formula) -> Formula:
@@ -136,32 +219,25 @@ def restructure_monotone_g(phi: Formula) -> Formula:
     depth logarithmic in the leaf count.  Every connective of the input
     must be monotone; negation never appears in the output."""
     _check_monotone(phi)
-    return _restructure_monotone(phi, G, swap=False)
+    return _restructure(phi, lambda low, high, part: Apply(G, (low, high, part)),
+                        allow_negation=False)
 
 
 def restructure_monotone_h(phi: Formula) -> Formula:
     """Dual of :func:`restructure_monotone_g`, built around h."""
     _check_monotone(phi)
-    return _restructure_monotone(phi, H, swap=True)
+    return _restructure(phi, lambda low, high, part: Apply(H, (high, low, part)),
+                        allow_negation=False)
 
 
 def restructure_full(phi: Formula) -> Formula:
     """Equivalent {and, or, not, 0, 1}-formula of logarithmic depth, for
     arbitrary connectives within the arity cap."""
-    phi = fold(phi)
-    m = leaf_count(phi)
-    if m == 0:
-        if constant_value(phi) is None:
-            raise RestructureError("proposition-free formula did not fold")
-        return phi
-    if m == 1:
-        return _unary_shape(phi, allow_negation=True)
-    psi = select_split(phi).node
-    low = restructure_full(substitute(phi, psi, constant(0)))
-    high = restructure_full(substitute(phi, psi, constant(1)))
-    part = restructure_full(psi)
-    return Apply(OR, (Apply(AND, (low, Apply(NOT, (part,)))),
-                      Apply(AND, (high, part))))
+    return _restructure(
+        phi,
+        lambda low, high, part: Apply(OR, (Apply(AND, (low, Apply(NOT, (part,)))),
+                                           Apply(AND, (high, part)))),
+        allow_negation=True)
 
 
 def depth_bound(mode: str, k: int, leaves: int) -> float:

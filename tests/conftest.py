@@ -1,10 +1,14 @@
-"""Shared test helpers: seeded random generators and the independent
-subset-enumeration oracle for separating degrees."""
+"""Shared test helpers: seeded random generators, deep chains, a
+lowered-recursion-limit fixture and the independent subset-enumeration
+oracle for separating degrees."""
 
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
+
+import pytest
 
 from postlattice import clones
 from postlattice.boolfun import INFINITE, BooleanFunction
@@ -58,6 +62,32 @@ def random_formula(rng: random.Random, conns, names, budget: int):
     args = tuple(random_formula(rng, conns, names, max(1, round(rest * w / total)))
                  for w in weights)
     return Apply(conn, args)
+
+
+def chain(links, leaves: int, names):
+    """Right-nested chain ``n1 o1 (n2 o2 (... o nL))`` with ``leaves``
+    proposition occurrences, cycling through ``links`` and ``names``.
+    Built bottom-up, so no recursion."""
+    node = Prop(names[(leaves - 1) % len(names)])
+    for i in range(leaves - 2, -1, -1):
+        node = Apply(links[i % len(links)], (Prop(names[i % len(names)]), node))
+    return node
+
+
+@pytest.fixture
+def shallow_stack():
+    """Lower the recursion limit to about 100 frames above the current
+    stack for one test, so that a formula walk that recurses once per node
+    fails on a deep input even at depths far below the input's."""
+    frame, frames = sys._getframe(), 0
+    while frame is not None:
+        frame, frames = frame.f_back, frames + 1
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 100)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def oracle_separating_degree(f: BooleanFunction, c: int):

@@ -110,6 +110,13 @@ def test_domain_error_is_single_json_object(capsys):
     assert out.count("\n") == 1
 
 
+def test_too_deep_formula_is_json_error(capsys):
+    assert main(["--json", "parse", "--formula", "(" * 1200 + "x" + ")" * 1200]) == 1
+    out = capsys.readouterr().out
+    assert "nested too deeply" in json.loads(out)["error"]
+    assert out.count("\n") == 1
+
+
 def test_domain_error_text_mode(capsys):
     assert main(["id", "--fn", "bogus/2:00"]) == 1
     captured = capsys.readouterr()

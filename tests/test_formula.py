@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from postlattice import boolfun
-from postlattice.boolfun import ArityError
+from postlattice.boolfun import ARITY_CAP, ArityError
 from postlattice.formula import (
     AND,
     FALSE_F,
@@ -18,6 +19,7 @@ from postlattice.formula import (
     ParseError,
     Prop,
     VariableCapError,
+    _projection_mask,
     connectives_of,
     depth,
     equivalent,
@@ -33,9 +35,11 @@ from postlattice.formula import (
     size,
     substitute,
     truth_table,
+    vars_of,
 )
+from postlattice.restructure import restructure_full, restructure_monotone_g
 
-from conftest import FULL_POOL, random_formula
+from conftest import FULL_POOL, MONOTONE_POOL, chain, random_formula
 
 
 def test_parse_infix():
@@ -60,6 +64,12 @@ def test_parse_errors():
         parse("__t0")               # reserved prefix
     with pytest.raises(ParseError):
         parse("x @ y")
+
+
+def test_parse_too_deep_raises_parse_error():
+    for text in ("(" * 1200 + "x" + ")" * 1200, " -> ".join(["x"] * 2001)):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
 
 
 def test_parse_precedence():
@@ -194,3 +204,156 @@ def test_base_file_round_trip():
 def test_arity_mismatch_apply():
     with pytest.raises(ArityError):
         Apply(NOT, (Prop("x"), Prop("y")))
+
+
+DEEP = 10_000
+
+
+def test_walkers_on_deep_chain(shallow_stack):
+    names = ["a", "b", "c", "d", "e"]
+    phi = chain([AND], DEEP, names)         # a & (b & (c & ...))
+    assert size(phi) == 2 * DEEP - 1
+    assert depth(phi) == DEEP - 1
+    assert leaf_count(phi) == DEEP
+    assert metrics(phi) == Metrics(2 * DEEP - 1, DEEP - 1, DEEP, frozenset(names))
+    assert vars_of(phi) == frozenset(names)
+    assert props_in_order(phi) == names
+    assert connectives_of(phi) == [AND]
+    leaves = [names[i % 5] for i in range(DEEP)]
+    assert render(phi) == " & (".join(leaves[:-1]) + " & e" + ")" * (DEEP - 2)
+    closed = parse("a & b & c & d & e")
+    assert truth_table(phi, names) == truth_table(closed, names)
+    assert equivalent(phi, closed)
+    assert equivalent(phi, chain([AND], DEEP, names))
+    assert not equivalent(phi, chain([AND], DEEP, names[:4]))
+    assert evaluate(phi, dict.fromkeys(names, 1)) == 1
+    assert evaluate(phi, {**dict.fromkeys(names, 1), "e": 0}) == 0
+    for bit in (0, 1):
+        constants = instantiate(phi, {n: TRUE_F if bit else FALSE_F for n in names})
+        assert leaf_count(constants) == 0
+        assert fold(constants) == (TRUE_F if bit else FALSE_F)
+    assert fold(phi) is phi      # nothing to fold; == on deep trees recurses
+    renamed = substitute(phi, Prop("a"), Prop("z"))
+    assert props_in_order(renamed) == ["z", "b", "c", "d", "e"]
+    assert size(renamed) == 2 * DEEP - 1
+    half = phi
+    for _ in range(DEEP // 2):
+        half = half.args[1]
+    cut = substitute(phi, half, Prop("w"))
+    assert leaf_count(cut) == DEEP // 2 + 1 and depth(cut) == DEEP // 2
+
+
+def test_walkers_on_shared_dag():
+    # d_{i+1} = d_i & d_i: 2^64 leaf occurrences but only 65 distinct nodes
+    d = Prop("x")
+    for _ in range(64):
+        d = Apply(AND, (d, d))
+    checks = [(size, 2 ** 65 - 1), (depth, 64), (leaf_count, 2 ** 64),
+              (lambda phi: equivalent(phi, Prop("x")), True)]
+    for walk, want in checks:
+        start = time.perf_counter()
+        assert walk(d) == want
+        assert time.perf_counter() - start < 0.25
+
+
+# recursive reference walkers, the definitions the iterative ones must meet
+
+def _ref_size(phi):
+    return 1 if isinstance(phi, Prop) else 1 + sum(_ref_size(a) for a in phi.args)
+
+
+def _ref_depth(phi):
+    if isinstance(phi, Prop):
+        return 0
+    return 1 + max((_ref_depth(a) for a in phi.args), default=0)
+
+
+def _ref_leaves(phi):
+    return 1 if isinstance(phi, Prop) else sum(_ref_leaves(a) for a in phi.args)
+
+
+def _ref_fold(phi):
+    if isinstance(phi, Prop):
+        return phi
+    args = tuple(_ref_fold(a) for a in phi.args)
+    if all(isinstance(a, Apply) and not a.args for a in args):
+        bit = phi.conn.fn.value([a.conn.fn.bits[0] for a in args])
+        return TRUE_F if bit else FALSE_F
+    return Apply(phi.conn, args)
+
+
+def _ref_substitute(phi, alpha, beta):
+    if phi == alpha:
+        return beta
+    if isinstance(phi, Prop):
+        return phi
+    return Apply(phi.conn, tuple(_ref_substitute(a, alpha, beta) for a in phi.args))
+
+
+_REF_INFIX = {"and": ("&", 50, "left"), "or": ("|", 40, "left"),
+              "xor": ("^", 30, "left"), "imp": ("->", 20, "right"),
+              "nimp": ("-/>", 20, "right"), "iff": ("<->", 10, "left")}
+
+
+def _ref_render(phi):
+    """(text, precedence level)"""
+    if isinstance(phi, Prop):
+        return phi.name, 100
+    name = phi.conn.name
+    if name in ("0", "1") and not phi.args:
+        return name, 100
+    if name == "not":
+        text, level = _ref_render(phi.args[0])
+        return "!" + (text if level >= 60 else f"({text})"), 60
+    if name in _REF_INFIX:
+        sym, level, assoc = _REF_INFIX[name]
+        parts = []
+        for side, arg in zip(("left", "right"), phi.args):
+            text, lvl = _ref_render(arg)
+            chained = isinstance(arg, Apply) and arg.conn == phi.conn and side == assoc
+            parts.append(text if lvl > level or (lvl == level and chained) else f"({text})")
+        return f"{parts[0]} {sym} {parts[1]}", level
+    return f"{name}({', '.join(_ref_render(a)[0] for a in phi.args)})", 100
+
+
+def _ref_eval(phi, assignment):
+    if isinstance(phi, Prop):
+        return assignment[phi.name]
+    return phi.conn.fn.value([_ref_eval(a, assignment) for a in phi.args])
+
+
+def test_walkers_agree_with_recursive_references():
+    rng = random.Random(41)
+    names = ["x", "y", "z", "w"]
+    sample = []
+    for pool, restructure in ((FULL_POOL, restructure_full),
+                              (MONOTONE_POOL, restructure_monotone_g)):
+        for _ in range(40):
+            phi = random_formula(rng, pool, names, rng.randint(1, 30))
+            # restructured outputs share subtrees in memory
+            sample += [phi, restructure(phi)]
+    for phi in sample:
+        assert size(phi) == _ref_size(phi)
+        assert depth(phi) == _ref_depth(phi)
+        assert leaf_count(phi) == _ref_leaves(phi)
+        assert fold(phi) == _ref_fold(phi)
+        assert render(phi) == _ref_render(phi)[0]
+        alpha = random_formula(rng, FULL_POOL, names, rng.randint(1, 4))
+        for old in (alpha, Prop("x"), TRUE_F):
+            assert substitute(phi, old, Prop("v")) == _ref_substitute(phi, old, Prop("v"))
+        order = sorted(vars_of(phi) | {"x"})
+        rows = [dict(zip(order, map(int, f"{p:0{len(order)}b}")))
+                for p in range(1 << len(order))]
+        assert truth_table(phi, order).bits == tuple(_ref_eval(phi, a) for a in rows)
+
+
+def test_projection_masks_match_rows():
+    for n in range(1, 13):
+        for j in range(n):
+            want = sum(1 << p for p in range(1 << n) if (p >> (n - 1 - j)) & 1)
+            assert _projection_mask(j, n) == want
+    for n in range(1, ARITY_CAP + 1):
+        order = [f"v{j}" for j in range(n)]
+        for j in range(n):
+            bits = truth_table(Prop(order[j]), order).bits
+            assert bits == tuple((p >> (n - 1 - j)) & 1 for p in range(1 << n))

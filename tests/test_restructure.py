@@ -7,9 +7,13 @@ from postlattice.clones import G, MAJ3
 from postlattice.formula import (
     AND,
     FALSE,
+    IFF,
+    IMP,
+    NIMP,
     NOT,
     OR,
     TRUE,
+    XOR,
     Apply,
     Base,
     Prop,
@@ -34,7 +38,7 @@ from postlattice.restructure import (
     select_split,
 )
 
-from conftest import FULL_POOL, MONOTONE_POOL, random_formula
+from conftest import FULL_POOL, MONOTONE_POOL, chain, random_formula
 
 
 def test_select_split_chain():
@@ -186,3 +190,22 @@ def test_random_suite_all_modes():
             k = max_connective_arity(phi)
             assert depth(out) <= depth_bound(mode, k, leaf_count(phi))
             assert size(out) <= factor * size(phi) ** exponent
+
+
+CHAIN_NAMES = [f"x{i}" for i in range(1, 17)]
+
+
+@pytest.mark.parametrize("mode,build", [("g", restructure_monotone_g),
+                                        ("h", restructure_monotone_h)])
+def test_monotone_restructure_long_chain(mode, build, shallow_stack):
+    phi = chain([AND, OR, OR], 1024, CHAIN_NAMES)
+    out = build(phi)
+    assert equivalent(phi, out)
+    assert depth(out) <= depth_bound(mode, 2, 1024)
+
+
+def test_full_restructure_long_chain(shallow_stack):
+    phi = chain([AND, OR, XOR, IMP, IFF, NIMP, XOR], 256, CHAIN_NAMES)
+    out = restructure_full(phi)
+    assert equivalent(phi, out)
+    assert depth(out) <= depth_bound("full", 2, 256)
