@@ -12,10 +12,9 @@ is kept alongside as an independent oracle.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from math import prod
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,12 +54,20 @@ from .formula import (
     Connective,
     Formula,
     Prop,
+    _compose,
+    _pack,
     _projection_mask,
     _unpack,
 )
 
 CLOSURE_ARITY_MAX = 4
+#: Argument tuples one closure or representation search may compose
+#: before it gives up with CloneError.
+CLOSURE_COMPOSITION_BUDGET = 100_000_000
+_CHUNK = 1 << 16            # argument tuples composed per numpy batch
+_NO_CANDIDATE = np.iinfo(np.int64).max
 MAX_CATALOG_DEGREE = 5
+_DEGREES = range(2, MAX_CATALOG_DEGREE + 1)
 
 
 class CloneError(PostLatticeError):
@@ -155,14 +162,8 @@ _V = lambda s: s.disj
 _I = lambda s: s.proj
 _S0 = lambda s: s.d0 == INFINITE
 _S1 = lambda s: s.d1 == INFINITE
-
-
-def _S0n(n):
-    return lambda s: s.d0 >= n
-
-
-def _S1n(n):
-    return lambda s: s.d1 >= n
+_S0n = lambda n: lambda s: s.d0 >= n
+_S1n = lambda n: lambda s: s.d1 >= n
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +191,6 @@ def _thr_dual(n: int) -> Connective:
     return Connective(f"t{n}{n + 1}d", dual(threshold(n)))
 
 
-def _degrees():
-    return range(2, MAX_CATALOG_DEGREE + 1)
-
-
 @lru_cache(maxsize=1)
 def catalog() -> tuple[CatalogEntry, ...]:
     """Every clone, with its defining predicate and base.  Parameterized
@@ -214,27 +211,27 @@ def catalog() -> tuple[CatalogEntry, ...]:
     row("M1", _pred(_M, _R1), [AND, OR, TRUE])
     row("M2", _pred(_M, _R0, _R1), [AND, OR])
     row("S0", _pred(_S0), [IMP])
-    for n in _degrees():
+    for n in _DEGREES:
         row(CloneName("S0", n), _pred(_S0n(n)), [IMP, _thr_dual(n)])
     row("S1", _pred(_S1), [NIMP])
-    for n in _degrees():
+    for n in _DEGREES:
         row(CloneName("S1", n), _pred(_S1n(n)), [NIMP, _thr(n)])
-    for n in _degrees():
+    for n in _DEGREES:
         row(CloneName("S02", n), _pred(_S0n(n), _R0, _R1), [GN, _thr_dual(n)])
     row("S02", _pred(_S0, _R0, _R1), [GN])
-    for n in _degrees():
+    for n in _DEGREES:
         row(CloneName("S01", n), _pred(_S0n(n), _M), [_thr_dual(n), TRUE])
     row("S01", _pred(_S0, _M), [G, TRUE])
-    for n in _degrees():
+    for n in _DEGREES:
         row(CloneName("S00", n), _pred(_S0n(n), _R0, _R1, _M), [G, _thr_dual(n)])
     row("S00", _pred(_S0, _R0, _R1, _M), [G])
-    for n in _degrees():
+    for n in _DEGREES:
         row(CloneName("S12", n), _pred(_S1n(n), _R0, _R1), [HN, _thr(n)])
     row("S12", _pred(_S1, _R0, _R1), [HN])
-    for n in _degrees():
+    for n in _DEGREES:
         row(CloneName("S11", n), _pred(_S1n(n), _M), [_thr(n), FALSE])
     row("S11", _pred(_S1, _M), [H, FALSE])
-    for n in _degrees():
+    for n in _DEGREES:
         row(CloneName("S10", n), _pred(_S1n(n), _R0, _R1, _M), [H, _thr(n)])
     row("S10", _pred(_S1, _R0, _R1, _M), [H])
     row("D", _pred(_D), [SD])
@@ -291,25 +288,21 @@ def clone_of(base: Base) -> CloneName:
     candidates = [e for e in catalog()
                   if all(e.predicate(c.fn) for c in base)]
     for entry in candidates:
-        if all(_entry_includes(other, entry) for other in candidates):
+        if all(_entry_includes(other.name, entry.name) for other in candidates):
             return entry.name
     raise CloneError("no minimal catalog clone found; catalog inconsistent")
 
 
 @lru_cache(maxsize=None)
-def _entry_includes_cached(outer: CloneName, inner: CloneName) -> bool:
+def _entry_includes(outer: CloneName, inner: CloneName) -> bool:
     outer_pred = catalog_entry(outer).predicate
     return all(outer_pred(c.fn) for c in catalog_entry(inner).base)
-
-
-def _entry_includes(outer: CatalogEntry, inner: CatalogEntry) -> bool:
-    return _entry_includes_cached(outer.name, inner.name)
 
 
 def includes(outer, inner) -> bool:
     """True iff the ``inner`` clone is contained in the ``outer`` clone
     (every base function of inner satisfies outer's predicate)."""
-    return _entry_includes_cached(_as_clone_name(outer), _as_clone_name(inner))
+    return _entry_includes(_as_clone_name(outer), _as_clone_name(inner))
 
 
 def member(f: BooleanFunction, base: Base) -> bool:
@@ -344,7 +337,7 @@ def classify_sat(base: Base) -> str:
 class ClosureSet:
     """The arity-k fragment of the clone generated by a base.  Witnesses
     map each function to a smallest formula over the base computing it
-    (absent when the closure was computed set-only)."""
+    (None when the closure ran with ``witnesses=False``)."""
 
     arity: int
     base: Base
@@ -366,176 +359,158 @@ class ClosureSet:
         return w
 
 
-def _compose_int(fn: BooleanFunction, arg_tables: list[int], rows: int) -> int:
-    out = 0
-    m = fn.arity
-    for p in range(rows):
-        idx = 0
-        for t in arg_tables:
-            idx = (idx << 1) | ((t >> p) & 1)
-        if fn.bits[idx]:
-            out |= 1 << p
-    return out
+def _boxes(spans: list[tuple[int, int]]):
+    """Split the box of argument tuples with ``spans[i][0] <= t[i] <
+    spans[i][1]`` into boxes of at most ``_CHUNK`` tuples."""
+    lengths = [hi - lo for lo, hi in spans]
+    total = prod(lengths)
+    if total <= _CHUNK:
+        yield spans
+        return
+    axis = next(i for i, n in enumerate(lengths) if n > 1)
+    step = max(1, _CHUNK // (total // lengths[axis]))
+    lo, hi = spans[axis]
+    for a in range(lo, hi, step):
+        yield from _boxes(spans[:axis] + [(a, min(a + step, hi))] + spans[axis + 1:])
 
 
-def _minterm_plan(fn: BooleanFunction):
-    ones = [v for v in range(1 << fn.arity) if fn.bits[v]]
-    zeros = [v for v in range(1 << fn.arity) if not fn.bits[v]]
-    if len(ones) <= len(zeros):
-        return ("or", ones, fn.arity)
-    return ("nor", zeros, fn.arity)
+class _Search:
+    """Smallest-witness-first search over the packed arity-k tables of
+    the clone generated by a base: Dijkstra on witness node count, ties
+    broken by connective declaration index, then by the tuple of argument
+    settle indices.  A candidate of size s is built from smaller
+    functions, so whole size layers settle at once, in the order a
+    one-at-a-time search would.  After each layer it composes every
+    argument tuple that uses a function of that layer and keeps the best
+    candidate per unsettled table.  It stops when every pending table
+    (the targets, or all) is settled or no candidate is left."""
 
+    def __init__(self, base: Base, k: int, targets: tuple[int, ...] = ()):
+        rows = 1 << k
+        self.full = (1 << rows) - 1
+        self.dtype = np.uint8 if rows <= 8 else np.uint16
+        self.conns = [c for c in base if c.arity >= 1]
+        width = 1 + max((c.arity for c in self.conns), default=0)
+        # per table: the best candidate's size (0 once settled) and key
+        # (connective index, then argument settle indices)
+        self.best = np.full(self.full + 1, _NO_CANDIDATE, dtype=np.int64)
+        self.best_key = np.zeros((self.full + 1, width), dtype=np.int64)
+        # per settle index: table, witness size and key; the projections
+        # and constants come first, with key -1
+        leaves: dict[int, Formula] = {_projection_mask(j, k): Prop(f"x{j + 1}")
+                                      for j in range(k)}
+        for c in base:
+            if c.arity == 0:
+                leaves.setdefault(self.full if c.fn.bits[0] else 0, Apply(c))
+        self.leaves = list(leaves.values())
+        self.tables = np.array(list(leaves), dtype=self.dtype)
+        self.sizes = np.ones(len(leaves), dtype=np.int64)
+        self.keys = np.full((len(leaves), width), -1, dtype=np.int64)
+        self.best[self.tables] = 0
+        self.pending = np.array(targets, dtype=np.int64) if targets else slice(None)
+        self.spent = start = 0
+        while self.best[self.pending].any():
+            count = len(self.tables)
+            for cidx, conn in enumerate(self.conns):
+                for pos in range(conn.arity):
+                    spans = self._trim([(0, start)] * pos + [(start, count)]
+                                       + [(0, count)] * (conn.arity - 1 - pos))
+                    for box in _boxes(spans) if spans else ():
+                        self._offer(cidx, box)
+            layer = self.best[self.best > 0].min()
+            if layer == _NO_CANDIDATE:
+                return
+            members = np.flatnonzero(self.best == layer)
+            members = members[np.lexsort(self.best_key[members].T[::-1])]
+            self.best[members] = 0
+            self.tables = np.concatenate([self.tables, members.astype(self.dtype)])
+            self.sizes = np.concatenate([self.sizes, np.full(len(members), layer)])
+            self.keys = np.concatenate([self.keys, self.best_key[members]])
+            start = count
 
-def _compose_batch(plan, shaped, full, dtype):
-    mode, rows, m = plan
-    acc = None
-    for v in rows:
-        term = None
-        for j, arr in enumerate(shaped):
-            piece = arr if (v >> (m - 1 - j)) & 1 else np.bitwise_xor(arr, dtype(full))
-            term = piece if term is None else term & piece
-        acc = term if acc is None else acc | term
-    if acc is None:
-        acc = np.zeros(1, dtype=dtype)
-    if mode == "nor":
-        acc = np.bitwise_xor(acc, dtype(full))
-    return acc
+    def _trim(self, box: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+        """``box`` without the tuples larger than every pending table's best
+        candidate (each span keeps a prefix), or None if none is left."""
+        if any(lo >= hi for lo, hi in box):
+            return None
+        limit = self.best[self.pending].max()
+        if limit == _NO_CANDIDATE:
+            return box
+        lows = self.sizes[[lo for lo, _ in box]]
+        slack = limit - 1 - lows.sum()
+        if slack < 0:
+            return None
+        ends = np.searchsorted(self.sizes, lows + slack, side="right")
+        return [(lo, min(hi, int(end))) for (lo, hi), end in zip(box, ends)]
 
+    def _offer(self, cidx: int, box: list[tuple[int, int]]) -> None:
+        """Compose connective ``cidx`` over the argument tuples of the box
+        and keep each unsettled table's best candidate."""
+        box = self._trim(box)
+        if box is None:
+            return
+        m = len(box)
+        shape = tuple(hi - lo for lo, hi in box)
+        self.spent += prod(shape)
+        if self.spent > CLOSURE_COMPOSITION_BUDGET:
+            raise CloneError(f"closure search needs more than "
+                             f"{CLOSURE_COMPOSITION_BUDGET:,} compositions")
+        axes = [(1,) * i + (-1,) + (1,) * (m - 1 - i) for i in range(m)]
+        out = _compose(self.conns[cidx].fn,
+                       [self.tables[lo:hi].reshape(ax) for (lo, hi), ax in zip(box, axes)],
+                       self.dtype(self.full))
+        size = 1 + sum(self.sizes[lo:hi].reshape(ax) for (lo, hi), ax in zip(box, axes))
+        table = np.broadcast_to(out, shape).ravel()
+        size = np.broadcast_to(size, shape).ravel()
+        flat = np.flatnonzero(size <= np.take(self.best, table))
+        if not flat.size:
+            return
+        table, size = table[flat], size[flat]
+        key = np.column_stack([np.full(len(flat), cidx), *np.unravel_index(flat, shape)])
+        key[:, 1:] += [lo for lo, _ in box]
+        # each table's best among its current best and the new candidates
+        size = np.concatenate([size, self.best[table]])
+        key = np.concatenate([key, self.best_key[table, :m + 1]])
+        table = np.concatenate([table, table])
+        order = np.lexsort((*key.T[::-1], size, table))
+        first = order[np.r_[True, table[order[1:]] != table[order[:-1]]]]
+        self.best[table[first]] = size[first]
+        self.best_key[table[first], :m + 1] = key[first]
 
-def _closure_tables(base: Base, k: int) -> set[int]:
-    """Fixpoint of composition over arity-k tables, as packed integers.
-    Vectorized over candidate argument tuples; each round only composes
-    tuples that involve a function discovered in the previous round."""
-    rows = 1 << k
-    table_count = 1 << rows
-    full = table_count - 1
-    dtype = np.uint8 if rows <= 8 else np.uint16
-    settled: set[int] = {_projection_mask(j, k) for j in range(k)}
-    for c in base:
-        if c.arity == 0:
-            settled.add(full if c.fn.bits[0] else 0)
-    conns = [(c, _minterm_plan(c.fn)) for c in base if 1 <= c.arity]
-    new = sorted(settled)
-    while new and len(settled) < table_count:
-        prev = np.array(sorted(settled - set(new)), dtype=dtype)
-        new_arr = np.array(new, dtype=dtype)
-        all_arr = np.concatenate([prev, new_arr])
-        found: set[int] = set()
-        for conn, plan in conns:
-            m = conn.arity
-            for pos in range(m):
-                axes = []
-                empty = False
-                for i in range(m):
-                    arr = prev if i < pos else (new_arr if i == pos else all_arr)
-                    if arr.size == 0:
-                        empty = True
-                        break
-                    axes.append(arr)
-                if empty:
-                    continue
-                shaped = [a.reshape((1,) * i + (a.size,) + (1,) * (m - 1 - i))
-                          for i, a in enumerate(axes)]
-                out = _compose_batch(plan, shaped, full, dtype)
-                found.update(int(v) for v in np.unique(out))
-            if len(settled | found) == table_count:
-                break
-        adds = found - settled
-        settled |= adds
-        new = sorted(adds)
-    return settled
-
-
-def _pack(f: BooleanFunction) -> int:
-    out = 0
-    for p, b in enumerate(f.bits):
-        if b:
-            out |= 1 << p
-    return out
-
-
-def _witness_search(base: Base, k: int, targets: set[int] | None = None,
-                    max_settles: int = 500_000) -> dict[int, tuple[Formula, int]]:
-    """Smallest-witness-first closure search (Dijkstra on witness node
-    count; ties broken by connective declaration order, then argument
-    settle indices).  Stops once all targets are settled, or at the full
-    fixpoint when targets is None."""
-    rows = 1 << k
-    table_count = 1 << rows
-    full = table_count - 1
-    conns = [c for c in base if c.arity >= 1]
-    settled: dict[int, tuple[Formula, int]] = {}
-    order: list[int] = []
-    heap: list[tuple] = []
-    best: dict[int, tuple] = {}
-    pending = set(targets) if targets is not None else None
-
-    for j in range(k):
-        heapq.heappush(heap, (1, -2, (j,), _projection_mask(j, k), Prop(f"x{j + 1}")))
-    nullary = [c for c in base if c.arity == 0]
-    for i, c in enumerate(nullary):
-        heapq.heappush(heap, (1, -1, (i,), full if c.fn.bits[0] else 0, Apply(c)))
-
-    while heap:
-        size_, ci, argidx, table, built = heapq.heappop(heap)
-        if table in settled:
-            continue
-        if built is None:
-            conn = conns[ci]
-            built = Apply(conn, tuple(settled[order[i]][0] for i in argidx))
-        settled[table] = (built, size_)
-        order.append(table)
-        if pending is not None:
-            pending.discard(table)
-            if not pending:
-                break
-        if len(settled) >= table_count:
-            break
-        if len(settled) > max_settles:
-            raise CloneError("closure search exceeded the settle limit")
-        count = len(order)
-        new_index = count - 1
-        for cidx, conn in enumerate(conns):
-            m = conn.arity
-            for pos in range(m):
-                ranges = [range(new_index) if i < pos
-                          else (range(new_index, count) if i == pos else range(count))
-                          for i in range(m)]
-                for tup in product(*ranges):
-                    tbl = _compose_int(conn.fn, [order[i] for i in tup], rows)
-                    if tbl in settled:
-                        continue
-                    sz = 1 + sum(settled[order[i]][1] for i in tup)
-                    key = (sz, cidx, tup)
-                    cur = best.get(tbl)
-                    if cur is None or key < cur:
-                        best[tbl] = key
-                        heapq.heappush(heap, (sz, cidx, tup, tbl, None))
-    return settled
+    def formulas(self) -> list[Formula]:
+        """The witness formula of every settled function, by settle index."""
+        built = list(self.leaves)
+        for c, *args in self.keys[len(built):].tolist():
+            conn = self.conns[c]
+            built.append(Apply(conn, tuple(built[a] for a in args[:conn.arity])))
+        return built
 
 
 def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
     """The arity-k part of the clone generated by the base.
 
-    With ``witnesses=True`` every function carries a smallest witness
-    formula over variables x1..xk; ``witnesses=False`` computes the set
-    only (much faster on rich bases).
+    Every function carries a smallest witness formula over variables
+    x1..xk (fewest nodes; ties by connective declaration order, then by
+    the order in which the arguments were found).  ``witnesses=False``
+    runs the same search and skips building the formulas.  Raises
+    :class:`CloneError` once the search has composed
+    ``CLOSURE_COMPOSITION_BUDGET`` argument tuples (``closure`` of a
+    functionally complete base at k = 4 does).
     """
     _check_base_arities(base)
     if not 0 <= k <= CLOSURE_ARITY_MAX:
         raise ArityError(f"closure arity {k} outside 0..{CLOSURE_ARITY_MAX}")
-    if witnesses:
-        found = _witness_search(base, k)
-        entries = {_unpack(t, k): w for t, (w, _) in found.items()}
-    else:
-        entries = {_unpack(t, k): None for t in _closure_tables(base, k)}
-    return ClosureSet(k, base, entries)
+    search = _Search(base, k)
+    tables = search.tables.tolist()
+    built = search.formulas() if witnesses else [None] * len(tables)
+    return ClosureSet(k, base, {_unpack(t, k): w for t, w in zip(tables, built)})
 
 
 def represent(f: BooleanFunction, base: Base) -> Formula:
-    """A smallest-found formula over the base, in variables x1..x_arity,
+    """A smallest formula over the base, in variables x1..x_arity,
     equivalent to ``f``.  Raises :class:`NotInCloneError` when ``f`` is
-    not generated by the base."""
+    not generated by the base, and :class:`CloneError` when the search
+    runs out of its composition budget."""
     if f.arity > CLOSURE_ARITY_MAX:
         raise ArityError(
             f"representation search capped at arity {CLOSURE_ARITY_MAX}")
@@ -543,10 +518,11 @@ def represent(f: BooleanFunction, base: Base) -> Formula:
         raise NotInCloneError(
             f"{f.bitstring} is not generated by {base!r} (clone {clone_of(base)})")
     target = _pack(f)
-    found = _witness_search(base, f.arity, targets={target})
+    search = _Search(base, f.arity, (target,))
+    found = search.tables.tolist()
     if target not in found:
         raise CloneError("representation search failed on a member function")
-    return found[target][0]
+    return search.formulas()[found.index(target)]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,17 @@ class Apply:
                 f"{self.conn.name} expects {self.conn.arity} arguments, "
                 f"got {len(self.args)}")
 
+    # structural, like the generated methods, but without recursion
+    def __eq__(self, other):
+        return _same(self, other) if other.__class__ is Apply else NotImplemented
+
+    def __hash__(self):
+        memo: dict[int, int] = {}
+        for node in _postorder(self):
+            memo[id(node)] = hash(node.name if isinstance(node, Prop) else
+                                  (node.conn, tuple(memo[id(a)] for a in node.args)))
+        return memo[id(self)]
+
 
 Formula = Union[Prop, Apply]
 
@@ -611,9 +622,31 @@ def _projection_mask(j: int, n: int) -> int:
     return mask
 
 
+def _pack(f: BooleanFunction) -> int:
+    """The packed table of ``f``: bit p is set iff row p is true."""
+    return sum(1 << p for p, b in enumerate(f.bits) if b)
+
+
 def _unpack(table: int, n: int) -> BooleanFunction:
     """The n-ary function whose packed table has bit p set for row p."""
     return BooleanFunction(n, tuple((table >> p) & 1 for p in range(1 << n)))
+
+
+def _compose(fn: BooleanFunction, args: list, mask):
+    """The packed table of ``fn`` over packed argument tables (Python
+    ints, or numpy arrays that broadcast together) with every row of
+    ``mask`` set: an OR of the true rows' minterms, or the complement of
+    the false rows' when those are fewer."""
+    m = fn.arity
+    flip = 2 * sum(fn.bits) > len(fn.bits)
+    acc = 0
+    for v, bit in enumerate(fn.bits):
+        if bit != flip:
+            term = mask
+            for j, arg in enumerate(args):
+                term = term & (arg if (v >> (m - 1 - j)) & 1 else arg ^ mask)
+            acc = acc | term
+    return acc ^ mask if flip else acc
 
 
 def _eval_mask(phi: Formula, masks: Mapping[str, int], nrows: int) -> int:
@@ -625,20 +658,8 @@ def _eval_mask(phi: Formula, masks: Mapping[str, int], nrows: int) -> int:
                 memo[id(node)] = masks[node.name]
             except KeyError:
                 raise EvaluationError(f"unbound proposition {node.name!r}") from None
-            continue
-        child = [memo[id(a)] for a in node.args]
-        fn = node.conn.fn
-        out = 0
-        for v in range(1 << fn.arity):
-            if not fn.bits[v]:
-                continue
-            term = full
-            for j, c in enumerate(child):
-                term &= c if (v >> (fn.arity - 1 - j)) & 1 else full ^ c
-                if not term:
-                    break
-            out |= term
-        memo[id(node)] = out
+        else:
+            memo[id(node)] = _compose(node.conn.fn, [memo[id(a)] for a in node.args], full)
     return memo[id(phi)]
 
 

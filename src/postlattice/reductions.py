@@ -62,6 +62,8 @@ from .formula import (
     Connective,
     Formula,
     Prop,
+    _postorder,
+    _rebuild,
     connectives_of,
     constant,
     depth,
@@ -245,31 +247,31 @@ def normalize_L(phi: Formula) -> tuple[int, tuple[str, ...], Formula]:
 # constant elimination
 
 
-def _rep(fn: BooleanFunction, base: Base, with_consts: bool = False) -> Formula:
-    search_base = base.extended(FALSE, TRUE) if with_consts else base
-    return _rep_cached(fn, search_base)
-
-
 _REP_CACHE: dict = {}
 
 
-def _rep_cached(fn: BooleanFunction, base: Base) -> Formula:
+def _rep(fn: BooleanFunction, base: Base, with_consts: bool = False) -> Formula:
+    """``represent`` over the base (plus both constants), cached."""
+    if with_consts:
+        base = base.extended(FALSE, TRUE)
     key = (fn, base.connectives)
-    hit = _REP_CACHE.get(key)
-    if hit is None:
-        hit = represent(fn, base)
-        _REP_CACHE[key] = hit
-    return hit
+    if key not in _REP_CACHE:
+        _REP_CACHE[key] = represent(fn, base)
+    return _REP_CACHE[key]
 
 
 def _replace_connectives(phi: Formula, repmap: dict[BooleanFunction, Formula]) -> Formula:
-    if isinstance(phi, Prop):
-        return phi
-    args = tuple(_replace_connectives(a, repmap) for a in phi.args)
-    witness = repmap.get(phi.conn.fn)
-    if witness is None:
-        return Apply(phi.conn, args)
-    return instantiate(witness, {f"x{i + 1}": arg for i, arg in enumerate(args)})
+    """Each application of a ``repmap`` connective replaced by its witness."""
+    memo: dict[int, Formula] = {}
+    for node in _postorder(phi):
+        if isinstance(node, Prop):
+            memo[id(node)] = node
+            continue
+        args = [memo[id(a)] for a in node.args]
+        witness = repmap.get(node.conn.fn)
+        memo[id(node)] = (_rebuild(node, args) if witness is None else
+                          instantiate(witness, {f"x{i + 1}": a for i, a in enumerate(args)}))
+    return memo[id(phi)]
 
 
 def _constants_present(phi: Formula) -> set[int]:

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from postlattice.clones import (
     GN,
     H,
     MAJ3,
+    CloneError,
     CloneName,
     NotInCloneError,
     catalog,
@@ -42,6 +45,7 @@ from postlattice.formula import (
     XOR,
     Base,
     Connective,
+    parse,
     render,
     truth_table,
     Prop,
@@ -247,3 +251,74 @@ def test_threshold_membership_in_s_families():
         t = threshold(n)
         assert catalog_entry(CloneName("S1", n)).predicate(t)
         assert not catalog_entry(CloneName("S1", n + 1)).predicate(t)
+
+
+# Golden witnesses.  The expected values were captured from the previous
+# closure engine (a per-row Dijkstra search); the witnesses depend only on
+# the settle order (witness size, then connective declaration index, then
+# the argument settle indices), so any engine that keeps that order must
+# reproduce them byte for byte.
+
+GOLDEN_CLOSURE3_SHA256 = \
+    "32baf665a9ea9974100c3f941cce447c89966968062288f65da8e2c8b5d5155c"
+
+
+def test_closure_witnesses_golden():
+    digest = hashlib.sha256()
+    bases = functions = 0
+    for entry in catalog():
+        if max(c.arity for c in entry.base) > 3:
+            continue
+        cs = closure(entry.base, 3)
+        bases += 1
+        for fn in cs.functions():
+            functions += 1
+            line = f"{entry.name}\t{fn.bitstring}\t{render(cs.witness(fn))}\n"
+            digest.update(line.encode())
+    assert (bases, functions) == (46, 1140)
+    assert digest.hexdigest() == GOLDEN_CLOSURE3_SHA256
+
+
+GOLDEN_REPRESENT4 = [
+    ("D", "sd(x1, x2, x4)", "sd(x1, x2, x4)"),
+    ("D", "sd(x4, x3, x1)", "sd(x4, x1, x3)"),
+    ("D", "sd(sd(x1, x2, x3), x4, x1)", "sd(sd(x1, x2, x3), x1, x4)"),
+    ("D", "sd(x1, sd(x2, x3, x4), x4)", "sd(x1, x2, sd(x4, x1, x3))"),
+    ("D1", "sd1(x1, x2, x4)", "sd1(x1, x2, x4)"),
+    ("D1", "sd1(x4, x3, x2)", "sd1(x3, x4, x2)"),
+    ("D1", "sd1(sd1(x1, x2, x3), x4, x1)", "sd1(x2, x4, sd1(x1, x3, x4))"),
+    ("D1", "sd1(x2, x1, sd1(x3, x4, x1))", "sd1(x1, x2, sd1(x3, x4, x1))"),
+    ("D2", "maj3(x1, x2, x4)", "maj3(x1, x2, x4)"),
+    ("D2", "maj3(x1, maj3(x2, x3, x4), x4)", "maj3(x1, x4, maj3(x2, x3, x4))"),
+    ("D2", "maj3(maj3(x1, x2, x3), x4, x1)", "maj3(x1, x2, maj3(x1, x3, x4))"),
+    ("D2", "maj3(maj3(x1, x2, x3), maj3(x2, x3, x4), x4)", "maj3(x2, x3, x4)"),
+    ("S11^3", "t34(x1, x2, x3, x4)", "t34(x1, x2, x3, x4)"),
+    ("S11^3", "t34(x1, x2, x3, 0)", "t34(x1, x2, x3, 0)"),
+    ("S11^3", "t34(x4, x2, x1, x1)", "t34(x1, x1, x2, x4)"),
+    ("S11^3", "t34(x1, x1, x2, x3)", "t34(x1, x1, x2, x3)"),
+]
+
+
+@pytest.mark.parametrize("clone, source, expected", GOLDEN_REPRESENT4)
+def test_represent_arity_4_golden(clone, source, expected):
+    base = catalog_entry(CloneName.parse(clone)).base
+    fn = truth_table(parse(source, base), ["x1", "x2", "x3", "x4"])
+    assert render(represent(fn, base)) == expected
+
+
+def test_closure_s1_3_witnesses_match_predicate():
+    entry = catalog_entry(CloneName("S1", 3))
+    cs = closure(entry.base, 3)
+    assert set(cs.entries) == {f for f in all_functions(3) if entry.predicate(f)}
+    for fn, w in cs.entries.items():
+        assert truth_table(w, ["x1", "x2", "x3"]) == fn
+
+
+@pytest.mark.parametrize("witnesses", [False, True])
+def test_closure_budget_raises_clone_error(witnesses):
+    # the arity-4 fragment of BF has 65,536 functions; composing all pairs
+    # of them would take far more than the budget
+    start = time.perf_counter()
+    with pytest.raises(CloneError, match="compositions"):
+        closure(catalog_entry("BF").base, 4, witnesses=witnesses)
+    assert time.perf_counter() - start < 30

@@ -37,6 +37,7 @@ from postlattice.formula import (
     truth_table,
     vars_of,
 )
+from postlattice.reductions import _replace_connectives
 from postlattice.restructure import restructure_full, restructure_monotone_g
 
 from conftest import FULL_POOL, MONOTONE_POOL, chain, random_formula
@@ -232,7 +233,7 @@ def test_walkers_on_deep_chain(shallow_stack):
         constants = instantiate(phi, {n: TRUE_F if bit else FALSE_F for n in names})
         assert leaf_count(constants) == 0
         assert fold(constants) == (TRUE_F if bit else FALSE_F)
-    assert fold(phi) is phi      # nothing to fold; == on deep trees recurses
+    assert fold(phi) is phi      # nothing to fold
     renamed = substitute(phi, Prop("a"), Prop("z"))
     assert props_in_order(renamed) == ["z", "b", "c", "d", "e"]
     assert size(renamed) == 2 * DEEP - 1
@@ -241,6 +242,20 @@ def test_walkers_on_deep_chain(shallow_stack):
         half = half.args[1]
     cut = substitute(phi, half, Prop("w"))
     assert leaf_count(cut) == DEEP // 2 + 1 and depth(cut) == DEEP // 2
+
+
+def test_apply_equality_and_hash_on_deep_chains(shallow_stack):
+    names = ["a", "b", "c", "d"]
+    phi, twin = chain([AND, OR], 3000, names), chain([AND, OR], 3000, names)
+    assert phi is not twin
+    assert phi == twin and not phi != twin
+    assert hash(phi) == hash(twin)
+    assert {phi: "found"}[twin] == "found"
+    assert len({phi, twin}) == 1
+    other = chain([AND, OR], 3000, names[:3])      # differs at the deepest leaf
+    assert phi != other and not phi == other
+    assert phi != chain([OR, AND], 3000, names)    # differs at the root
+    assert phi != Prop("a") and Prop("a") != phi
 
 
 def test_walkers_on_shared_dag():
@@ -316,6 +331,26 @@ def _ref_render(phi):
     return f"{name}({', '.join(_ref_render(a)[0] for a in phi.args)})", 100
 
 
+def _ref_instantiate(phi, mapping):
+    if isinstance(phi, Prop):
+        return mapping.get(phi.name, phi)
+    return Apply(phi.conn, tuple(_ref_instantiate(a, mapping) for a in phi.args))
+
+
+def _ref_replace(phi, repmap):
+    if isinstance(phi, Prop):
+        return phi
+    args = tuple(_ref_replace(a, repmap) for a in phi.args)
+    witness = repmap.get(phi.conn.fn)
+    if witness is None:
+        return Apply(phi.conn, args)
+    return _ref_instantiate(witness, {f"x{i + 1}": a for i, a in enumerate(args)})
+
+
+_REPMAP = {AND.fn: parse("!(!x1 | !x2)"), OR.fn: parse("(x2 | x1) & (x1 | 1)"),
+           NOT.fn: parse("x1 -> 0")}
+
+
 def _ref_eval(phi, assignment):
     if isinstance(phi, Prop):
         return assignment[phi.name]
@@ -338,6 +373,9 @@ def test_walkers_agree_with_recursive_references():
         assert leaf_count(phi) == _ref_leaves(phi)
         assert fold(phi) == _ref_fold(phi)
         assert render(phi) == _ref_render(phi)[0]
+        replaced = _replace_connectives(phi, _REPMAP)
+        assert replaced == _ref_replace(phi, _REPMAP)
+        assert render(replaced) == _ref_render(_ref_replace(phi, _REPMAP))[0]
         alpha = random_formula(rng, FULL_POOL, names, rng.randint(1, 4))
         for old in (alpha, Prop("x"), TRUE_F):
             assert substitute(phi, old, Prop("v")) == _ref_substitute(phi, old, Prop("v"))
