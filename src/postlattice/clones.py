@@ -127,7 +127,7 @@ class _Signature(NamedTuple):
     d1: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _signature(f: BooleanFunction) -> _Signature:
     return _Signature(
         is_c_reproducing(f, 0),

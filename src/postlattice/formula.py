@@ -4,10 +4,11 @@ evaluation, substitution and structural metrics.
 A formula is a finite tree of :class:`Prop` leaves and :class:`Apply`
 nodes; constants are connectives of arity 0.  All values are immutable,
 so every operation here is a pure function, and a subtree may be shared
-by several parents in memory.  Every walk over a formula is iterative
-(an explicit stack, so deep formulas never exhaust the Python stack) and
-handles each distinct node object once within a call.  Size and leaf
-count are still tree counts: a shared subtree counts once per occurrence.
+by several parents in memory.  Parsing and every walk over a formula are
+iterative (explicit stacks, so no nesting depth exhausts the Python
+stack), and a walk handles each distinct node object once within a call.
+Size and leaf count are still tree counts: a shared subtree counts once
+per occurrence.
 
 Grammar (ASCII): identifiers ``[a-zA-Z_][a-zA-Z0-9_']*`` (a leading
 ``__`` is reserved for generated propositions), infix ``&`` ``|`` ``^``
@@ -141,10 +142,6 @@ class Base:
     def contains_function(self, fn: BooleanFunction) -> bool:
         return fn in self._tables
 
-    @property
-    def tables(self) -> frozenset[BooleanFunction]:
-        return self._tables
-
     def nullary_member(self, bit: int) -> Connective | None:
         for c in self.connectives:
             if c.arity == 0 and c.fn.bits[0] == bit:
@@ -214,6 +211,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<lit>[01])"
     r"|(?P<op>-/>|->|<->|[&|^!(),]))")
 
+# The one operator table, read by ``parse`` and ``render``: infix symbol,
+# connective, precedence level (higher binds tighter) and associativity.
+# Prefix ``!`` binds tighter than every infix operator.
 _INFIX = {
     "&": (AND, 50, "left"),
     "|": (OR, 40, "left"),
@@ -222,120 +222,117 @@ _INFIX = {
     "-/>": (NIMP, 20, "right"),
     "<->": (IFF, 10, "left"),
 }
+_LEVEL_NOT = 60
 
 
-class _Parser:
-    def __init__(self, text: str, base: Base | None):
-        self.text = text
-        self.base = base
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}",
-                                     pos)
-                break
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.index = 0
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, position) of each token; kind is name, lit or op."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}",
+                                 pos)
+            break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens
 
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.index += 1
-        return tok
-
-    def expect(self, value: str):
-        tok = self.next()
-        if tok[0] != "op" or tok[1] != value:
-            raise ParseError(f"expected {value!r}", tok[2])
-
-    def parse(self) -> Formula:
-        node = self.expression(0)
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return node
-
-    def expression(self, min_level: int) -> Formula:
-        lhs = self.unary()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in _INFIX:
-                return lhs
-            conn, level, assoc = _INFIX[tok[1]]
-            if level < min_level:
-                return lhs
-            self.next()
-            rhs = self.expression(level + 1 if assoc == "left" else level)
-            lhs = Apply(conn, (lhs, rhs))
-
-    def unary(self) -> Formula:
-        tok = self.next()
-        kind, value, at = tok
-        if kind == "op" and value == "!":
-            return Apply(NOT, (self.unary(),))
-        if kind == "op" and value == "(":
-            node = self.expression(0)
-            self.expect(")")
-            return node
-        if kind == "lit":
-            return TRUE_F if value == "1" else FALSE_F
-        if kind == "name":
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "(":
-                return self.call(value, at)
-            if value.startswith(RESERVED_PREFIX):
-                raise ParseError(f"names starting with {RESERVED_PREFIX!r} are reserved",
-                                 at)
-            return Prop(value)
-        raise ParseError(f"unexpected {value!r}", at)
-
-    def call(self, name: str, at: int) -> Formula:
-        conn = self.base.get(name) if self.base is not None else None
-        if conn is None:
-            conn = STANDARD_BASE.get(name)
-        if conn is None:
-            raise ParseError(f"unknown connective {name!r}", at)
-        self.expect("(")
-        args: list[Formula] = []
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == ")":
-            self.next()
-        else:
-            while True:
-                args.append(self.expression(0))
-                tok = self.next()
-                if tok[0] == "op" and tok[1] == ")":
-                    break
-                if not (tok[0] == "op" and tok[1] == ","):
-                    raise ParseError("expected ',' or ')'", tok[2])
-        if len(args) != conn.arity:
-            raise ParseError(
-                f"{name} expects {conn.arity} arguments, got {len(args)}", at)
-        return Apply(conn, tuple(args))
+def _call(conn: Connective, name: str, at: int, args: list[Formula]) -> Formula:
+    """The prefix call ``name(args)`` written at position ``at``."""
+    if len(args) != conn.arity:
+        raise ParseError(f"{name} expects {conn.arity} arguments, got {len(args)}", at)
+    return Apply(conn, tuple(args))
 
 
 def parse(text: str, base: Base | None = None) -> Formula:
     """Parse a formula.  Named prefix calls resolve in ``base`` first and
     in the standard connectives second; infix symbols always denote the
-    standard connectives.  Input nested deeper than the interpreter's
-    recursion limit allows raises :class:`ParseError`."""
-    parser = _Parser(text, base)
-    try:
-        return parser.parse()
-    except RecursionError:
-        tok = parser.peek()
-        raise ParseError("nested too deeply",
-                         len(text) if tok is None else tok[2]) from None
+    standard connectives.  Parsing is one loop over explicit stacks, like
+    the walkers, so input of any nesting depth parses."""
+    tokens = _tokens(text)
+    n = len(tokens)
+    i = 0
+    # Open frames, innermost last: ("!",), ("(",), ("call", connective,
+    # name, position, index of its first argument in ``operands``) and
+    # ("infix", connective, least level its right operand may contain).
+    # ``operands`` holds the left operands of pending infix operators and
+    # the finished arguments of open calls.
+    frames: list[tuple] = []
+    operands: list[Formula] = []
+    while True:
+        # an operand is due: prefixes open frames, an atom ends the operand
+        if i == n:
+            raise ParseError("unexpected end of input", len(text))
+        kind, value, at = tokens[i]
+        i += 1
+        if value in ("!", "("):
+            frames.append((value,))
+            continue
+        if kind == "lit":
+            node = constant(value == "1")
+        elif kind == "name" and i < n and tokens[i][1] == "(":
+            conn = base.get(value) if base is not None else None
+            if conn is None:
+                conn = STANDARD_BASE.get(value)
+            if conn is None:
+                raise ParseError(f"unknown connective {value!r}", at)
+            i += 1
+            if i == n or tokens[i][1] != ")":
+                frames.append(("call", conn, value, at, len(operands)))
+                continue
+            i += 1
+            node = _call(conn, value, at, [])
+        elif kind == "name":
+            if value.startswith(RESERVED_PREFIX):
+                raise ParseError(f"names starting with {RESERVED_PREFIX!r} are reserved",
+                                 at)
+            node = Prop(value)
+        else:
+            raise ParseError(f"unexpected {value!r}", at)
+        # ``node`` is a finished operand: an infix operator or a closing
+        # token is due
+        while True:
+            while frames and frames[-1][0] == "!":
+                frames.pop()
+                node = Apply(NOT, (node,))
+            tok = tokens[i] if i < n else None
+            op = _INFIX.get(tok[1]) if tok is not None else None
+            # pending infix operators that bind tighter than ``op`` close
+            while (frames and frames[-1][0] == "infix"
+                   and (op is None or op[1] < frames[-1][2])):
+                node = Apply(frames.pop()[1], (operands.pop(), node))
+            if op is not None:
+                i += 1
+                operands.append(node)
+                frames.append(("infix", op[0], op[1] + 1 if op[2] == "left" else op[1]))
+                break
+            if not frames:
+                if tok is not None:
+                    raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+                return node
+            if tok is None:
+                raise ParseError("unexpected end of input", len(text))
+            i += 1
+            frame = frames[-1]
+            if frame[0] == "(":
+                if tok[1] != ")":
+                    raise ParseError("expected ')'", tok[2])
+                frames.pop()
+                continue
+            operands.append(node)
+            if tok[1] == ",":
+                break
+            if tok[1] != ")":
+                raise ParseError("expected ',' or ')'", tok[2])
+            frames.pop()
+            _, conn, name, at, first = frame
+            node = _call(conn, name, at, operands[first:])
+            del operands[first:]
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +417,7 @@ def _rebuild(node: Apply, args: list[Formula]) -> Apply:
 # printing
 
 _LEVEL_ATOM = 100
-_SYMBOL = {
-    AND: ("&", 50, "left"),
-    OR: ("|", 40, "left"),
-    XOR: ("^", 30, "left"),
-    IMP: ("->", 20, "right"),
-    NIMP: ("-/>", 20, "right"),
-    IFF: ("<->", 10, "left"),
-}
+_SYMBOL = {conn: (sym, level, assoc) for sym, (conn, level, assoc) in _INFIX.items()}
 
 
 def render(phi: Formula) -> str:
@@ -450,9 +440,9 @@ def _render_node(phi: Formula, memo: dict[int, tuple[str, int]]) -> tuple[str, i
         return "0", _LEVEL_ATOM
     if conn == NOT:
         inner, lvl = memo[id(phi.args[0])]
-        if lvl < 60:
+        if lvl < _LEVEL_NOT:
             inner = f"({inner})"
-        return f"!{inner}", 60
+        return f"!{inner}", _LEVEL_NOT
     info = _SYMBOL.get(conn)
     if info is not None:
         sym, level, assoc = info

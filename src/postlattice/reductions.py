@@ -23,6 +23,7 @@ Pipelines:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import boolfun
 from .boolfun import (
@@ -66,6 +67,7 @@ from .formula import (
     _rebuild,
     connectives_of,
     constant,
+    constant_value,
     depth,
     equivalent,
     evaluate,
@@ -247,17 +249,12 @@ def normalize_L(phi: Formula) -> tuple[int, tuple[str, ...], Formula]:
 # constant elimination
 
 
-_REP_CACHE: dict = {}
-
-
-def _rep(fn: BooleanFunction, base: Base, with_consts: bool = False) -> Formula:
-    """``represent`` over the base (plus both constants), cached."""
-    if with_consts:
-        base = base.extended(FALSE, TRUE)
-    key = (fn, base.connectives)
-    if key not in _REP_CACHE:
-        _REP_CACHE[key] = represent(fn, base)
-    return _REP_CACHE[key]
+@lru_cache(maxsize=1024)
+def _rep(fn: BooleanFunction, base: Base) -> Formula:
+    """``represent`` over the base, cached.  ``represent`` is read from
+    this module's globals at each miss, so a wrapper bound there sees
+    every search."""
+    return represent(fn, base)
 
 
 def _replace_connectives(phi: Formula, repmap: dict[BooleanFunction, Formula]) -> Formula:
@@ -440,7 +437,7 @@ def _rep_flexible(fn: BooleanFunction, target: Base) -> Formula:
     try:
         return _rep(fn, target)
     except NotInCloneError:
-        return _rep(fn, target, with_consts=True)
+        return _rep(fn, target.extended(FALSE, TRUE))
 
 
 def _whole_formula_representation(phi: Formula, target: Base) -> Formula:
@@ -481,18 +478,19 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
                             "none" if mode == "fresh" else want, fresh)
 
 
-def _emit_conjunctive(c: int, chosen: tuple[str, ...], target: Base,
-                      props: list[str], conn: Connective) -> Formula:
-    """Rebuild the output of :func:`normalize_E` (``conn`` and) or
+def _emit_conjunctive(normal: Formula, target: Base, props: list[str],
+                      conn: Connective) -> Formula:
+    """The output of :func:`normalize_E` (``conn`` and) or
     :func:`normalize_V` (``conn`` or) over the target."""
-    if c != (1 if conn is AND else 0) or not chosen:
+    c = constant_value(normal)
+    if c is not None:
         out = _constant_replacement(c, target, props)
         if out is None:
             raise PreconditionError(f"constant {c} is not available in the target")
         return out
-    if len(chosen) == 1:
-        return Prop(chosen[0])
-    return _big_fold(conn, target, list(chosen))
+    if isinstance(normal, Prop):
+        return normal
+    return _replace_connectives(normal, {conn.fn: _rep(conn.fn, target)})
 
 
 def _xor3_tree(items: list[Formula], target: Base) -> Formula:
@@ -541,14 +539,12 @@ def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     x = _preconditions(phi, base, target, None, None)
     props = props_in_order(phi)
     if includes("V", x):
-        c, chosen, _ = normalize_V(phi)
-        out = _emit_conjunctive(c, chosen, target, props, OR)
+        out = _emit_conjunctive(normalize_V(phi)[2], target, props, OR)
     elif includes("L", x):
         c, chosen, _ = normalize_L(phi)
         out = _emit_affine(c, chosen, target, props)
     elif includes("E", x):
-        c, chosen, _ = normalize_E(phi)
-        out = _emit_conjunctive(c, chosen, target, props, AND)
+        out = _emit_conjunctive(normalize_E(phi)[2], target, props, AND)
     else:
         raise PreconditionError("the clone of B is not inside E, V or L")
     return _pipeline_output(phi, out, target, "none", ())

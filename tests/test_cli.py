@@ -110,11 +110,9 @@ def test_domain_error_is_single_json_object(capsys):
     assert out.count("\n") == 1
 
 
-def test_too_deep_formula_is_json_error(capsys):
-    assert main(["--json", "parse", "--formula", "(" * 1200 + "x" + ")" * 1200]) == 1
-    out = capsys.readouterr().out
-    assert "nested too deeply" in json.loads(out)["error"]
-    assert out.count("\n") == 1
+def test_deep_formula_parses_in_json_mode(capsys, shallow_stack):
+    assert main(["--json", "parse", "--formula", "(" * 1200 + "x" + ")" * 1200]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 1
 
 
 def test_domain_error_text_mode(capsys):

@@ -8,6 +8,7 @@ from postlattice.boolfun import ARITY_CAP, ArityError
 from postlattice.formula import (
     AND,
     FALSE_F,
+    IMP,
     NOT,
     OR,
     TRUE_F,
@@ -54,23 +55,47 @@ def test_parse_prefix_call():
     assert phi == Apply(g, (Prop("x"), Prop("y"), Prop("z")))
 
 
+# malformed input, the position the error names and its message
+PARSE_ERRORS = [
+    ("x &", 3, "unexpected end of input"),
+    ("", 0, "unexpected end of input"),
+    ("!", 1, "unexpected end of input"),
+    ("and(x, y", 8, "unexpected end of input"),            # unclosed call
+    ("!(x & y", 7, "unexpected end of input"),             # unclosed parenthesis
+    ("and(x,,y)", 6, "unexpected ','"),                     # stray comma
+    ("x , y", 2, "unexpected ','"),
+    ("and(x,)", 6, "unexpected ')'"),
+    ("(x & y))", 7, "unexpected ')'"),
+    ("x <-> -> y", 6, "unexpected '->'"),
+    ("1(x)", 1, "unexpected '('"),
+    ("(x, y)", 2, "expected ')'"),
+    ("and(x y)", 6, "expected ',' or ')'"),
+    ("not()", 0, "not expects 1 arguments, got 0"),        # empty call
+    ("not(x, y)", 0, "not expects 1 arguments, got 2"),
+    ("foo(x, y)", 0, "unknown connective 'foo'"),
+    ("__t0", 0, "names starting with '__' are reserved"),
+    ("x @ y", 1, "unexpected character '@'"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse("x &")
-    with pytest.raises(ParseError):
-        parse("foo(x, y)")          # unknown connective
-    with pytest.raises(ParseError):
-        parse("not(x, y)")          # arity mismatch
-    with pytest.raises(ParseError):
-        parse("__t0")               # reserved prefix
-    with pytest.raises(ParseError):
-        parse("x @ y")
-
-
-def test_parse_too_deep_raises_parse_error():
-    for text in ("(" * 1200 + "x" + ")" * 1200, " -> ".join(["x"] * 2001)):
-        with pytest.raises(ParseError, match="nested too deeply"):
+    for text, position, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
             parse(text)
+        assert err.value.position == position, text
+        assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_parse_deep_input_round_trips(shallow_stack):
+    imp_chain = " -> ".join(["x"] * 2001)
+    assert parse(imp_chain) == chain([IMP], 2001, ["x"])    # right-nested
+    for text, n, d in [("(" * 1200 + "x" + ")" * 1200, 1, 0),
+                       (imp_chain, 4001, 2000),
+                       ("not(" * 2000 + "x" + ")" * 2000, 2001, 2000),
+                       ("(" * 50_000 + "!x & (y | z)" + ")" * 50_000, 6, 2)]:
+        phi = parse(text)
+        assert (size(phi), depth(phi)) == (n, d)
+        assert parse(render(phi)) == phi
 
 
 def test_parse_precedence():
