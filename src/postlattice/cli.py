@@ -167,7 +167,6 @@ def _cmd_reduce(args) -> int:
         "formula": render(result.formula),
         "target": [str(c) for c in result.target],
         "extra": result.extra,
-        "fresh_vars": list(result.fresh_vars),
         "depth_in": cert.depth_in, "depth_out": cert.depth_out,
         "size_in": cert.size_in, "size_out": cert.size_out,
         "equivalent": cert.equivalent,

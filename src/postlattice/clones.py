@@ -314,15 +314,6 @@ def member(f: BooleanFunction, base: Base) -> bool:
     return catalog_entry(clone_of(base)).predicate(f)
 
 
-def contains_constant(base: Base, bit: int) -> bool:
-    """A base makes the constant available when it has a nullary member
-    with that value or generates the unary constant function."""
-    if base.nullary_member(bit) is not None:
-        return True
-    unary = boolfun.CONST1_1_FN if bit else boolfun.CONST0_1_FN
-    return member(unary, base)
-
-
 def classify_sat(base: Base) -> str:
     """Satisfiability over this connective set: NP-complete exactly when
     x AND NOT y is generated, logspace-solvable otherwise."""

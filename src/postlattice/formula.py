@@ -11,11 +11,10 @@ Size and leaf count are still tree counts: a shared subtree counts once
 per occurrence.
 
 Grammar (ASCII): identifiers ``[a-zA-Z_][a-zA-Z0-9_']*`` (a leading
-``__`` is reserved for generated propositions), infix ``&`` ``|`` ``^``
-``->`` ``<->`` ``-/>``, prefix ``!``, literals ``0`` ``1``, prefix calls
-``name(arg, ..., arg)`` and parentheses.  Precedence, tightest first:
-``!``, ``&``, ``|``, ``^``, ``->`` (right associative, ``-/>`` at the
-same level), ``<->``.
+``__`` is reserved), infix ``&`` ``|`` ``^`` ``->`` ``<->`` ``-/>``,
+prefix ``!``, literals ``0`` ``1``, prefix calls ``name(arg, ..., arg)``
+and parentheses.  Precedence, tightest first: ``!``, ``&``, ``|``,
+``^``, ``->`` (right associative, ``-/>`` at the same level), ``<->``.
 """
 
 from __future__ import annotations
@@ -417,45 +416,69 @@ def _rebuild(node: Apply, args: list[Formula]) -> Apply:
 # printing
 
 _LEVEL_ATOM = 100
-_SYMBOL = {conn: (sym, level, assoc) for sym, (conn, level, assoc) in _INFIX.items()}
+_SYMBOL = {conn: (f" {sym} ", level, assoc) for sym, (conn, level, assoc) in _INFIX.items()}
+_LEVEL = {NOT: _LEVEL_NOT} | {conn: level for conn, (_, level, _) in _SYMBOL.items()}
 
 
 def render(phi: Formula) -> str:
-    """Minimal-parenthesis ASCII form; reparses to an equal tree."""
-    memo: dict[int, tuple[str, int]] = {}
-    for node in _postorder(phi):
-        memo[id(node)] = _render_node(node, memo)
-    return memo[id(phi)][0]
+    """Minimal-parenthesis ASCII form; reparses to an equal tree.  One
+    preorder pass emits text fragments and joins them once.  A node met
+    again is emitted as one string, joined from the fragments of its
+    first rendering; these strings occupy disjoint stretches of the
+    output, so memory stays linear in it."""
+    parts: list[str] = []
+    spans: dict[int, tuple[int, int] | str] = {}   # node id -> range or text
+    stack: list = [phi]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, tuple):           # a node's fragments end
+            spans[item[0]] = (item[1], len(parts))
+        elif isinstance(item, Prop):
+            parts.append(item.name)
+        else:
+            done = spans.get(id(item))
+            if done is None:
+                stack.append((id(item), len(parts)))
+                stack.extend(reversed(_pieces(item)))
+                continue
+            if not isinstance(done, str):
+                done = spans[id(item)] = "".join(parts[done[0]:done[1]])
+            parts.append(done)
+    return "".join(parts)
 
 
-def _render_node(phi: Formula, memo: dict[int, tuple[str, int]]) -> tuple[str, int]:
-    """Text and precedence level of one node, given its arguments' in
-    ``memo``."""
-    if isinstance(phi, Prop):
-        return phi.name, _LEVEL_ATOM
+def _pieces(phi: Apply) -> list:
+    """The text fragments and arguments that render one node, in order.
+    Whether an argument is parenthesised follows from its precedence
+    level and the node's, so no argument text is needed."""
     conn = phi.conn
-    if conn == TRUE:
-        return "1", _LEVEL_ATOM
-    if conn == FALSE:
-        return "0", _LEVEL_ATOM
-    if conn == NOT:
-        inner, lvl = memo[id(phi.args[0])]
-        if lvl < _LEVEL_NOT:
-            inner = f"({inner})"
-        return f"!{inner}", _LEVEL_NOT
     info = _SYMBOL.get(conn)
     if info is not None:
         sym, level, assoc = info
-        parts = []
+        pieces = []
         for side, arg in zip(("left", "right"), phi.args):
-            text, lvl = memo[id(arg)]
-            same_op = isinstance(arg, Apply) and arg.conn == conn
-            if lvl < level or (lvl == level and not (same_op and side == assoc)):
-                text = f"({text})"
-            parts.append(text)
-        return f"{parts[0]} {sym} {parts[1]}", level
-    args = ", ".join(memo[id(a)][0] for a in phi.args)
-    return f"{conn.name}({args})", _LEVEL_ATOM
+            lvl = _level(arg)
+            if lvl > level or (lvl == level and side == assoc and arg.conn == conn):
+                pieces += [arg, sym]
+            else:
+                pieces += ["(", arg, ")", sym]
+        return pieces[:-1]
+    if conn == NOT:
+        arg = phi.args[0]
+        return ["!", arg] if _level(arg) >= _LEVEL_NOT else ["!(", arg, ")"]
+    if conn in (TRUE, FALSE):
+        return [conn.name]
+    pieces = [f"{conn.name}("]
+    for i, arg in enumerate(phi.args):
+        pieces += [", ", arg] if i else [arg]
+    return pieces + [")"]
+
+
+def _level(phi: Formula) -> int:
+    """Precedence level of the node's text; atoms and calls bind tightest."""
+    return _LEVEL.get(phi.conn, _LEVEL_ATOM) if isinstance(phi, Apply) else _LEVEL_ATOM
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +705,3 @@ def equivalent(phi: Formula, psi: Formula, cap: int = EQUIVALENCE_CAP) -> bool:
     rows = 1 << n
     masks = {name: _projection_mask(j, n) for j, name in enumerate(names)}
     return _eval_mask(phi, masks, rows) == _eval_mask(psi, masks, rows)
-
-
-def fresh_props(phi_vars: Iterable[str], count: int, prefix: str = "__t") -> list[str]:
-    """Generated proposition names that cannot clash with parsed input."""
-    taken = set(phi_vars)
-    out = []
-    i = 0
-    while len(out) < count:
-        name = f"{prefix}{i}"
-        if name not in taken:
-            out.append(name)
-            taken.add(name)
-        i += 1
-    return out

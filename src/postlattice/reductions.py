@@ -15,9 +15,12 @@ Pipelines:
   connective by its target representation, eliminate the constants.
   They differ only in data: the lower clone, the upper bound (monotone
   or self-dual), the restructurer (``g``/``h`` for monotone clones, the
-  full form otherwise), the representation lookup, and the adjoined
-  connective (``and`` for S0 clones, ``or`` for their S1 duals).
+  full form otherwise) and the adjoined connective (``and`` for S0
+  clones, ``or`` for their S1 duals).
 * ``theorem_reduce`` - dispatcher over the seven lattice cases.
+
+Constants are eliminated by one rule (:func:`eliminate_constants`), and
+no pipeline introduces a proposition.
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ from functools import lru_cache
 
 from . import boolfun
 from .boolfun import (
-    AND_FN,
     IFF_FN,
     NOT_FN,
-    OR_FN,
     XNOR3_FN,
     XOR3_FN,
     XOR_FN,
@@ -72,7 +73,6 @@ from .formula import (
     equivalent,
     evaluate,
     fold,
-    fresh_props,
     instantiate,
     props_in_order,
     size,
@@ -114,7 +114,6 @@ class ReductionOutput:
     formula: Formula
     target: Base
     extra: str                      # "and", "or" or "none"
-    fresh_vars: tuple[str, ...]
     certificate: Certificate
 
 
@@ -257,6 +256,16 @@ def _rep(fn: BooleanFunction, base: Base) -> Formula:
     return represent(fn, base)
 
 
+def _rep_flexible(fn: BooleanFunction, target: Base) -> Formula:
+    """The pipelines' lookup: the representation over the target alone
+    when one exists, otherwise over the target with constants (removed
+    again by :func:`eliminate_constants`)."""
+    try:
+        return _rep(fn, target)
+    except NotInCloneError:
+        return _rep(fn, target.extended(FALSE, TRUE))
+
+
 def _replace_connectives(phi: Formula, repmap: dict[BooleanFunction, Formula]) -> Formula:
     """Each application of a ``repmap`` connective replaced by its witness."""
     memo: dict[int, Formula] = {}
@@ -269,12 +278,6 @@ def _replace_connectives(phi: Formula, repmap: dict[BooleanFunction, Formula]) -
         memo[id(node)] = (_rebuild(node, args) if witness is None else
                           instantiate(witness, {f"x{i + 1}": a for i, a in enumerate(args)}))
     return memo[id(phi)]
-
-
-def _constants_present(phi: Formula) -> set[int]:
-    """The bits of the standard constants TRUE/FALSE occurring in phi;
-    other nullary connectives do not count."""
-    return {c.fn.bits[0] for c in connectives_of(phi) if c in (TRUE, FALSE)}
 
 
 def _constant_replacement(bit: int, target: Base, props: list[str]) -> Formula | None:
@@ -290,154 +293,109 @@ def _constant_replacement(bit: int, target: Base, props: list[str]) -> Formula |
     return None
 
 
-def _big_fold(fold_conn: Connective, target: Base | None, props: list[str]) -> Formula:
+def _big_fold(phi: Formula, bit: int, target: Base, extra: str,
+              props: list[str]) -> Formula:
+    """The constant as the balanced big-AND (0) or big-OR (1) of phi's
+    propositions: over the target when it generates that connective,
+    literal when it is the adjoined ``extra``.  Sound only when phi takes
+    the value 1 - bit at the all-(1 - bit) assignment, the fold's blind
+    spot; that is checked."""
+    fold_conn = OR if bit == 1 else AND
+    if not props:
+        raise ConstantEliminationError(
+            f"constant {bit} in a proposition-free formula with no "
+            f"nullary target connective")
     tree = _balanced([Prop(p) for p in props], fold_conn)
-    if target is None:
-        return tree
-    return _replace_connectives(tree, {fold_conn.fn: _rep(fold_conn.fn, target)})
+    if member(fold_conn.fn, target):
+        tree = _replace_connectives(tree, {fold_conn.fn: _rep(fold_conn.fn, target)})
+    elif fold_conn.name != extra:
+        raise ConstantEliminationError(
+            f"constant {bit} is not available in the target clone, which "
+            f"lacks {fold_conn.name}, and {fold_conn.name} is not adjoined")
+    if evaluate(phi, dict.fromkeys(props, 1 - bit)) != 1 - bit:
+        raise ConstantEliminationError(
+            f"big-{fold_conn.name} elimination is unsound here: the "
+            f"all-{1 - bit} assignment does not evaluate to {1 - bit}")
+    return tree
 
 
-def eliminate_constants(phi: Formula, target: Base,
-                        mode: str) -> tuple[Formula, tuple[str, ...]]:
-    """Replace the constants 0/1 by target-base material.
+def eliminate_constants(phi: Formula, target: Base, extra: str) -> Formula:
+    """Replace the constants 0/1 for a pipeline whose output adjoins
+    ``extra`` (``"and"``, ``"or"`` or ``"none"``) to the target base.
 
-    ``mode`` names the calling pipeline's context and fixes which literal
-    connective the caller's target may absorb: ``"and"`` allows a literal
-    balanced big-AND for 0 (1 must be representable, by a constant of the
-    target clone or as a big-OR when OR is generated), ``"or"`` is the
-    dual, and ``"fresh"`` replaces both constants through a
-    tautology/contradiction in one fresh proposition (functionally
-    complete targets).
-
-    Constants available in the target clone are replaced by their
-    representations rather than eliminated.  Raises
+    A constant the target clone makes available is rebuilt at an existing
+    proposition; any other becomes a big fold of the propositions
+    (:func:`_big_fold`).  No proposition is added.  Raises
     :class:`ConstantEliminationError` when no sound replacement exists.
     """
-    if mode not in ("and", "or", "fresh"):
-        raise ReductionError(f"unknown elimination mode {mode!r}")
+    if extra not in ("and", "or", "none"):
+        raise ReductionError(f"unknown adjoined connective {extra!r}")
     phi = fold(phi)
-    present = _constants_present(phi)
+    # only the standard constants count; other nullary connectives stay
+    present = {c.fn.bits[0] for c in connectives_of(phi) if c in (TRUE, FALSE)}
     if not present:
-        return phi, ()
+        return phi
     props = props_in_order(phi)
-    fresh: tuple[str, ...] = ()
-
-    replacements: dict[int, Formula] = {}
-    if mode == "fresh":
-        name = fresh_props(vars_of(phi), 1)[0]
-        t = Prop(name)
-        not_t = instantiate(_rep(NOT_FN, target), {"x1": t})
-        if 1 in present:
-            replacements[1] = instantiate(_rep(OR_FN, target), {"x1": t, "x2": not_t})
-        if 0 in present:
-            replacements[0] = instantiate(_rep(AND_FN, target), {"x1": t, "x2": not_t})
-        fresh = (name,)
-    else:
-        for bit in sorted(present, reverse=True):
-            direct = _constant_replacement(bit, target, props)
-            if direct is not None:
-                replacements[bit] = direct
-                continue
-            if not props:
-                raise ConstantEliminationError(
-                    f"constant {bit} in a proposition-free formula with no "
-                    f"nullary target connective")
-            fold_conn = OR if bit == 1 else AND
-            literal_ok = (mode == "and" and bit == 0) or (mode == "or" and bit == 1)
-            if member(fold_conn.fn, target):
-                replacements[bit] = _big_fold(fold_conn, target, props)
-            elif literal_ok:
-                replacements[bit] = _big_fold(fold_conn, None, props)
-            else:
-                raise ConstantEliminationError(
-                    f"constant {bit} is not available in the target clone and "
-                    f"mode {mode!r} provides no sound replacement")
-            # soundness of the big-fold trick: with the constant outside the
-            # target clone, the formula must vanish at the fold's blind spot
-            anchor = {p: 1 - bit for p in props}
-            if evaluate(phi, anchor) != 1 - bit:
-                raise ConstantEliminationError(
-                    f"big-{fold_conn.name} elimination is unsound here: the "
-                    f"all-{1 - bit} assignment does not evaluate to {1 - bit}")
-
+    replacements = {bit: _constant_replacement(bit, target, props)
+                    or _big_fold(phi, bit, target, extra, props)
+                    for bit in sorted(present, reverse=True)}
     out = phi
     for bit, repl in replacements.items():
-        old = constant(bit)
-        if repl != old:
-            out = substitute(out, old, repl)
-    used_fresh = fresh if (fresh and vars_of(out) - vars_of(phi)) else ()
-    return out, used_fresh
+        if repl != constant(bit):
+            out = substitute(out, constant(bit), repl)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # pipelines
 
 
-def _nonconstant_fns(phi: Formula) -> list[BooleanFunction]:
-    seen: dict[BooleanFunction, None] = {}
-    for c in connectives_of(phi):
-        if c.arity >= 1:
-            seen.setdefault(c.fn, None)
-    return list(seen)
-
-
-def _pipeline_output(inp: Formula, out: Formula, target: Base, extra: str,
-                     fresh: tuple[str, ...]) -> ReductionOutput:
+def _pipeline_output(inp: Formula, out: Formula, target: Base,
+                     extra: str) -> ReductionOutput:
     """The checked result over B' plus the adjoined ``extra`` connective."""
     if extra != "none":
         target = target.extended(AND if extra == "and" else OR)
-    return _check_target(ReductionOutput(out, target, extra, fresh,
+    return _check_target(ReductionOutput(out, target, extra,
                                          _certificate(inp, out)))
 
 
-def _replace_and_eliminate(shaped: Formula, target: Base, lookup,
-                           mode: str) -> tuple[Formula, tuple[str, ...]]:
+def _replace_and_eliminate(shaped: Formula, target: Base, extra: str) -> Formula:
     """The body every restructuring pipeline shares: replace each
-    connective of the restructured formula by its representation from
-    ``lookup``, then eliminate the constants in ``mode``."""
-    repmap = {fn: lookup(fn, target) for fn in _nonconstant_fns(shaped)}
-    return eliminate_constants(_replace_connectives(shaped, repmap), target, mode)
+    connective of the restructured formula by its representation, then
+    eliminate the constants for the adjoined ``extra``."""
+    repmap = {c.fn: _rep_flexible(c.fn, target)
+              for c in connectives_of(shaped) if c.arity >= 1}
+    return eliminate_constants(_replace_connectives(shaped, repmap), target, extra)
 
 
 def _pipeline(phi: Formula, base: Base, target: Base, lower: str,
-              upper: tuple[str, str] | None, restructurer, lookup,
+              upper: tuple[str, str] | None, restructurer,
               extra: str) -> ReductionOutput:
     _preconditions(phi, base, target, lower, upper)
-    out, fresh = _replace_and_eliminate(restructurer(phi), target, lookup, extra)
-    return _pipeline_output(phi, out, target, extra, fresh)
+    out = _replace_and_eliminate(restructurer(phi), target, extra)
+    return _pipeline_output(phi, out, target, extra)
 
 
 def reduce_S00(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Monotone pipeline for S00 <= [B] <= M; output over B' + {and}."""
     return _pipeline(phi, base, target, "S00", _MONOTONE,
-                     restructure_monotone_g, _rep, "and")
+                     restructure_monotone_g, "and")
 
 
 def reduce_S10(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Dual monotone pipeline for S10 <= [B] <= M; output over B' + {or}."""
     return _pipeline(phi, base, target, "S10", _MONOTONE,
-                     restructure_monotone_h, _rep, "or")
+                     restructure_monotone_h, "or")
 
 
 def reduce_S02(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Pipeline for S02 <= [B]; output over B' + {and}."""
-    return _pipeline(phi, base, target, "S02", None,
-                     restructure_full, _rep_flexible, "and")
+    return _pipeline(phi, base, target, "S02", None, restructure_full, "and")
 
 
 def reduce_S12(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Dual pipeline for S12 <= [B]; output over B' + {or}."""
-    return _pipeline(phi, base, target, "S12", None,
-                     restructure_full, _rep_flexible, "or")
-
-
-def _rep_flexible(fn: BooleanFunction, target: Base) -> Formula:
-    """Representation over the target alone when one exists, otherwise
-    over the target with constants (removed again downstream)."""
-    try:
-        return _rep(fn, target)
-    except NotInCloneError:
-        return _rep(fn, target.extended(FALSE, TRUE))
+    return _pipeline(phi, base, target, "S12", None, restructure_full, "or")
 
 
 def _whole_formula_representation(phi: Formula, target: Base) -> Formula:
@@ -457,25 +415,26 @@ def _whole_formula_representation(phi: Formula, target: Base) -> Formula:
 
 def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> ReductionOutput:
     """Pipeline for the self-dual window D2 <= [B] <= D; ``want`` picks
-    the adjoined connective ("and" or "or").  With a functionally
-    complete target the constants are removed through a fresh proposition
-    and nothing is adjoined."""
+    the adjoined connective ("and" or "or").  Above D2 with a
+    functionally complete target nothing is adjoined: that target has
+    both constants at an existing proposition.  When constant
+    elimination fails (self-dual targets lack both constants), the whole
+    formula's function is represented over the target instead."""
     if want not in ("and", "or"):
         raise ReductionError(f"want must be 'and' or 'or', not {want!r}")
     x = _preconditions(phi, base, target, "D2", _SELF_DUAL)
     if x == CloneName("D2"):
         shaped = (restructure_monotone_g(phi) if want == "and"
                   else restructure_monotone_h(phi))
-        mode = want
+        extra = want
     else:
         shaped = restructure_full(phi)
-        mode = "fresh" if clone_of(target) == CloneName("BF") else want
+        extra = "none" if clone_of(target) == CloneName("BF") else want
     try:
-        out, fresh = _replace_and_eliminate(shaped, target, _rep_flexible, mode)
+        out = _replace_and_eliminate(shaped, target, extra)
     except ConstantEliminationError:
-        out, fresh = _whole_formula_representation(phi, target), ()
-    return _pipeline_output(phi, out, target,
-                            "none" if mode == "fresh" else want, fresh)
+        out = _whole_formula_representation(phi, target)
+    return _pipeline_output(phi, out, target, extra)
 
 
 def _emit_conjunctive(normal: Formula, target: Base, props: list[str],
@@ -547,7 +506,7 @@ def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
         out = _emit_conjunctive(normalize_E(phi)[2], target, props, AND)
     else:
         raise PreconditionError("the clone of B is not inside E, V or L")
-    return _pipeline_output(phi, out, target, "none", ())
+    return _pipeline_output(phi, out, target, "none")
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +566,7 @@ def theorem_reduce(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     else:
         inner = reduce_S02(phi, base, target)
     return _check_target(ReductionOutput(inner.formula, target, "none",
-                                         inner.fresh_vars, inner.certificate))
+                                         inner.certificate))
 
 
 # ---------------------------------------------------------------------------

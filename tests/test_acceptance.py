@@ -30,6 +30,7 @@ from postlattice.formula import (
     equivalent,
     leaf_count,
     size,
+    vars_of,
 )
 from postlattice.reductions import canonical_equivalent, theorem_case, theorem_reduce
 from postlattice.restructure import (
@@ -163,9 +164,10 @@ def test_criterion_4_theorem_dispatcher():
                 names = [f"x{i}" for i in range(1, var_cap + 1)]
                 pool = list(source.connectives)
                 target_is_bf = clone_of(target) == CloneName("BF")
-                # the fresh-proposition branch fires above D2 with a
-                # functionally complete target and adjoins nothing;
-                # every other (f) instance adjoins the stated connective
+                # above D2 a functionally complete target takes both
+                # constants at an existing proposition and adjoins
+                # nothing; every other (f) instance adjoins the stated
+                # connective
                 f_extra = ("none" if target_is_bf
                            and source_clone != CloneName("D2") else "and")
                 for i in range(50):
@@ -183,8 +185,7 @@ def test_criterion_4_theorem_dispatcher():
                         assert out.extra == "or"
                     else:
                         assert out.extra == f_extra
-                    if out.fresh_vars:
-                        assert case == "f" and target_is_bf
+                    assert vars_of(out.formula) <= vars_of(phi), f"{case} #{i}"
 
 
 def test_criterion_5_sat_dichotomy():

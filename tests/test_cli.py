@@ -39,7 +39,7 @@ GOLDEN = [
       "--from-fn", "g/3:00011111", "--to-fn", "g/3:00011111"],
      '{"formula": "g(g(y & x, g(y, x, x), y), g(g(y, x, x), g(y, x, x), y), x)", '
      '"target": ["g/3:00011111", "and/2:0001"], "extra": "and", '
-     '"fresh_vars": [], "depth_in": 1, "depth_out": 3, "size_in": 4, '
+     '"depth_in": 1, "depth_out": 3, "size_in": 4, '
      '"size_out": 21, "equivalent": true}'),
     (["--json", "canonical", "--fn", "xor/2:0110", "--fn", "1/0:1"],
      '{"clone": "L", "connectives": ["xor", "1"], "note": "two-way '
@@ -57,7 +57,7 @@ GOLDEN_DUAL = [
          "--from-fn", "h/3:00000111", "--to-fn", "h/3:00000111"],
         '{"formula": "h(h(y | x, h(y, x, x), y), h(h(y, x, x), h(y, x, x), y), x)", '
         '"target": ["h/3:00000111", "or/2:0111"], "extra": "or", '
-        '"fresh_vars": [], "depth_in": 1, "depth_out": 3, "size_in": 4, '
+        '"depth_in": 1, "depth_out": 3, "size_in": 4, '
         '"size_out": 21, "equivalent": true}',
         id="reduce-S10"),
     pytest.param(
@@ -65,7 +65,7 @@ GOLDEN_DUAL = [
          "--from-fn", "hn/3:00001011", "--to-fn", "hn/3:00001011"],
         '{"formula": "hn(x, hn(x, hn(x, x, x), x), hn(x, hn(x, hn(x, x, x), x), '
         'hn(x, x, x)))", "target": ["hn/3:00001011", "or/2:0111"], '
-        '"extra": "or", "fresh_vars": [], "depth_in": 1, "depth_out": 4, '
+        '"extra": "or", "depth_in": 1, "depth_out": 4, '
         '"size_in": 4, "size_out": 22, "equivalent": true}',
         id="reduce-S12"),
     pytest.param(

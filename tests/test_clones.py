@@ -26,7 +26,6 @@ from postlattice.clones import (
     classify_sat,
     clone_of,
     closure,
-    contains_constant,
     dual_base,
     includes,
     lattice_dot,
@@ -168,13 +167,6 @@ def test_member():
     assert member(threshold(2), catalog_entry(CloneName("S11", 2)).base)
     assert not member(threshold(2), Base([H, FALSE]))
     assert member(boolfun.CONST1_1_FN, Base([IMP]))
-
-
-def test_contains_constant():
-    assert contains_constant(Base([AND, FALSE]), 0)
-    assert not contains_constant(Base([AND]), 0)
-    assert contains_constant(Base([IMP]), 1)      # x -> x
-    assert not contains_constant(Base([IMP]), 0)
 
 
 def test_member_agrees_with_closure():

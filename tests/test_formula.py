@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import postlattice
 from postlattice import boolfun
 from postlattice.boolfun import ARITY_CAP, ArityError
 from postlattice.formula import (
@@ -26,7 +32,6 @@ from postlattice.formula import (
     equivalent,
     evaluate,
     fold,
-    fresh_props,
     instantiate,
     leaf_count,
     metrics,
@@ -96,6 +101,33 @@ def test_parse_deep_input_round_trips(shallow_stack):
         phi = parse(text)
         assert (size(phi), depth(phi)) == (n, d)
         assert parse(render(phi)) == phi
+
+
+def test_render_long_chain_under_memory_cap():
+    # a child process capped at 1 GiB of address space renders a
+    # 100,000-link chain and reparses it to an equal tree: render's memory
+    # is linear in its output (keeping every subtree's text costs O(n^2))
+    code = textwrap.dedent("""
+        import resource
+        from postlattice.formula import AND, Apply, Prop, parse, render
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        phi = Prop("x0")
+        for i in range(99_999, -1, -1):
+            phi = Apply(AND, (Prop(f"x{i % 7}"), phi))
+        text = render(phi)
+        assert parse(text) == phi
+        print(len(text))
+    """)
+    src = str(Path(postlattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    # "xi & (" ... ")" per link, except the innermost "xi & x0"
+    assert int(done.stdout) == 7 * 100_000
 
 
 def test_parse_precedence():
@@ -212,11 +244,6 @@ def test_props_in_order_and_fold():
     assert fold(parse("x & (1 & 1)")) == Apply(AND, (Prop("x"), TRUE_F))
     assert fold(parse("(1 & 1) | (0 & x)")) != parse("(1 & 1) | (0 & x)")
     assert fold(parse("1 & 1")) == TRUE_F
-
-
-def test_fresh_props_avoid_collisions():
-    got = fresh_props({"__t0", "x"}, 2)
-    assert got == ["__t1", "__t2"]
 
 
 def test_base_file_round_trip():

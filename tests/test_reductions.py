@@ -35,10 +35,13 @@ from postlattice.formula import (
     parse,
     props_in_order,
     render,
+    vars_of,
 )
 from postlattice.reductions import (
     ConstantEliminationError,
     PreconditionError,
+    ReductionError,
+    _constant_replacement,
     canonical_equivalent,
     eliminate_constants,
     normalize_E,
@@ -95,8 +98,7 @@ def test_normalize_L():
 def test_eliminate_constants_big_or():
     base = Base([G])
     phi = parse("g(x, y, 1)", base)
-    out, fresh = eliminate_constants(phi, base, "and")
-    assert fresh == ()
+    out = eliminate_constants(phi, base, "and")
     assert equivalent(phi, out)
     assert _over_base_set(out) <= {G.fn}
     # 1 is gone, replaced through the generated disjunction
@@ -118,31 +120,36 @@ def _constants(phi):
 def test_eliminate_constants_untouched():
     base = Base([G])
     phi = parse("g(x, y, z)", base)
-    out, fresh = eliminate_constants(phi, base, "and")
-    assert out == phi and fresh == ()
+    out = eliminate_constants(phi, base, "and")
+    assert out == phi
 
 
 def test_eliminate_constants_literal_and():
     base = Base([G])
     phi = parse("g(x, 0, y)", base)
-    out, _ = eliminate_constants(phi, base, "and")
+    out = eliminate_constants(phi, base, "and")
     assert equivalent(phi, out)
     assert _over_base_set(out) <= {G.fn, AND_FN}
 
 
 def test_eliminate_constants_fresh():
+    # a functionally complete target has both constants at an existing
+    # proposition, so no fresh proposition is needed
     base = Base([AND, NOT])
     phi = parse("(x & 1) & !(y & 0)")
-    out, fresh = eliminate_constants(phi, base, "fresh")
-    assert fresh and fresh[0].startswith("__t")
+    out = eliminate_constants(phi, base, "none")
     assert equivalent(phi, out)
     assert not _constants(out)
+    assert _over_base_set(out) <= {AND_FN, NOT_FN}
+    assert vars_of(out) <= vars_of(phi)
+    with pytest.raises(ReductionError):
+        eliminate_constants(phi, base, "fresh")
 
 
 def test_eliminate_constants_available_kept():
     base = Base([AND, FALSE])
     phi = parse("x & 0")
-    out, _ = eliminate_constants(phi, base, "and")
+    out = eliminate_constants(phi, base, "and")
     assert equivalent(phi, out)
 
 
@@ -206,7 +213,6 @@ def test_reduce_D_monotone():
     phi = parse("maj3(x, maj3(y, z, x), z)", base)
     out = reduce_D(phi, base, base, want="and")
     assert out.extra == "and"
-    assert out.fresh_vars == ()
     assert out.certificate.equivalent is True
     assert _over(out, out.target)
 
@@ -220,10 +226,12 @@ def test_reduce_D_fresh_proposition():
     target = Base([AND, NOT])
     phi = parse("sd1(x, y, z)", base)
     out = reduce_D(phi, base, target, want="and")
+    # above D2 into a functionally complete target nothing is adjoined,
+    # and the constants are written at the formula's own propositions
     assert out.extra == "none"
-    assert out.fresh_vars and out.fresh_vars[0].startswith("__t")
     assert out.certificate.equivalent is True
-    assert _over(out, out.target)
+    assert _over(out, target)
+    assert vars_of(out.formula) <= {"x", "y", "z"}
 
 
 def test_reduce_D_window():
@@ -340,7 +348,7 @@ def test_big_or_soundness_assert():
     base = Base([G])
     phi = parse("g(x, y, 1)", base)
     assert evaluate(phi, {p: 0 for p in props_in_order(phi)}) == 0
-    out, _ = eliminate_constants(phi, base, "and")
+    out = eliminate_constants(phi, base, "and")
     assert equivalent(phi, out)
 
 
@@ -370,11 +378,10 @@ def test_canonical_other_clones():
     assert canonical_equivalent(Base([IMP])).connectives == ("and", "or", "not")
 
 
-def test_fresh_vars_only_in_bf_branch():
-    rng = random.Random(61)
-    base = Base([MAJ3])
-    names = ["x", "y", "z"]
-    for _ in range(20):
-        phi = random_formula(rng, [MAJ3], names, rng.randint(2, 20))
-        out = reduce_D(phi, base, base, want="and")
-        assert out.fresh_vars == ()
+def test_constant_replacement():
+    # a constant is available when the target has it as a nullary member
+    # or generates the unary constant function (written at a proposition)
+    assert render(_constant_replacement(0, Base([AND, FALSE]), ["x"])) == "0"
+    assert _constant_replacement(0, Base([AND]), ["x"]) is None
+    assert render(_constant_replacement(1, Base([IMP]), ["x"])) == "x -> x"
+    assert _constant_replacement(0, Base([IMP]), ["x"]) is None
