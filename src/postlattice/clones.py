@@ -505,13 +505,19 @@ def represent(f: BooleanFunction, base: Base) -> Formula:
     if f.arity > CLOSURE_ARITY_MAX:
         raise ArityError(
             f"representation search capped at arity {CLOSURE_ARITY_MAX}")
-    if not member(f, base):
+    clone = clone_of(base)
+    if not catalog_entry(clone).predicate(f):
         raise NotInCloneError(
-            f"{f.bitstring} is not generated by {base!r} (clone {clone_of(base)})")
+            f"{f.bitstring} is not generated by {base!r} (clone {clone})")
     target = _pack(f)
     search = _Search(base, f.arity, (target,))
     found = search.tables.tolist()
     if target not in found:
+        # the clone predicate reads a constant of arity 0 like the unary
+        # one, which needs no nullary connective; the nullary one does
+        if f.arity == 0:
+            raise NotInCloneError(
+                f"{f.bitstring} is not generated by {base!r} without a variable")
         raise CloneError("representation search failed on a member function")
     return search.formulas()[found.index(target)]
 

@@ -10,11 +10,11 @@ stack), and a walk handles each distinct node object once within a call.
 Size and leaf count are still tree counts: a shared subtree counts once
 per occurrence.
 
-Grammar (ASCII): identifiers ``[a-zA-Z_][a-zA-Z0-9_']*`` (a leading
-``__`` is reserved), infix ``&`` ``|`` ``^`` ``->`` ``<->`` ``-/>``,
-prefix ``!``, literals ``0`` ``1``, prefix calls ``name(arg, ..., arg)``
-and parentheses.  Precedence, tightest first: ``!``, ``&``, ``|``,
-``^``, ``->`` (right associative, ``-/>`` at the same level), ``<->``.
+Grammar (ASCII): identifiers ``[a-zA-Z_][a-zA-Z0-9_']*``, infix ``&``
+``|`` ``^`` ``->`` ``<->`` ``-/>``, prefix ``!``, literals ``0`` ``1``,
+prefix calls ``name(arg, ..., arg)`` and parentheses.  Precedence,
+tightest first: ``!``, ``&``, ``|``, ``^``, ``->`` (right associative,
+``-/>`` at the same level), ``<->``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .boolfun import ArityError, BooleanFunction, parse_function_literal
 from .errors import PostLatticeError
 
 EQUIVALENCE_CAP = 20
-
-RESERVED_PREFIX = "__"
 
 
 class ParseError(PostLatticeError):
@@ -140,12 +138,6 @@ class Base:
 
     def contains_function(self, fn: BooleanFunction) -> bool:
         return fn in self._tables
-
-    def nullary_member(self, bit: int) -> Connective | None:
-        for c in self.connectives:
-            if c.arity == 0 and c.fn.bits[0] == bit:
-                return c
-        return None
 
     def extended(self, *extra: Connective) -> "Base":
         """This base plus the given connectives; an incoming name that
@@ -287,9 +279,6 @@ def parse(text: str, base: Base | None = None) -> Formula:
             i += 1
             node = _call(conn, value, at, [])
         elif kind == "name":
-            if value.startswith(RESERVED_PREFIX):
-                raise ParseError(f"names starting with {RESERVED_PREFIX!r} are reserved",
-                                 at)
             node = Prop(value)
         else:
             raise ParseError(f"unexpected {value!r}", at)
@@ -488,17 +477,9 @@ Assignment = Mapping[str, int]
 
 
 def evaluate(phi: Formula, assignment: Assignment) -> int:
-    """Bottom-up evaluation under a total assignment."""
-    values: dict[int, int] = {}
-    for node in _postorder(phi):
-        if isinstance(node, Prop):
-            try:
-                values[id(node)] = assignment[node.name] & 1
-            except KeyError:
-                raise EvaluationError(f"unbound proposition {node.name!r}") from None
-        else:
-            values[id(node)] = node.conn.fn.value([values[id(a)] for a in node.args])
-    return values[id(phi)]
+    """Bottom-up evaluation under a total assignment: the one-row case of
+    :func:`_eval_mask`."""
+    return _eval_mask(phi, assignment, 1)
 
 
 def vars_of(phi: Formula) -> frozenset[str]:
@@ -663,12 +644,14 @@ def _compose(fn: BooleanFunction, args: list, mask):
 
 
 def _eval_mask(phi: Formula, masks: Mapping[str, int], nrows: int) -> int:
+    """The packed table of ``phi`` over ``nrows`` rows, given the packed
+    column of each proposition (bits above the rows are ignored)."""
     full = (1 << nrows) - 1
     memo: dict[int, int] = {}
     for node in _postorder(phi):
         if isinstance(node, Prop):
             try:
-                memo[id(node)] = masks[node.name]
+                memo[id(node)] = masks[node.name] & full
             except KeyError:
                 raise EvaluationError(f"unbound proposition {node.name!r}") from None
         else:

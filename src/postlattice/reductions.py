@@ -6,21 +6,26 @@ the connective ``and`` or ``or`` adjoined where the lattice position of
 [B] requires it.  Every output carries a certificate (sizes, depths and
 an exhaustive equivalence check when the variable count permits).
 
-Pipelines:
+Every pipeline brings the formula into a shape whose connectives B'
+can define, then runs one shared body (:func:`_replace_and_eliminate`):
+replace every connective of the shape by its target representation,
+eliminate the constants.  The pipelines differ in the shape:
 
-* ``reduce_EVL``     - [B] inside E, V or L: probe the formula for its
-  conjunctive / disjunctive / affine normal form, rebuild balanced.
-* ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` run one
-  shared body: restructure to logarithmic depth, replace every
-  connective by its target representation, eliminate the constants.
-  They differ only in data: the lower clone, the upper bound (monotone
-  or self-dual), the restructurer (``g``/``h`` for monotone clones, the
-  full form otherwise) and the adjoined connective (``and`` for S0
-  clones, ``or`` for their S1 duals).
+* ``reduce_EVL``     - [B] inside E, V or L: the conjunctive,
+  disjunctive or affine normal form, probed in one bit-parallel pass
+  and rebuilt balanced.
+* ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` - the formula
+  restructured to logarithmic depth.  They differ only in data: the
+  lower clone, the upper bound (monotone or self-dual), the restructurer
+  (``g``/``h`` for monotone clones, the full form otherwise) and the
+  adjoined connective (``and`` for S0 clones, ``or`` for their S1 duals).
 * ``theorem_reduce`` - dispatcher over the seven lattice cases.
 
-Constants are eliminated by one rule (:func:`eliminate_constants`), and
-no pipeline introduces a proposition.
+Constants follow one rule (:func:`_constant_replacement`): a constant
+the target makes available is the representation of its constant
+function, written at the formula's first proposition (nullary when it
+has none); :func:`eliminate_constants` turns any other into a big fold
+of the propositions.  No pipeline introduces a proposition.
 """
 
 from __future__ import annotations
@@ -29,16 +34,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import boolfun
-from .boolfun import (
-    IFF_FN,
-    NOT_FN,
-    XNOR3_FN,
-    XOR3_FN,
-    XOR_FN,
-    BooleanFunction,
-)
+from .boolfun import BooleanFunction
 from .clones import (
     CLOSURE_ARITY_MAX,
+    XNOR3,
+    XOR3,
     CloneName,
     NotInCloneError,
     clone_of,
@@ -64,6 +64,7 @@ from .formula import (
     Connective,
     Formula,
     Prop,
+    _eval_mask,
     _postorder,
     _rebuild,
     connectives_of,
@@ -183,25 +184,28 @@ def _balanced(items: list[Formula], conn: Connective) -> Formula:
 # normal forms for E / V / L
 
 
+def _probe(phi: Formula, bit: int) -> tuple[int, tuple[str, ...]]:
+    """The value c of phi at the all-``bit`` assignment, and the
+    propositions whose single flip from there changes it: one
+    bit-parallel pass over n + 1 packed rows, row 0 all-``bit`` and row
+    j + 1 with the j-th proposition flipped."""
+    props = props_in_order(phi)
+    rows = len(props) + 1
+    flip = (1 << rows) - 1 if bit else 0
+    table = _eval_mask(phi, {p: (2 << j) ^ flip for j, p in enumerate(props)}, rows)
+    c = table & 1
+    return c, tuple(p for j, p in enumerate(props) if (table >> (j + 1)) & 1 != c)
+
+
 def _normalize_monotone(phi: Formula, bit: int, conn: Connective
                         ) -> tuple[int, tuple[str, ...], Formula]:
     """Shared body of :func:`normalize_E` (``bit`` 1, ``conn`` and) and
     :func:`normalize_V` (``bit`` 0, ``conn`` or): c is the value at the
     all-``bit`` assignment; when c equals ``bit``, i enters I when
     additionally flipping x_i changes the value."""
-    props = props_in_order(phi)
-    probe = dict.fromkeys(props, bit)
-    c = evaluate(phi, probe)
-    chosen: list[str] = []
-    if c == bit:
-        for p in props:
-            probe[p] = 1 - bit
-            if evaluate(phi, probe) != bit:
-                chosen.append(p)
-            probe[p] = bit
-    if c == bit and chosen:
-        return c, tuple(chosen), _balanced([Prop(p) for p in chosen], conn)
-    return c, tuple(chosen), constant(c)
+    c, flips = _probe(phi, bit)
+    chosen = flips if c == bit else ()
+    return c, chosen, _balanced([Prop(p) for p in chosen], conn) if chosen else constant(c)
 
 
 def normalize_E(phi: Formula) -> tuple[int, tuple[str, ...], Formula]:
@@ -227,21 +231,30 @@ def normalize_L(phi: Formula) -> tuple[int, tuple[str, ...], Formula]:
     unit assignment at x_i flips it."""
     _require(all(boolfun.is_affine(c.fn) for c in connectives_of(phi)),
              "every connective must be affine")
-    props = props_in_order(phi)
-    zeros = {p: 0 for p in props}
-    c = evaluate(phi, zeros)
-    chosen: list[str] = []
-    for p in props:
-        probe = dict(zeros)
-        probe[p] = 1
-        if evaluate(phi, probe) != c:
-            chosen.append(p)
-    items: list[Formula] = ([TRUE_F] if c == 1 else []) + [Prop(p) for p in chosen]
-    if not items:
-        out: Formula = FALSE_F
-    else:
-        out = _balanced(items, XOR)
-    return c, tuple(chosen), out
+    c, chosen = _probe(phi, 0)
+    items = ([TRUE_F] if c == 1 else []) + [Prop(p) for p in chosen]
+    return c, chosen, _balanced(items, XOR) if items else FALSE_F
+
+
+def _affine_shape(c: int, chosen: tuple[str, ...]) -> Formula:
+    """c XOR (XOR of the chosen propositions) without a constant, unless
+    nothing is chosen: a not of one proposition, a balanced xor (c = 0)
+    or iff (c = 1) tree of an even number, and an odd number of at least
+    three as a chain of ternary xors, under a ternary xnor root when
+    c = 1.  The ternary connectives keep odd parities inside the affine
+    clones that lack the binary ones."""
+    leaves = [Prop(p) for p in chosen]
+    if not leaves:
+        return constant(c)
+    if len(leaves) == 1:
+        return Apply(NOT, (leaves[0],)) if c else leaves[0]
+    if len(leaves) % 2 == 0:
+        return _balanced(leaves, IFF if c else XOR)
+    chain = leaves[2:] if c else leaves
+    out = chain[0]
+    for i in range(1, len(chain), 2):
+        out = Apply(XOR3, (out, chain[i], chain[i + 1]))
+    return Apply(XNOR3, (leaves[0], leaves[1], out)) if c else out
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +295,14 @@ def _replace_connectives(phi: Formula, repmap: dict[BooleanFunction, Formula]) -
 
 def _constant_replacement(bit: int, target: Base, props: list[str]) -> Formula | None:
     """A target-base formula denoting the constant, when the target makes
-    the constant available: a nullary member directly, or the unary
-    constant function instantiated at an existing proposition."""
-    member_c = target.nullary_member(bit)
-    if member_c is not None:
-        return Apply(member_c)
-    unary = boolfun.CONST1_1_FN if bit else boolfun.CONST0_1_FN
-    if props and member(unary, target):
-        return instantiate(_rep(unary, target), {"x1": Prop(props[0])})
-    return None
+    the constant available: the representation of the constant function,
+    unary at the first proposition, or nullary when there is none."""
+    arity = 1 if props else 0
+    try:
+        rep = _rep(BooleanFunction(arity, (bit,) * (1 << arity)), target)
+    except NotInCloneError:
+        return None
+    return instantiate(rep, {"x1": Prop(p) for p in props[:1]})
 
 
 def _big_fold(phi: Formula, bit: int, target: Base, extra: str,
@@ -303,8 +315,8 @@ def _big_fold(phi: Formula, bit: int, target: Base, extra: str,
     fold_conn = OR if bit == 1 else AND
     if not props:
         raise ConstantEliminationError(
-            f"constant {bit} in a proposition-free formula with no "
-            f"nullary target connective")
+            f"constant {bit} in a proposition-free formula, and the target "
+            f"cannot build it without a proposition")
     tree = _balanced([Prop(p) for p in props], fold_conn)
     if member(fold_conn.fn, target):
         tree = _replace_connectives(tree, {fold_conn.fn: _rep(fold_conn.fn, target)})
@@ -359,10 +371,18 @@ def _pipeline_output(inp: Formula, out: Formula, target: Base,
                                          _certificate(inp, out)))
 
 
-def _replace_and_eliminate(shaped: Formula, target: Base, extra: str) -> Formula:
-    """The body every restructuring pipeline shares: replace each
-    connective of the restructured formula by its representation, then
-    eliminate the constants for the adjoined ``extra``."""
+def _replace_and_eliminate(phi: Formula, shaped: Formula, target: Base,
+                           extra: str) -> Formula:
+    """The body every pipeline shares: replace each connective of phi's
+    shape by its representation, then eliminate the constants for the
+    adjoined ``extra``.  A constant shape is written at phi's first
+    proposition (:func:`_constant_replacement`)."""
+    bit = constant_value(shaped)
+    if bit is not None:
+        out = _constant_replacement(bit, target, props_in_order(phi))
+        if out is None:
+            raise ConstantEliminationError(f"constant {bit} is not available in the target")
+        return out
     repmap = {c.fn: _rep_flexible(c.fn, target)
               for c in connectives_of(shaped) if c.arity >= 1}
     return eliminate_constants(_replace_connectives(shaped, repmap), target, extra)
@@ -372,7 +392,7 @@ def _pipeline(phi: Formula, base: Base, target: Base, lower: str,
               upper: tuple[str, str] | None, restructurer,
               extra: str) -> ReductionOutput:
     _preconditions(phi, base, target, lower, upper)
-    out = _replace_and_eliminate(restructurer(phi), target, extra)
+    out = _replace_and_eliminate(phi, restructurer(phi), target, extra)
     return _pipeline_output(phi, out, target, extra)
 
 
@@ -431,81 +451,27 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
         shaped = restructure_full(phi)
         extra = "none" if clone_of(target) == CloneName("BF") else want
     try:
-        out = _replace_and_eliminate(shaped, target, extra)
+        out = _replace_and_eliminate(phi, shaped, target, extra)
     except ConstantEliminationError:
         out = _whole_formula_representation(phi, target)
     return _pipeline_output(phi, out, target, extra)
 
 
-def _emit_conjunctive(normal: Formula, target: Base, props: list[str],
-                      conn: Connective) -> Formula:
-    """The output of :func:`normalize_E` (``conn`` and) or
-    :func:`normalize_V` (``conn`` or) over the target."""
-    c = constant_value(normal)
-    if c is not None:
-        out = _constant_replacement(c, target, props)
-        if out is None:
-            raise PreconditionError(f"constant {c} is not available in the target")
-        return out
-    if isinstance(normal, Prop):
-        return normal
-    return _replace_connectives(normal, {conn.fn: _rep(conn.fn, target)})
-
-
-def _xor3_tree(items: list[Formula], target: Base) -> Formula:
-    """Odd-length parity tree over the ternary xor; keeps every emitted
-    connective inside affine clones that lack the binary xor."""
-    if len(items) == 1:
-        return items[0]
-    rep = _rep(XOR3_FN, target)
-    out = items[0]
-    rest = items[1:]
-    for i in range(0, len(rest), 2):
-        out = instantiate(rep, {"x1": out, "x2": rest[i], "x3": rest[i + 1]})
-    return out
-
-
-def _emit_affine(c: int, chosen: tuple[str, ...], target: Base,
-                 props: list[str]) -> Formula:
-    t = len(chosen)
-    if t == 0:
-        out = _constant_replacement(c, target, props)
-        if out is None:
-            raise PreconditionError(f"constant {c} is not available in the target")
-        return out
-    leaves = [Prop(p) for p in chosen]
-    if c == 0:
-        if t == 1:
-            return leaves[0]
-        if t % 2 == 1:
-            return _xor3_tree(leaves, target)
-        return _replace_connectives(_balanced(leaves, XOR),
-                                    {XOR_FN: _rep(XOR_FN, target)})
-    if t == 1:
-        return instantiate(_rep(NOT_FN, target), {"x1": leaves[0]})
-    if t % 2 == 0:
-        return _replace_connectives(_balanced(leaves, IFF),
-                                    {IFF_FN: _rep(IFF_FN, target)})
-    rep = _rep(XNOR3_FN, target)
-    return instantiate(rep, {"x1": leaves[0], "x2": leaves[1],
-                             "x3": _xor3_tree(leaves[2:], target)})
-
-
 def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
-    """Pipeline for [B] inside E, V or L: probe to the normal form, then
-    rebuild balanced with every connective and needed constant replaced
-    by its target representation.  Output over B' exactly."""
+    """Pipeline for [B] inside E, V or L: the shape is the normal form
+    (:func:`normalize_V`, :func:`_affine_shape` of :func:`normalize_L`,
+    :func:`normalize_E`), balanced; then the shared replace-and-eliminate
+    body.  Output over B' exactly."""
     x = _preconditions(phi, base, target, None, None)
-    props = props_in_order(phi)
     if includes("V", x):
-        out = _emit_conjunctive(normalize_V(phi)[2], target, props, OR)
+        shaped = normalize_V(phi)[2]
     elif includes("L", x):
-        c, chosen, _ = normalize_L(phi)
-        out = _emit_affine(c, chosen, target, props)
+        shaped = _affine_shape(*normalize_L(phi)[:2])
     elif includes("E", x):
-        out = _emit_conjunctive(normalize_E(phi)[2], target, props, AND)
+        shaped = normalize_E(phi)[2]
     else:
         raise PreconditionError("the clone of B is not inside E, V or L")
+    out = _replace_and_eliminate(phi, shaped, target, "none")
     return _pipeline_output(phi, out, target, "none")
 
 

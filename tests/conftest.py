@@ -1,6 +1,6 @@
-"""Shared test helpers: seeded random generators, deep chains, a
-lowered-recursion-limit fixture and the independent subset-enumeration
-oracle for separating degrees."""
+"""Shared test helpers: seeded random generators, criterion 4's base
+pairs, deep chains, a lowered-recursion-limit fixture and the
+independent subset-enumeration oracle for separating degrees."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ from itertools import combinations
 
 import pytest
 
-from postlattice import clones
-from postlattice.boolfun import INFINITE, BooleanFunction
+from postlattice import boolfun, clones
+from postlattice.boolfun import AND_FN, INFINITE, NOT_FN, BooleanFunction
+from postlattice.clones import CloneName, catalog_entry
 from postlattice.formula import (
     AND,
     FALSE,
@@ -62,6 +63,47 @@ def random_formula(rng: random.Random, conns, names, budget: int):
     args = tuple(random_formula(rng, conns, names, max(1, round(rest * w / total)))
                  for w in weights)
     return Apply(conn, args)
+
+
+def theorem_pairs() -> dict[str, list[tuple[Base, Base]]]:
+    """Per lattice case, the (source, target) base pairs that criterion 4
+    reduces between."""
+    def base(name) -> Base:
+        return catalog_entry(name).base
+
+    nand = Connective("nand", boolfun.apply(NOT_FN, [AND_FN]))
+    bf = base("BF")
+    return {
+        "a": [(base("V2"), base("V2")),
+              (base("V2"), base("V1")),
+              (base("V"), base("V"))],
+        "b": [(base("L0"), base("L0")),
+              (base("L1"), base("L1")),
+              (base("L2"), base("L")),
+              (base("L3"), base("L3"))],
+        "c": [(base("E2"), base("E2")),
+              (base("E0"), base("E0")),
+              (base("E1"), base("E"))],
+        "d": [(base("S0"), base("S0")),
+              (base("S00"), base("S00")),
+              (base("S02"), base("S02")),
+              (base("S01"), base("S01")),
+              (base(CloneName("S00", 2)), base(CloneName("S00", 2)))],
+        "e": [(base("S1"), base("S1")),
+              (base("S10"), base("S10")),
+              (base("S12"), base("S12")),
+              (base("S11"), base("S11"))],
+        "f": [(base("D2"), base("D2")),
+              (base("D2"), base("M2")),
+              (base("D2"), bf),
+              (base("D1"), bf),
+              (base("D"), base("D"))],
+        "g": [(base("M2"), base("M2")),
+              (base("M"), base("M")),
+              (base("R2"), bf),
+              (bf, Base([nand])),
+              (base("R0"), base("R0"))],
+    }
 
 
 def chain(links, leaves: int, names):

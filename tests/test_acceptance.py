@@ -50,6 +50,7 @@ from conftest import (
     oracle_separating_degree,
     random_base,
     random_formula,
+    theorem_pairs,
 )
 
 
@@ -112,50 +113,10 @@ def test_criterion_3_restructuring():
                     f"{mode} #{i} size"
 
 
-def _entry_base(name) -> Base:
-    return catalog_entry(name).base
-
-
-def _pairs_for_cases():
-    nand = Connective("nand", boolfun.apply(NOT_FN, [AND_FN]))
-    bf = _entry_base("BF")
-    return {
-        "a": [(_entry_base("V2"), _entry_base("V2")),
-              (_entry_base("V2"), _entry_base("V1")),
-              (_entry_base("V"), _entry_base("V"))],
-        "b": [(_entry_base("L0"), _entry_base("L0")),
-              (_entry_base("L1"), _entry_base("L1")),
-              (_entry_base("L2"), _entry_base("L")),
-              (_entry_base("L3"), _entry_base("L3"))],
-        "c": [(_entry_base("E2"), _entry_base("E2")),
-              (_entry_base("E0"), _entry_base("E0")),
-              (_entry_base("E1"), _entry_base("E"))],
-        "d": [(_entry_base("S0"), _entry_base("S0")),
-              (_entry_base("S00"), _entry_base("S00")),
-              (_entry_base("S02"), _entry_base("S02")),
-              (_entry_base("S01"), _entry_base("S01")),
-              (_entry_base(CloneName("S00", 2)), _entry_base(CloneName("S00", 2)))],
-        "e": [(_entry_base("S1"), _entry_base("S1")),
-              (_entry_base("S10"), _entry_base("S10")),
-              (_entry_base("S12"), _entry_base("S12")),
-              (_entry_base("S11"), _entry_base("S11"))],
-        "f": [(_entry_base("D2"), _entry_base("D2")),
-              (_entry_base("D2"), _entry_base("M2")),
-              (_entry_base("D2"), bf),
-              (_entry_base("D1"), bf),
-              (_entry_base("D"), _entry_base("D"))],
-        "g": [(_entry_base("M2"), _entry_base("M2")),
-              (_entry_base("M"), _entry_base("M")),
-              (_entry_base("R2"), bf),
-              (bf, Base([nand])),
-              (_entry_base("R0"), _entry_base("R0"))],
-    }
-
-
 def test_criterion_4_theorem_dispatcher():
     with criterion(4, "theorem dispatcher end to end", 120.0):
         rng = random.Random(0xACCE)
-        for case, pairs in _pairs_for_cases().items():
+        for case, pairs in theorem_pairs().items():
             assert len(pairs) >= 3
             for source, target in pairs:
                 source_clone = clone_of(source)

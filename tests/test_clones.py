@@ -159,6 +159,23 @@ def test_represent_witnesses_are_smallest_first():
     assert w == Prop("x1")
 
 
+def test_represent_nullary_constants():
+    # a constant of arity 0 is represented exactly when the base builds it
+    # without a variable; otherwise NotInCloneError, even when the base
+    # generates the unary constant, as and/not does
+    rng = random.Random(31)
+    bases = [Base([AND, NOT])] + [random_base(rng, f"n{i}", arities=(0, 1, 2, 2, 3))
+                                  for i in range(40)]
+    for base in bases:
+        reachable = closure(base, 0)
+        for f in (boolfun.CONST0_FN, boolfun.CONST1_FN):
+            if f in reachable:
+                assert truth_table(represent(f, base), []) == f
+            else:
+                with pytest.raises(NotInCloneError):
+                    represent(f, base)
+
+
 def test_member():
     assert member(NIMP_FN, Base([AND, NOT]))
     assert not member(OR_FN, Base([AND]))

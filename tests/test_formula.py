@@ -52,6 +52,9 @@ from conftest import FULL_POOL, MONOTONE_POOL, chain, random_formula
 def test_parse_infix():
     phi = parse("x & (y | z)")
     assert phi == Apply(AND, (Prop("x"), Apply(OR, (Prop("y"), Prop("z")))))
+    # a leading "__" is an ordinary identifier
+    assert parse("__t0") == Prop("__t0")
+    assert render(parse("__t0 & x")) == "__t0 & x"
 
 
 def test_parse_prefix_call():
@@ -78,7 +81,6 @@ PARSE_ERRORS = [
     ("not()", 0, "not expects 1 arguments, got 0"),        # empty call
     ("not(x, y)", 0, "not expects 1 arguments, got 2"),
     ("foo(x, y)", 0, "unknown connective 'foo'"),
-    ("__t0", 0, "names starting with '__' are reserved"),
     ("x @ y", 1, "unexpected character '@'"),
 ]
 

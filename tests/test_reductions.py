@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,8 +15,10 @@ from postlattice.clones import (
     SD1,
     XNOR3,
     CloneName,
+    catalog,
     catalog_entry,
     clone_of,
+    includes,
 )
 from postlattice.formula import (
     AND,
@@ -27,6 +30,7 @@ from postlattice.formula import (
     OR,
     TRUE,
     XOR,
+    Apply,
     Base,
     Connective,
     connectives_of,
@@ -57,7 +61,7 @@ from postlattice.reductions import (
     theorem_reduce,
 )
 
-from conftest import random_formula
+from conftest import random_formula, theorem_pairs
 
 
 def _over(result, base):
@@ -256,6 +260,12 @@ def test_reduce_EVL():
 
     with pytest.raises(PreconditionError):
         reduce_EVL(parse("x | !y"), Base([OR, NOT]), Base([OR, NOT]))
+    # a constant normal form takes the target's constant, nullary when
+    # the formula has no proposition, and is refused when there is none
+    nb = Base([NOT, FALSE, TRUE])
+    assert render(reduce_EVL(parse("!1"), nb, Base([XOR, TRUE])).formula) == "1 ^ 1"
+    with pytest.raises(ConstantEliminationError):
+        reduce_EVL(parse("0"), Base([OR, FALSE]), Base([AND, NOT]))
 
 
 def test_reduce_EVL_affine_parities():
@@ -297,6 +307,15 @@ def test_theorem_reduce_imp():
     assert out.extra == "and"
     assert out.certificate.equivalent is True
     assert _over(out, out.target)
+
+
+def test_theorem_reduce_constant_shape():
+    # restructuring folds g(x, 1, 1) to 1; the constant is written at x
+    base = Base([G, TRUE])
+    out = theorem_reduce(parse("g(x, 1, 1)", base), base, Base([IMP]))
+    assert render(out.formula) == "x -> x"
+    assert out.extra == "and"
+    assert out.certificate.equivalent is True
 
 
 def test_theorem_reduce_bf_to_nand():
@@ -385,3 +404,36 @@ def test_constant_replacement():
     assert _constant_replacement(0, Base([AND]), ["x"]) is None
     assert render(_constant_replacement(1, Base([IMP]), ["x"])) == "x -> x"
     assert _constant_replacement(0, Base([IMP]), ["x"]) is None
+    # without a proposition only a nullary formula will do
+    assert render(_constant_replacement(0, Base([XOR, TRUE]), [])) == "1 ^ 1"
+    assert _constant_replacement(0, Base([AND, NOT]), []) is None
+
+
+def _pinned_runs():
+    """The golden pin's runs: ``reduce_EVL`` from every catalog clone
+    inside E, V or L into every catalog clone of degree at most 3 that
+    includes it (over six propositions, enough for every affine shape),
+    then ``theorem_reduce`` over criterion 4's pairs (over four, the
+    whole-formula fallback's cap)."""
+    entries = [e for e in catalog() if (e.name.degree or 0) <= 3]
+    runs = [(reduce_EVL, s.base, t.base, 6) for s in entries
+            if any(includes(upper, s.name) for upper in "EVL")
+            for t in entries if includes(t.name, s.name)]
+    return runs + [(theorem_reduce, s, t, 4)
+                   for pairs in theorem_pairs().values() for s, t in pairs]
+
+
+def test_outputs_pinned():
+    # a digest of the rendered outputs of three seeded formulas, each
+    # with a proposition, per run; it changes exactly when an output does
+    rng = random.Random(0x5EED)
+    digest = hashlib.sha256()
+    for reduce, source, target, nvars in _pinned_runs():
+        names = [f"x{i}" for i in range(1, nvars + 1)]
+        for _ in range(3):
+            phi = Apply(TRUE)
+            while not vars_of(phi):
+                phi = random_formula(rng, list(source), names, rng.randint(1, 25))
+            out = reduce(phi, source, target)
+            digest.update(f"{render(phi)} => {render(out.formula)}\n".encode())
+    assert digest.hexdigest()[:16] == "f3a8e0f79391d29e"
