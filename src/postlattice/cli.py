@@ -37,7 +37,12 @@ def _load_base(file_arg, fn_args, *, required: bool = True,
                what: str = "base") -> Base | None:
     conns = []
     if file_arg:
-        conns.extend(Base.from_text(Path(file_arg).read_text()).connectives)
+        try:
+            text = Path(file_arg).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise PostLatticeError(f"cannot read {what} file {file_arg!r}: {reason}") from None
+        conns.extend(Base.from_text(text).connectives)
     for literal in fn_args or []:
         name, fn = boolfun.parse_function_literal(literal)
         conns.append(Connective(name, fn))

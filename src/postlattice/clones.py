@@ -2,11 +2,11 @@
 tests, bounded-arity closure with witness formulas, representation
 search, and the satisfiability dichotomy.
 
-Identification works by predicate signature: every catalog clone has a
-defining predicate (a conjunction of truth-table properties), and the
-clone generated by a base is the inclusion-minimal catalog clone whose
-predicate every base function satisfies.  This is exact because the
-catalog is a complete enumeration of clones.  The compositional closure
+Identification is one lookup: every catalog clone states its
+requirement as data, and the clone generated by a base is the
+inclusion-minimal catalog clone whose requirement the base's joint
+signature meets.  This is exact because the catalog is a complete
+enumeration of clones.  The compositional closure
 is kept alongside as an independent oracle.
 """
 
@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Callable, NamedTuple
+from operator import ge
+from typing import NamedTuple
 
 import numpy as np
 
 from . import boolfun
 from .boolfun import (
-    ARITY_CAP,
     INFINITE,
     ArityError,
     BooleanFunction,
@@ -103,67 +103,59 @@ def _as_clone_name(value) -> CloneName:
     return value if isinstance(value, CloneName) else CloneName.parse(str(value))
 
 
-class CatalogEntry(NamedTuple):
-    name: CloneName
-    predicate: Callable[[BooleanFunction], bool]
-    base: Base
-
-
 # ---------------------------------------------------------------------------
-# property signatures and clone predicates
+# signatures and requirements
 
 
 class _Signature(NamedTuple):
-    r0: bool
-    r1: bool
-    monotone: bool
-    self_dual: bool
-    affine: bool
-    unary: bool
-    conj: bool
-    disj: bool
-    proj: bool
-    d0: float
-    d1: float
+    """A function's property flags and separating degrees; a base's
+    joint signature is their componentwise minimum (AND of the flags,
+    least degrees).  As a catalog requirement: the flags a clone needs
+    and its least degrees.  A signature meets a requirement when it is
+    componentwise at least that requirement."""
+
+    r0: bool = False
+    r1: bool = False
+    monotone: bool = False
+    self_dual: bool = False
+    affine: bool = False
+    unary: bool = False
+    conj: bool = False
+    disj: bool = False
+    proj: bool = False
+    d0: float = 0
+    d1: float = 0
+
+
+#: The joint signature of the empty base: it meets every requirement.
+_TOP = _Signature(*[True] * 9, INFINITE, INFINITE)
 
 
 @lru_cache(maxsize=4096)
 def _signature(f: BooleanFunction) -> _Signature:
     return _Signature(
-        is_c_reproducing(f, 0),
-        is_c_reproducing(f, 1),
-        is_monotone(f),
-        is_self_dual(f),
-        is_affine(f),
-        is_essentially_unary(f),
-        is_conjunction(f),
-        is_disjunction(f),
-        is_projection_or_constant(f),
-        separating_degree(f, 0),
-        separating_degree(f, 1),
-    )
+        is_c_reproducing(f, 0), is_c_reproducing(f, 1), is_monotone(f),
+        is_self_dual(f), is_affine(f), is_essentially_unary(f), is_conjunction(f),
+        is_disjunction(f), is_projection_or_constant(f),
+        separating_degree(f, 0), separating_degree(f, 1))
 
 
-def _pred(*checks):
-    def predicate(f: BooleanFunction) -> bool:
-        sig = _signature(f)
-        return all(check(sig) for check in checks)
-    return predicate
+def _joint(base: Base) -> _Signature:
+    return _Signature(*map(min, zip(_TOP, *(_signature(c.fn) for c in base))))
 
 
-_R0 = lambda s: s.r0
-_R1 = lambda s: s.r1
-_M = lambda s: s.monotone
-_D = lambda s: s.self_dual
-_L = lambda s: s.affine
-_N = lambda s: s.unary
-_E = lambda s: s.conj
-_V = lambda s: s.disj
-_I = lambda s: s.proj
-_S0 = lambda s: s.d0 == INFINITE
-_S1 = lambda s: s.d1 == INFINITE
-_S0n = lambda n: lambda s: s.d0 >= n
-_S1n = lambda n: lambda s: s.d1 >= n
+def _meets(sig: _Signature, requirement: _Signature) -> bool:
+    return all(map(ge, sig, requirement))
+
+
+class CatalogEntry(NamedTuple):
+    name: CloneName
+    requirement: _Signature
+    base: Base
+
+    def predicate(self, f: BooleanFunction) -> bool:
+        """True iff ``f`` lies in this clone."""
+        return _meets(_signature(f), self.requirement)
 
 
 # ---------------------------------------------------------------------------
@@ -193,69 +185,71 @@ def _thr_dual(n: int) -> Connective:
 
 @lru_cache(maxsize=1)
 def catalog() -> tuple[CatalogEntry, ...]:
-    """Every clone, with its defining predicate and base.  Parameterized
-    families are instantiated at degrees 2..5; finite separating degrees
-    of functions within the arity cap never exceed 5, so identification
-    is exact."""
+    """Every clone, with its requirement (the :class:`_Signature` flags
+    it needs, and its least separating degrees ``d0``/``d1``, INFINITE
+    for the S0/S1 families) and base.  Parameterized families are
+    instantiated at degrees 2..5; finite separating degrees of functions
+    within the arity cap never exceed 5, so identification is exact."""
     rows: list[CatalogEntry] = []
 
-    def row(name, pred, conns):
-        rows.append(CatalogEntry(_as_clone_name(name), pred, Base(conns)))
+    def row(name, conns, *flags, d0=0, d1=0):
+        requirement = _Signature(**dict.fromkeys(flags, True), d0=d0, d1=d1)
+        rows.append(CatalogEntry(_as_clone_name(name), requirement, Base(conns)))
 
-    row("BF", _pred(), [AND, NOT])
-    row("R0", _pred(_R0), [AND, XOR])
-    row("R1", _pred(_R1), [OR, IFF])
-    row("R2", _pred(_R0, _R1), [OR, ANDIFF])
-    row("M", _pred(_M), [AND, OR, FALSE, TRUE])
-    row("M0", _pred(_M, _R0), [AND, OR, FALSE])
-    row("M1", _pred(_M, _R1), [AND, OR, TRUE])
-    row("M2", _pred(_M, _R0, _R1), [AND, OR])
-    row("S0", _pred(_S0), [IMP])
+    row("BF", [AND, NOT])
+    row("R0", [AND, XOR], "r0")
+    row("R1", [OR, IFF], "r1")
+    row("R2", [OR, ANDIFF], "r0", "r1")
+    row("M", [AND, OR, FALSE, TRUE], "monotone")
+    row("M0", [AND, OR, FALSE], "monotone", "r0")
+    row("M1", [AND, OR, TRUE], "monotone", "r1")
+    row("M2", [AND, OR], "monotone", "r0", "r1")
+    row("S0", [IMP], d0=INFINITE)
     for n in _DEGREES:
-        row(CloneName("S0", n), _pred(_S0n(n)), [IMP, _thr_dual(n)])
-    row("S1", _pred(_S1), [NIMP])
+        row(CloneName("S0", n), [IMP, _thr_dual(n)], d0=n)
+    row("S1", [NIMP], d1=INFINITE)
     for n in _DEGREES:
-        row(CloneName("S1", n), _pred(_S1n(n)), [NIMP, _thr(n)])
+        row(CloneName("S1", n), [NIMP, _thr(n)], d1=n)
     for n in _DEGREES:
-        row(CloneName("S02", n), _pred(_S0n(n), _R0, _R1), [GN, _thr_dual(n)])
-    row("S02", _pred(_S0, _R0, _R1), [GN])
+        row(CloneName("S02", n), [GN, _thr_dual(n)], "r0", "r1", d0=n)
+    row("S02", [GN], "r0", "r1", d0=INFINITE)
     for n in _DEGREES:
-        row(CloneName("S01", n), _pred(_S0n(n), _M), [_thr_dual(n), TRUE])
-    row("S01", _pred(_S0, _M), [G, TRUE])
+        row(CloneName("S01", n), [_thr_dual(n), TRUE], "monotone", d0=n)
+    row("S01", [G, TRUE], "monotone", d0=INFINITE)
     for n in _DEGREES:
-        row(CloneName("S00", n), _pred(_S0n(n), _R0, _R1, _M), [G, _thr_dual(n)])
-    row("S00", _pred(_S0, _R0, _R1, _M), [G])
+        row(CloneName("S00", n), [G, _thr_dual(n)], "r0", "r1", "monotone", d0=n)
+    row("S00", [G], "r0", "r1", "monotone", d0=INFINITE)
     for n in _DEGREES:
-        row(CloneName("S12", n), _pred(_S1n(n), _R0, _R1), [HN, _thr(n)])
-    row("S12", _pred(_S1, _R0, _R1), [HN])
+        row(CloneName("S12", n), [HN, _thr(n)], "r0", "r1", d1=n)
+    row("S12", [HN], "r0", "r1", d1=INFINITE)
     for n in _DEGREES:
-        row(CloneName("S11", n), _pred(_S1n(n), _M), [_thr(n), FALSE])
-    row("S11", _pred(_S1, _M), [H, FALSE])
+        row(CloneName("S11", n), [_thr(n), FALSE], "monotone", d1=n)
+    row("S11", [H, FALSE], "monotone", d1=INFINITE)
     for n in _DEGREES:
-        row(CloneName("S10", n), _pred(_S1n(n), _R0, _R1, _M), [H, _thr(n)])
-    row("S10", _pred(_S1, _R0, _R1, _M), [H])
-    row("D", _pred(_D), [SD])
-    row("D1", _pred(_D, _R0, _R1), [SD1])
-    row("D2", _pred(_D, _M), [MAJ3])
-    row("L", _pred(_L), [XOR, TRUE])
-    row("L0", _pred(_L, _R0), [XOR])
-    row("L1", _pred(_L, _R1), [IFF])
-    row("L2", _pred(_L, _R0, _R1), [XOR3])
-    row("L3", _pred(_L, _D), [XNOR3])
-    row("E", _pred(_E), [AND, FALSE, TRUE])
-    row("E0", _pred(_E, _R0), [AND, FALSE])
-    row("E1", _pred(_E, _R1), [AND, TRUE])
-    row("E2", _pred(_E, _R0, _R1), [AND])
-    row("V", _pred(_V), [OR, FALSE, TRUE])
-    row("V0", _pred(_V, _R0), [OR, FALSE])
-    row("V1", _pred(_V, _R1), [OR, TRUE])
-    row("V2", _pred(_V, _R0, _R1), [OR])
-    row("N", _pred(_N), [NOT, FALSE, TRUE])
-    row("N2", _pred(_N, _D), [NOT])
-    row("I", _pred(_I), [ID, FALSE, TRUE])
-    row("I0", _pred(_I, _R0), [ID, FALSE])
-    row("I1", _pred(_I, _R1), [ID, TRUE])
-    row("I2", _pred(_I, _R0, _R1), [ID])
+        row(CloneName("S10", n), [H, _thr(n)], "r0", "r1", "monotone", d1=n)
+    row("S10", [H], "r0", "r1", "monotone", d1=INFINITE)
+    row("D", [SD], "self_dual")
+    row("D1", [SD1], "self_dual", "r0", "r1")
+    row("D2", [MAJ3], "self_dual", "monotone")
+    row("L", [XOR, TRUE], "affine")
+    row("L0", [XOR], "affine", "r0")
+    row("L1", [IFF], "affine", "r1")
+    row("L2", [XOR3], "affine", "r0", "r1")
+    row("L3", [XNOR3], "affine", "self_dual")
+    row("E", [AND, FALSE, TRUE], "conj")
+    row("E0", [AND, FALSE], "conj", "r0")
+    row("E1", [AND, TRUE], "conj", "r1")
+    row("E2", [AND], "conj", "r0", "r1")
+    row("V", [OR, FALSE, TRUE], "disj")
+    row("V0", [OR, FALSE], "disj", "r0")
+    row("V1", [OR, TRUE], "disj", "r1")
+    row("V2", [OR], "disj", "r0", "r1")
+    row("N", [NOT, FALSE, TRUE], "unary")
+    row("N2", [NOT], "unary", "self_dual")
+    row("I", [ID, FALSE, TRUE], "proj")
+    row("I0", [ID, FALSE], "proj", "r0")
+    row("I1", [ID, TRUE], "proj", "r1")
+    row("I2", [ID], "proj", "r0", "r1")
     return tuple(rows)
 
 
@@ -276,17 +270,16 @@ def catalog_entry(name) -> CatalogEntry:
 # identification
 
 
-def _check_base_arities(base: Base) -> None:
-    for c in base:
-        if c.arity > ARITY_CAP:
-            raise ArityError(f"{c.name} exceeds the arity cap {ARITY_CAP}")
-
-
 def clone_of(base: Base) -> CloneName:
-    """The smallest clone containing every function of the base."""
-    _check_base_arities(base)
-    candidates = [e for e in catalog()
-                  if all(e.predicate(c.fn) for c in base)]
+    """The smallest clone containing every function of the base: the
+    minimal catalog row whose requirement the base's joint signature
+    meets."""
+    return _minimal_clone(_joint(base))
+
+
+@lru_cache(maxsize=None)
+def _minimal_clone(sig: _Signature) -> CloneName:
+    candidates = [e for e in catalog() if _meets(sig, e.requirement)]
     for entry in candidates:
         if all(_entry_includes(other.name, entry.name) for other in candidates):
             return entry.name
@@ -295,22 +288,18 @@ def clone_of(base: Base) -> CloneName:
 
 @lru_cache(maxsize=None)
 def _entry_includes(outer: CloneName, inner: CloneName) -> bool:
-    outer_pred = catalog_entry(outer).predicate
-    return all(outer_pred(c.fn) for c in catalog_entry(inner).base)
+    return _meets(_joint(catalog_entry(inner).base), catalog_entry(outer).requirement)
 
 
 def includes(outer, inner) -> bool:
     """True iff the ``inner`` clone is contained in the ``outer`` clone
-    (every base function of inner satisfies outer's predicate)."""
+    (inner's base meets outer's requirement)."""
     return _entry_includes(_as_clone_name(outer), _as_clone_name(inner))
 
 
 def member(f: BooleanFunction, base: Base) -> bool:
-    """True iff ``f`` is generated by the base: f satisfies the defining
-    predicate of ``clone_of(base)``."""
-    _check_base_arities(base)
-    if f.arity > ARITY_CAP:
-        raise ArityError(f"arity {f.arity} exceeds the cap {ARITY_CAP}")
+    """True iff ``f`` is generated by the base: f meets the requirement
+    of ``clone_of(base)``."""
     return catalog_entry(clone_of(base)).predicate(f)
 
 
@@ -488,7 +477,6 @@ def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
     ``CLOSURE_COMPOSITION_BUDGET`` argument tuples (``closure`` of a
     functionally complete base at k = 4 does).
     """
-    _check_base_arities(base)
     if not 0 <= k <= CLOSURE_ARITY_MAX:
         raise ArityError(f"closure arity {k} outside 0..{CLOSURE_ARITY_MAX}")
     search = _Search(base, k)

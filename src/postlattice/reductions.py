@@ -273,10 +273,7 @@ def _rep_flexible(fn: BooleanFunction, target: Base) -> Formula:
     """The pipelines' lookup: the representation over the target alone
     when one exists, otherwise over the target with constants (removed
     again by :func:`eliminate_constants`)."""
-    try:
-        return _rep(fn, target)
-    except NotInCloneError:
-        return _rep(fn, target.extended(FALSE, TRUE))
+    return _rep(fn, target if member(fn, target) else target.extended(FALSE, TRUE))
 
 
 def _replace_connectives(phi: Formula, repmap: dict[BooleanFunction, Formula]) -> Formula:

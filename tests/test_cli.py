@@ -138,3 +138,17 @@ def test_base_file_loading(tmp_path, capsys):
     path.write_text("# majority\nmaj3/3:00010111\n")
     assert main(["--json", "id", "--base", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"clone": "D2"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["id", "--base", "{tmp}/missing.txt"],
+    ["id", "--base", "{tmp}"],
+    ["reduce", "--formula", "x & y", "--from-fn", "and/2:0001",
+     "--to", "{tmp}/missing.txt"],
+])
+def test_unreadable_base_file_is_domain_error(argv, tmp_path, capsys):
+    argv = ["--json"] + [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert set(json.loads(out)) == {"error"}
+    assert out.count("\n") == 1

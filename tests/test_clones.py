@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -87,6 +88,27 @@ def test_clone_of_minimality():
         assert name in pred_holds
         for other in pred_holds:
             assert includes(other, name), (name, other)
+
+
+def test_identification_pinned():
+    # a digest of clone_of and member over 510 small bases, and of the
+    # includes matrix; it changes exactly when identification does
+    small = [f for k in (0, 1, 2) for f in all_functions(k)]
+    fns = [Connective(f"f{i}", f) for i, f in enumerate(small)]
+    bases = ([Base([])] + [Base([c]) for c in fns]
+             + [Base([a, b]) for a, b in itertools.combinations(fns, 2)]
+             + [Base([Connective("t", f)]) for f in all_functions(3)])
+    assert (len(small), len(bases)) == (22, 510)
+    digest = hashlib.sha256()
+    for base in bases:
+        tables = ",".join(c.fn.bitstring for c in base)
+        bits = "".join("1" if member(f, base) else "0" for f in small)
+        digest.update(f"{tables}\t{clone_of(base)}\t{bits}\n".encode())
+    names = [e.name for e in catalog()]
+    for outer in names:
+        row = "".join("1" if includes(outer, inner) else "0" for inner in names)
+        digest.update(f"{outer}\t{row}\n".encode())
+    assert digest.hexdigest()[:16] == "fe4289b4ac168c71"
 
 
 def test_includes():
