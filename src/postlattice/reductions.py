@@ -14,11 +14,15 @@ eliminate the constants.  The pipelines differ in the shape:
 * ``reduce_EVL``     - [B] inside E, V or L: the conjunctive,
   disjunctive or affine normal form, probed in one bit-parallel pass
   and rebuilt balanced.
-* ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` - the formula
-  restructured to logarithmic depth.  They differ only in data: the
-  lower clone, the upper bound (monotone or self-dual), the restructurer
-  (``g``/``h`` for monotone clones, the full form otherwise) and the
-  adjoined connective (``and`` for S0 clones, ``or`` for their S1 duals).
+* ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` - the folded
+  input itself or the formula restructured to logarithmic depth,
+  whichever replaces into fewer nodes (:func:`_shape`): restructuring
+  pays only where a witness repeats a variable.  They differ only in
+  data: the lower clone, the upper bound (monotone or self-dual), the
+  restructurer (``g``/``h`` for monotone clones, the full form
+  otherwise) and the adjoined connective (``and`` for S0 clones, ``or``
+  for their S1 duals).  The theorem bounds output size, not depth, so
+  an output may be deeper than the restructured shape would be.
 * ``theorem_reduce`` - dispatcher over the seven lattice cases.
 
 Constants follow one rule (:func:`_constant_replacement`): a constant
@@ -75,6 +79,7 @@ from .formula import (
     evaluate,
     fold,
     instantiate,
+    leaf_count,
     props_in_order,
     size,
     substitute,
@@ -276,6 +281,12 @@ def _rep_flexible(fn: BooleanFunction, target: Base) -> Formula:
     return _rep(fn, target if member(fn, target) else target.extended(FALSE, TRUE))
 
 
+def _repmap(shaped: Formula, target: Base) -> dict[BooleanFunction, Formula]:
+    """The lookup of every non-nullary connective of the shape."""
+    return {c.fn: _rep_flexible(c.fn, target)
+            for c in connectives_of(shaped) if c.arity >= 1}
+
+
 def _replace_connectives(phi: Formula, repmap: dict[BooleanFunction, Formula]) -> Formula:
     """Each application of a ``repmap`` connective replaced by its witness."""
     memo: dict[int, Formula] = {}
@@ -356,6 +367,75 @@ def eliminate_constants(phi: Formula, target: Base, extra: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# route choice
+
+
+def _uses(witness: Formula, arity: int) -> tuple[int, ...]:
+    """The non-variable node count of a witness tree, then the number of
+    occurrences of each of x1 .. x_arity in it."""
+    memo: dict[int, list[int]] = {}
+    for node in _postorder(witness):
+        row = [0] * (arity + 1)
+        if isinstance(node, Prop):
+            row[int(node.name[1:])] = 1
+        else:
+            row[0] = 1
+            for a in node.args:
+                row = [r + u for r, u in zip(row, memo[id(a)])]
+        memo[id(node)] = row
+    return tuple(memo[id(witness)])
+
+
+def _witness_uses(shaped: Formula, target: Base) -> dict[BooleanFunction, tuple[int, ...]]:
+    """:func:`_uses` of the lookup of every connective of the shape."""
+    return {fn: _uses(w, fn.arity) for fn, w in _repmap(shaped, target).items()}
+
+
+def _replaced_size(shaped: Formula, target: Base) -> int:
+    """``size(_replace_connectives(shaped, _repmap(shaped, target)))``
+    without building it: one pass over distinct nodes.  A proposition or
+    a nullary node counts 1; an application counts its witness's
+    non-variable nodes plus, per argument, the argument's replaced size
+    times the occurrences of its variable in the witness."""
+    uses = _witness_uses(shaped, target)
+    memo: dict[int, int] = {}
+    for node in _postorder(shaped):
+        if isinstance(node, Prop) or not node.args:
+            memo[id(node)] = 1
+        else:
+            own, *times = uses[node.conn.fn]
+            memo[id(node)] = own + sum(t * memo[id(a)] for t, a in zip(times, node.args))
+    return memo[id(shaped)]
+
+
+def _shape(phi: Formula, target: Base, restructurer) -> Formula:
+    """The shape a restructuring pipeline replaces: the folded input
+    (replace-only) or ``restructurer(phi)``, whichever has the smaller
+    replaced size.  Restructuring buys logarithmic depth and pays for it
+    in size, so it is tried only where replacing can blow up:
+
+    * at most one proposition occurrence: the restructurer, which reduces
+      such a formula to the proposition, its negation or a constant;
+    * every witness of the input read-once (each variable at most once):
+      the folded input, whose replaced size is then at most its size
+      times the largest witness size, at any depth;
+    * otherwise the smaller replaced size, ties to replace-only.
+
+    The chosen shape never replaces into more nodes than the restructured
+    one, so the polynomial size bound holds; the output depth is not
+    bounded by the restructured route's."""
+    if leaf_count(phi) <= 1:
+        return restructurer(phi)
+    folded = fold(phi)
+    if all(max(u[1:]) <= 1 for u in _witness_uses(folded, target).values()):
+        return folded
+    restructured = restructurer(phi)
+    if _replaced_size(restructured, target) < _replaced_size(folded, target):
+        return restructured
+    return folded
+
+
+# ---------------------------------------------------------------------------
 # pipelines
 
 
@@ -380,16 +460,18 @@ def _replace_and_eliminate(phi: Formula, shaped: Formula, target: Base,
         if out is None:
             raise ConstantEliminationError(f"constant {bit} is not available in the target")
         return out
-    repmap = {c.fn: _rep_flexible(c.fn, target)
-              for c in connectives_of(shaped) if c.arity >= 1}
-    return eliminate_constants(_replace_connectives(shaped, repmap), target, extra)
+    return eliminate_constants(_replace_connectives(shaped, _repmap(shaped, target)),
+                               target, extra)
 
 
 def _pipeline(phi: Formula, base: Base, target: Base, lower: str,
               upper: tuple[str, str] | None, restructurer,
               extra: str) -> ReductionOutput:
+    """The restructuring pipelines' body: check the preconditions, pick
+    the folded input or ``restructurer(phi)`` by replaced size
+    (:func:`_shape`), then replace and eliminate."""
     _preconditions(phi, base, target, lower, upper)
-    out = _replace_and_eliminate(phi, restructurer(phi), target, extra)
+    out = _replace_and_eliminate(phi, _shape(phi, target, restructurer), target, extra)
     return _pipeline_output(phi, out, target, extra)
 
 
@@ -434,21 +516,23 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
     """Pipeline for the self-dual window D2 <= [B] <= D; ``want`` picks
     the adjoined connective ("and" or "or").  Above D2 with a
     functionally complete target nothing is adjoined: that target has
-    both constants at an existing proposition.  When constant
-    elimination fails (self-dual targets lack both constants), the whole
-    formula's function is represented over the target instead."""
+    both constants at an existing proposition.  The shape is the folded
+    input or the restructured formula, whichever replaces into fewer
+    nodes (:func:`_shape`).  The folded input of a self-dual base has no
+    constants, so only the restructured shape can fail constant
+    elimination (self-dual targets lack both constants); the whole
+    formula's function is then represented over the target instead."""
     if want not in ("and", "or"):
         raise ReductionError(f"want must be 'and' or 'or', not {want!r}")
     x = _preconditions(phi, base, target, "D2", _SELF_DUAL)
     if x == CloneName("D2"):
-        shaped = (restructure_monotone_g(phi) if want == "and"
-                  else restructure_monotone_h(phi))
+        restructurer = restructure_monotone_g if want == "and" else restructure_monotone_h
         extra = want
     else:
-        shaped = restructure_full(phi)
+        restructurer = restructure_full
         extra = "none" if clone_of(target) == CloneName("BF") else want
     try:
-        out = _replace_and_eliminate(phi, shaped, target, extra)
+        out = _replace_and_eliminate(phi, _shape(phi, target, restructurer), target, extra)
     except ConstantEliminationError:
         out = _whole_formula_representation(phi, target)
     return _pipeline_output(phi, out, target, extra)

@@ -19,6 +19,7 @@ from postlattice.clones import (
     catalog_entry,
     clone_of,
     includes,
+    represent,
 )
 from postlattice.formula import (
     AND,
@@ -36,9 +37,13 @@ from postlattice.formula import (
     connectives_of,
     equivalent,
     evaluate,
+    fold,
+    leaf_count,
     parse,
+    Prop,
     props_in_order,
     render,
+    size,
     vars_of,
 )
 from postlattice.reductions import (
@@ -46,6 +51,10 @@ from postlattice.reductions import (
     PreconditionError,
     ReductionError,
     _constant_replacement,
+    _replace_connectives,
+    _replaced_size,
+    _repmap,
+    _shape,
     canonical_equivalent,
     eliminate_constants,
     normalize_E,
@@ -60,6 +69,8 @@ from postlattice.reductions import (
     theorem_case,
     theorem_reduce,
 )
+
+from postlattice.restructure import restructure_full, restructure_monotone_g
 
 from conftest import random_formula, theorem_pairs
 
@@ -436,4 +447,69 @@ def test_outputs_pinned():
                 phi = random_formula(rng, list(source), names, rng.randint(1, 25))
             out = reduce(phi, source, target)
             digest.update(f"{render(phi)} => {render(out.formula)}\n".encode())
-    assert digest.hexdigest()[:16] == "f3a8e0f79391d29e"
+    assert digest.hexdigest()[:16] == "ac840e9ead881f3e"
+
+
+def test_replaced_size_is_exact():
+    # the route choice's dynamic program equals the size of the
+    # materialised replacement, for the folded input over every
+    # criterion-4 pair and for its restructured form in the restructuring
+    # cases (d)-(g), where the chosen shape is never the larger one
+    rng = random.Random(0xD15)
+    names = ["a", "b", "c", "d"]
+    for case, pairs in theorem_pairs().items():
+        for source, target in pairs:
+            restructurer = (restructure_monotone_g if includes("M", clone_of(source))
+                            else restructure_full)
+            for _ in range(4):
+                phi = random_formula(rng, list(source), names, rng.randint(2, 25))
+                if case in "abc":
+                    materialised = _replace_connectives(fold(phi), _repmap(fold(phi), target))
+                    assert _replaced_size(fold(phi), target) == size(materialised)
+                    continue
+                restructured = restructurer(phi)
+                for shaped in (fold(phi), restructured):
+                    materialised = _replace_connectives(shaped, _repmap(shaped, target))
+                    assert _replaced_size(shaped, target) == size(materialised)
+                chosen = _shape(phi, target, restructurer)
+                if leaf_count(phi) > 1:
+                    assert chosen in (restructured, fold(phi))
+                assert _replaced_size(chosen, target) <= _replaced_size(restructured, target)
+
+
+def test_single_occurrence_is_restructured():
+    # g's witness over {g, 1} is read-once, but with one proposition
+    # occurrence the restructurer runs and folds g(x, 1, 1) to its constant
+    base = Base([G, TRUE])
+    out = theorem_reduce(parse("g(x, 1, 1)", base), base, base)
+    assert render(out.formula) == "1"
+    assert out.certificate.equivalent is True
+
+
+def test_read_once_chain_is_replaced_in_place(shallow_stack):
+    # maj3's witness over {maj3} is read-once, so a deep chain is replaced
+    # without restructuring: the output stays within size(phi) times the
+    # witness size (before, the self-dual constants forced the
+    # whole-formula fallback, capped at four variables)
+    names = [f"v{i}" for i in range(8)]
+    phi = Prop(names[0])
+    for i in range(300):
+        phi = Apply(MAJ3, (Prop(names[(i + 1) % 8]), Prop(names[(i + 2) % 8]), phi))
+    base = Base([MAJ3])
+    out = reduce_D(phi, base, base)
+    assert out.certificate.depth_in == 300
+    assert out.certificate.size_out <= size(phi) * size(represent(MAJ3.fn, base))
+    assert out.certificate.equivalent is True
+
+
+@pytest.mark.parametrize("source,target", theorem_pairs()["f"],
+                         ids=lambda b: "+".join(c.name for c in b))
+def test_case_f_above_four_variables(source, target):
+    rng = random.Random(0xF5)
+    for _ in range(10):
+        names = [f"x{i}" for i in range(1, rng.randint(5, 8) + 1)]
+        phi = Prop("x1")
+        while len(vars_of(phi)) < 5:
+            phi = random_formula(rng, list(source), names, rng.randint(8, 40))
+        out = theorem_reduce(phi, source, target)
+        assert out.certificate.equivalent is True
