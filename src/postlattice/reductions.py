@@ -15,13 +15,13 @@ eliminate the constants.  The pipelines differ in the shape:
   disjunctive or affine normal form, probed in one bit-parallel pass
   and rebuilt balanced.
 * ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` - the folded
-  input itself or the formula restructured to logarithmic depth,
-  whichever replaces into fewer nodes (:func:`_shape`): restructuring
-  pays only where a witness repeats a variable.  They differ only in
-  data: the lower clone, the upper bound (monotone or self-dual), the
-  restructurer (``g``/``h`` for monotone clones, the full form
-  otherwise) and the adjoined connective (``and`` for S0 clones, ``or``
-  for their S1 duals).  The theorem bounds output size, not depth, so
+  input itself or the formula restructured to logarithmic depth, chosen
+  by replaced size (:func:`_shape`): restructuring pays only where a
+  witness repeats a variable.  They differ only in data: the lower
+  clone, the upper bound (monotone or self-dual), the restructurer
+  (``g``/``h`` for monotone clones, the full form otherwise) and the
+  adjoined connective (``and`` for S0 clones, ``or`` for their S1
+  duals).  The theorem bounds output size, not depth, so
   an output may be deeper than the restructured shape would be.
 * ``theorem_reduce`` - dispatcher over the seven lattice cases.
 
@@ -396,7 +396,9 @@ def _replaced_size(shaped: Formula, target: Base) -> int:
     without building it: one pass over distinct nodes.  A proposition or
     a nullary node counts 1; an application counts its witness's
     non-variable nodes plus, per argument, the argument's replaced size
-    times the occurrences of its variable in the witness."""
+    times the occurrences of its variable in the witness.  This is the
+    size before constant elimination, which can grow each constant the
+    target lacks into a fold over all propositions."""
     uses = _witness_uses(shaped, target)
     memo: dict[int, int] = {}
     for node in _postorder(shaped):
@@ -410,23 +412,28 @@ def _replaced_size(shaped: Formula, target: Base) -> int:
 
 def _shape(phi: Formula, target: Base, restructurer) -> Formula:
     """The shape a restructuring pipeline replaces: the folded input
-    (replace-only) or ``restructurer(phi)``, whichever has the smaller
-    replaced size.  Restructuring buys logarithmic depth and pays for it
-    in size, so it is tried only where replacing can blow up:
+    (replace-only) or ``restructurer(phi)``.  Restructuring buys
+    logarithmic depth and pays for it in size, so it is tried only where
+    replacing can blow up:
 
-    * at most one proposition occurrence: the restructurer, which reduces
-      such a formula to the proposition, its negation or a constant;
+    * at most one proposition occurrence, or a connective above the
+      representation arity cap (it has no witness; the restructured
+      shape holds only g, h, and, or, not and constants): the
+      restructurer, which reduces a one-occurrence formula to the
+      proposition, its negation or a constant;
     * every witness of the input read-once (each variable at most once):
       the folded input, whose replaced size is then at most its size
       times the largest witness size, at any depth;
-    * otherwise the smaller replaced size, ties to replace-only.
+    * otherwise the smaller :func:`_replaced_size`, ties to replace-only.
 
-    The chosen shape never replaces into more nodes than the restructured
-    one, so the polynomial size bound holds; the output depth is not
-    bounded by the restructured route's."""
-    if leaf_count(phi) <= 1:
-        return restructurer(phi)
+    The read-once bound is the guarantee there, not the restructured
+    size: the restructurer also simplifies by case splits that ``fold``
+    does not make.  The output depth is not bounded by the restructured
+    route's."""
     folded = fold(phi)
+    if leaf_count(phi) <= 1 or any(c.arity > CLOSURE_ARITY_MAX
+                                   for c in connectives_of(folded)):
+        return restructurer(phi)
     if all(max(u[1:]) <= 1 for u in _witness_uses(folded, target).values()):
         return folded
     restructured = restructurer(phi)
@@ -517,8 +524,8 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
     the adjoined connective ("and" or "or").  Above D2 with a
     functionally complete target nothing is adjoined: that target has
     both constants at an existing proposition.  The shape is the folded
-    input or the restructured formula, whichever replaces into fewer
-    nodes (:func:`_shape`).  The folded input of a self-dual base has no
+    input or the restructured formula, chosen by replaced size
+    (:func:`_shape`).  The folded input of a self-dual base has no
     constants, so only the restructured shape can fail constant
     elimination (self-dual targets lack both constants); the whole
     formula's function is then represented over the target instead."""

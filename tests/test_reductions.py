@@ -454,7 +454,7 @@ def test_replaced_size_is_exact():
     # the route choice's dynamic program equals the size of the
     # materialised replacement, for the folded input over every
     # criterion-4 pair and for its restructured form in the restructuring
-    # cases (d)-(g), where the chosen shape is never the larger one
+    # cases (d)-(g), where the chosen shape keeps the route's size bound
     rng = random.Random(0xD15)
     names = ["a", "b", "c", "d"]
     for case, pairs in theorem_pairs().items():
@@ -472,9 +472,17 @@ def test_replaced_size_is_exact():
                     materialised = _replace_connectives(shaped, _repmap(shaped, target))
                     assert _replaced_size(shaped, target) == size(materialised)
                 chosen = _shape(phi, target, restructurer)
-                if leaf_count(phi) > 1:
-                    assert chosen in (restructured, fold(phi))
-                assert _replaced_size(chosen, target) <= _replaced_size(restructured, target)
+                if leaf_count(phi) <= 1:
+                    continue
+                assert chosen in (restructured, fold(phi))
+                # a read-once input is bounded by its size times the widest
+                # witness; otherwise the choice is never the larger shape
+                witnesses = _repmap(fold(phi), target).values()
+                if all(leaf_count(w) == len(vars_of(w)) for w in witnesses):
+                    assert _replaced_size(chosen, target) <= size(phi) * max(
+                        size(w) for w in witnesses)
+                else:
+                    assert _replaced_size(chosen, target) <= _replaced_size(restructured, target)
 
 
 def test_single_occurrence_is_restructured():
@@ -483,6 +491,46 @@ def test_single_occurrence_is_restructured():
     base = Base([G, TRUE])
     out = theorem_reduce(parse("g(x, 1, 1)", base), base, base)
     assert render(out.formula) == "1"
+    assert out.certificate.equivalent is True
+
+
+def test_read_once_input_is_not_simplified():
+    # g's witness over {g, 1} is read-once, so the folded input is replaced
+    # as it is (7 nodes) although the restructurer's case split would
+    # simplify it to g(0, 1, x) (4 nodes): the read-once route is bounded
+    # by size(phi) times the witness size, not by the restructured shape
+    base = Base([G, TRUE])
+    phi = parse("g(x, g(y, 1, 1), x)", base)
+    assert _replaced_size(restructure_monotone_g(phi), base) == 4
+    out = theorem_reduce(phi, base, base)
+    assert render(out.formula) == "g(x, g(y, 1, 1), x)"
+    assert out.certificate.equivalent is True
+
+
+@pytest.mark.parametrize("clone,text", [
+    (CloneName("S00", 4), "t45d(a, b, g(a, c, d), d, e)"),
+    (CloneName("S10", 5), "t56(a, b, c, h(a, d, e), e, f)"),
+])
+def test_connective_above_arity_cap_is_restructured(clone, text):
+    # no witness of a 5- or 6-ary connective can be looked up, so an input
+    # holding one takes the restructured route, whose shape has arity <= 3
+    base = catalog_entry(clone).base
+    rng = random.Random(0xA5)
+    inputs = [parse(text, base)] + [random_formula(rng, list(base), list("abcdef"), 12)
+                                    for _ in range(5)]
+    for phi in inputs:
+        out = theorem_reduce(phi, base, base)
+        assert out.certificate.equivalent is True
+
+
+def test_self_dual_connective_above_arity_cap():
+    # case (f): a 5-ary self-dual connective over three variables takes the
+    # restructured route and then the whole-formula fallback
+    maj5 = Connective("maj5", boolfun.BooleanFunction(
+        5, tuple(int(bin(p).count("1") >= 3) for p in range(32))))
+    source, target = Base([maj5]), Base([MAJ3])
+    out = theorem_reduce(parse("maj5(a, a, b, b, c)", source), source, target)
+    assert render(out.formula) == "maj3(a, b, c)"
     assert out.certificate.equivalent is True
 
 
