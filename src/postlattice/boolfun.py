@@ -166,15 +166,9 @@ def is_conjunction(f: BooleanFunction) -> bool:
 
 
 def is_disjunction(f: BooleanFunction) -> bool:
-    """True iff f is a constant or a disjunction of a subset of its inputs."""
-    n = f.arity
-    if all(b == f.bits[0] for b in f.bits):
-        return True
-    mask = 0
-    for b in range(n):
-        if f.bits[1 << b] == 1:
-            mask |= 1 << b
-    return all(f.bits[p] == (1 if p & mask else 0) for p in range(1 << n))
+    """True iff f is a constant or a disjunction of a subset of its inputs:
+    the dual of a conjunction."""
+    return is_conjunction(dual(f))
 
 
 def is_projection_or_constant(f: BooleanFunction) -> bool:

@@ -15,9 +15,10 @@ eliminate the constants.  The pipelines differ in the shape:
   disjunctive or affine normal form, probed in one bit-parallel pass
   and rebuilt balanced.
 * ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` - the folded
-  input itself or the formula restructured to logarithmic depth, chosen
-  by replaced size (:func:`_shape`): restructuring pays only where a
-  witness repeats a variable.  They differ only in data: the lower
+  input itself or the formula restructured to logarithmic depth
+  (:func:`_candidates`): restructuring pays only where a witness repeats
+  a variable, and there both shapes are replaced and the smaller
+  replacement is kept.  They differ only in data: the lower
   clone, the upper bound (monotone or self-dual), the restructurer
   (``g``/``h`` for monotone clones, the full form otherwise) and the
   adjoined connective (``and`` for S0 clones, ``or`` for their S1
@@ -74,12 +75,12 @@ from .formula import (
     connectives_of,
     constant,
     constant_value,
-    depth,
     equivalent,
     evaluate,
     fold,
     instantiate,
     leaf_count,
+    metrics,
     props_in_order,
     size,
     substitute,
@@ -124,9 +125,9 @@ class ReductionOutput:
 
 
 def _certificate(inp: Formula, out: Formula) -> Certificate:
-    names = vars_of(inp) | vars_of(out)
-    eq = equivalent(inp, out) if len(names) <= EQUIVALENCE_CAP else None
-    return Certificate(size(inp), depth(inp), size(out), depth(out), eq)
+    m_in, m_out = metrics(inp), metrics(out)
+    eq = equivalent(inp, out) if len(m_in.vars | m_out.vars) <= EQUIVALENCE_CAP else None
+    return Certificate(m_in.size, m_in.depth, m_out.size, m_out.depth, eq)
 
 
 def _check_target(result: ReductionOutput) -> ReductionOutput:
@@ -370,49 +371,9 @@ def eliminate_constants(phi: Formula, target: Base, extra: str) -> Formula:
 # route choice
 
 
-def _uses(witness: Formula, arity: int) -> tuple[int, ...]:
-    """The non-variable node count of a witness tree, then the number of
-    occurrences of each of x1 .. x_arity in it."""
-    memo: dict[int, list[int]] = {}
-    for node in _postorder(witness):
-        row = [0] * (arity + 1)
-        if isinstance(node, Prop):
-            row[int(node.name[1:])] = 1
-        else:
-            row[0] = 1
-            for a in node.args:
-                row = [r + u for r, u in zip(row, memo[id(a)])]
-        memo[id(node)] = row
-    return tuple(memo[id(witness)])
-
-
-def _witness_uses(shaped: Formula, target: Base) -> dict[BooleanFunction, tuple[int, ...]]:
-    """:func:`_uses` of the lookup of every connective of the shape."""
-    return {fn: _uses(w, fn.arity) for fn, w in _repmap(shaped, target).items()}
-
-
-def _replaced_size(shaped: Formula, target: Base) -> int:
-    """``size(_replace_connectives(shaped, _repmap(shaped, target)))``
-    without building it: one pass over distinct nodes.  A proposition or
-    a nullary node counts 1; an application counts its witness's
-    non-variable nodes plus, per argument, the argument's replaced size
-    times the occurrences of its variable in the witness.  This is the
-    size before constant elimination, which can grow each constant the
-    target lacks into a fold over all propositions."""
-    uses = _witness_uses(shaped, target)
-    memo: dict[int, int] = {}
-    for node in _postorder(shaped):
-        if isinstance(node, Prop) or not node.args:
-            memo[id(node)] = 1
-        else:
-            own, *times = uses[node.conn.fn]
-            memo[id(node)] = own + sum(t * memo[id(a)] for t, a in zip(times, node.args))
-    return memo[id(shaped)]
-
-
-def _shape(phi: Formula, target: Base, restructurer) -> Formula:
-    """The shape a restructuring pipeline replaces: the folded input
-    (replace-only) or ``restructurer(phi)``.  Restructuring buys
+def _candidates(phi: Formula, target: Base, restructurer) -> list[Formula]:
+    """The shapes a restructuring pipeline may replace: the folded input
+    (replace-only), ``restructurer(phi)``, or both.  Restructuring buys
     logarithmic depth and pays for it in size, so it is tried only where
     replacing can blow up:
 
@@ -422,9 +383,10 @@ def _shape(phi: Formula, target: Base, restructurer) -> Formula:
       restructurer, which reduces a one-occurrence formula to the
       proposition, its negation or a constant;
     * every witness of the input read-once (each variable at most once):
-      the folded input, whose replaced size is then at most its size
-      times the largest witness size, at any depth;
-    * otherwise the smaller :func:`_replaced_size`, ties to replace-only.
+      the folded input, whose replacement is then at most its size times
+      the largest witness size, at any depth;
+    * otherwise both, folded first: :func:`_replace_and_eliminate` builds
+      both replacements and keeps the smaller, ties to replace-only.
 
     The read-once bound is the guarantee there, not the restructured
     size: the restructurer also simplifies by case splits that ``fold``
@@ -433,13 +395,10 @@ def _shape(phi: Formula, target: Base, restructurer) -> Formula:
     folded = fold(phi)
     if leaf_count(phi) <= 1 or any(c.arity > CLOSURE_ARITY_MAX
                                    for c in connectives_of(folded)):
-        return restructurer(phi)
-    if all(max(u[1:]) <= 1 for u in _witness_uses(folded, target).values()):
-        return folded
-    restructured = restructurer(phi)
-    if _replaced_size(restructured, target) < _replaced_size(folded, target):
-        return restructured
-    return folded
+        return [restructurer(phi)]
+    if all(leaf_count(w) == len(vars_of(w)) for w in _repmap(folded, target).values()):
+        return [folded]
+    return [folded, restructurer(phi)]
 
 
 # ---------------------------------------------------------------------------
@@ -455,30 +414,34 @@ def _pipeline_output(inp: Formula, out: Formula, target: Base,
                                          _certificate(inp, out)))
 
 
-def _replace_and_eliminate(phi: Formula, shaped: Formula, target: Base,
+def _replace_and_eliminate(phi: Formula, shapes: list[Formula], target: Base,
                            extra: str) -> Formula:
-    """The body every pipeline shares: replace each connective of phi's
-    shape by its representation, then eliminate the constants for the
-    adjoined ``extra``.  A constant shape is written at phi's first
-    proposition (:func:`_constant_replacement`)."""
+    """The body every pipeline shares: replace each connective of each
+    candidate shape of phi by its representation, keep the smallest
+    replacement (the first on a tie; a lone candidate is not sized), then
+    eliminate the constants for the adjoined ``extra``.  A constant shape
+    is written at phi's first proposition (:func:`_constant_replacement`)."""
+    replaced = [(s, _replace_connectives(s, _repmap(s, target))) for s in shapes]
+    shaped, out = (replaced[0] if len(replaced) == 1
+                   else min(replaced, key=lambda r: size(r[1])))
     bit = constant_value(shaped)
     if bit is not None:
         out = _constant_replacement(bit, target, props_in_order(phi))
         if out is None:
             raise ConstantEliminationError(f"constant {bit} is not available in the target")
         return out
-    return eliminate_constants(_replace_connectives(shaped, _repmap(shaped, target)),
-                               target, extra)
+    return eliminate_constants(out, target, extra)
 
 
 def _pipeline(phi: Formula, base: Base, target: Base, lower: str,
               upper: tuple[str, str] | None, restructurer,
               extra: str) -> ReductionOutput:
-    """The restructuring pipelines' body: check the preconditions, pick
-    the folded input or ``restructurer(phi)`` by replaced size
-    (:func:`_shape`), then replace and eliminate."""
+    """The restructuring pipelines' body: check the preconditions, then
+    replace the candidate shapes (:func:`_candidates`: the folded input,
+    ``restructurer(phi)`` or both), keep the smaller replacement and
+    eliminate."""
     _preconditions(phi, base, target, lower, upper)
-    out = _replace_and_eliminate(phi, _shape(phi, target, restructurer), target, extra)
+    out = _replace_and_eliminate(phi, _candidates(phi, target, restructurer), target, extra)
     return _pipeline_output(phi, out, target, extra)
 
 
@@ -524,9 +487,9 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
     the adjoined connective ("and" or "or").  Above D2 with a
     functionally complete target nothing is adjoined: that target has
     both constants at an existing proposition.  The shape is the folded
-    input or the restructured formula, chosen by replaced size
-    (:func:`_shape`).  The folded input of a self-dual base has no
-    constants, so only the restructured shape can fail constant
+    input or the restructured formula, whichever replaces into fewer
+    nodes (:func:`_candidates`).  The folded input of a self-dual base
+    has no constants, so only the restructured shape can fail constant
     elimination (self-dual targets lack both constants); the whole
     formula's function is then represented over the target instead."""
     if want not in ("and", "or"):
@@ -539,7 +502,8 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
         restructurer = restructure_full
         extra = "none" if clone_of(target) == CloneName("BF") else want
     try:
-        out = _replace_and_eliminate(phi, _shape(phi, target, restructurer), target, extra)
+        out = _replace_and_eliminate(phi, _candidates(phi, target, restructurer),
+                                     target, extra)
     except ConstantEliminationError:
         out = _whole_formula_representation(phi, target)
     return _pipeline_output(phi, out, target, extra)
@@ -559,15 +523,12 @@ def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
         shaped = normalize_E(phi)[2]
     else:
         raise PreconditionError("the clone of B is not inside E, V or L")
-    out = _replace_and_eliminate(phi, shaped, target, "none")
+    out = _replace_and_eliminate(phi, [shaped], target, "none")
     return _pipeline_output(phi, out, target, "none")
 
 
 # ---------------------------------------------------------------------------
 # the dispatcher
-
-
-_CASES = ("a", "b", "c", "d", "e", "f", "g")
 
 
 def theorem_case(clone: CloneName) -> str:

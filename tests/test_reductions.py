@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from postlattice import boolfun
+from postlattice import boolfun, reductions
 from postlattice.boolfun import AND_FN, NOT_FN
 from postlattice.clones import (
     G,
@@ -35,6 +35,7 @@ from postlattice.formula import (
     Base,
     Connective,
     connectives_of,
+    constant_value,
     equivalent,
     evaluate,
     fold,
@@ -50,11 +51,11 @@ from postlattice.reductions import (
     ConstantEliminationError,
     PreconditionError,
     ReductionError,
+    _candidates,
     _constant_replacement,
+    _replace_and_eliminate,
     _replace_connectives,
-    _replaced_size,
     _repmap,
-    _shape,
     canonical_equivalent,
     eliminate_constants,
     normalize_E,
@@ -450,39 +451,58 @@ def test_outputs_pinned():
     assert digest.hexdigest()[:16] == "ac840e9ead881f3e"
 
 
-def test_replaced_size_is_exact():
-    # the route choice's dynamic program equals the size of the
-    # materialised replacement, for the folded input over every
-    # criterion-4 pair and for its restructured form in the restructuring
-    # cases (d)-(g), where the chosen shape keeps the route's size bound
+def test_route_keeps_its_bound(monkeypatch):
+    # sizes of the built replacements, before constant elimination (made
+    # the identity here), over every restructuring criterion-4 pair: a
+    # read-once input replaced alone stays within size(phi) times the
+    # widest witness, and where both shapes are replaced the kept one is
+    # never larger than the restructured one
+    monkeypatch.setattr(reductions, "eliminate_constants", lambda phi, target, extra: phi)
     rng = random.Random(0xD15)
     names = ["a", "b", "c", "d"]
-    for case, pairs in theorem_pairs().items():
-        for source, target in pairs:
+    checked = {1: 0, 2: 0}
+    for case in "defg":
+        for source, target in theorem_pairs()[case]:
             restructurer = (restructure_monotone_g if includes("M", clone_of(source))
                             else restructure_full)
-            for _ in range(4):
+            for _ in range(8):
                 phi = random_formula(rng, list(source), names, rng.randint(2, 25))
-                if case in "abc":
-                    materialised = _replace_connectives(fold(phi), _repmap(fold(phi), target))
-                    assert _replaced_size(fold(phi), target) == size(materialised)
+                shapes = _candidates(phi, target, restructurer)
+                if leaf_count(phi) <= 1 or any(constant_value(s) is not None for s in shapes):
                     continue
-                restructured = restructurer(phi)
-                for shaped in (fold(phi), restructured):
-                    materialised = _replace_connectives(shaped, _repmap(shaped, target))
-                    assert _replaced_size(shaped, target) == size(materialised)
-                chosen = _shape(phi, target, restructurer)
-                if leaf_count(phi) <= 1:
-                    continue
-                assert chosen in (restructured, fold(phi))
-                # a read-once input is bounded by its size times the widest
-                # witness; otherwise the choice is never the larger shape
-                witnesses = _repmap(fold(phi), target).values()
-                if all(leaf_count(w) == len(vars_of(w)) for w in witnesses):
-                    assert _replaced_size(chosen, target) <= size(phi) * max(
-                        size(w) for w in witnesses)
+                kept = size(_replace_and_eliminate(phi, shapes, target, "none"))
+                if len(shapes) == 1:
+                    witnesses = _repmap(fold(phi), target).values()
+                    assert all(leaf_count(w) == len(vars_of(w)) for w in witnesses)
+                    assert render(shapes[0]) == render(fold(phi))
+                    assert kept <= size(phi) * max(size(w) for w in witnesses)
                 else:
-                    assert _replaced_size(chosen, target) <= _replaced_size(restructured, target)
+                    restructured = shapes[1]
+                    assert kept <= size(_replace_connectives(
+                        restructured, _repmap(restructured, target)))
+                checked[len(shapes)] += 1
+    assert checked[1] and checked[2]
+
+
+def test_route_split():
+    # the candidates of each rule of the route choice
+    g1 = Base([G, TRUE])
+    s00_4 = catalog_entry(CloneName("S00", 4)).base
+    nand = Base([Connective("nand", boolfun.apply(NOT_FN, [AND_FN]))])
+    # one proposition occurrence, or a connective above the arity cap:
+    # the restructurer alone
+    for phi, base in ((parse("g(x, 1, 1)", g1), g1),
+                      (parse("t45d(a, b, g(a, c, d), d, e)", s00_4), s00_4)):
+        shapes = _candidates(phi, base, restructure_monotone_g)
+        assert [render(s) for s in shapes] == [render(restructure_monotone_g(phi))]
+    # every witness read-once: the folded input alone
+    phi = parse("g(x, g(y, 1, 1), x)", g1)
+    shapes = _candidates(phi, g1, restructure_monotone_g)
+    assert [render(s) for s in shapes] == [render(fold(phi))]
+    # nand's witnesses repeat a variable: both shapes, the folded one first
+    phi = parse("!(x & !y) & z")
+    shapes = _candidates(phi, nand, restructure_full)
+    assert [render(s) for s in shapes] == [render(fold(phi)), render(restructure_full(phi))]
 
 
 def test_single_occurrence_is_restructured():
@@ -501,7 +521,8 @@ def test_read_once_input_is_not_simplified():
     # by size(phi) times the witness size, not by the restructured shape
     base = Base([G, TRUE])
     phi = parse("g(x, g(y, 1, 1), x)", base)
-    assert _replaced_size(restructure_monotone_g(phi), base) == 4
+    restructured = restructure_monotone_g(phi)
+    assert size(_replace_connectives(restructured, _repmap(restructured, base))) == 4
     out = theorem_reduce(phi, base, base)
     assert render(out.formula) == "g(x, g(y, 1, 1), x)"
     assert out.certificate.equivalent is True
