@@ -140,6 +140,7 @@ def _signature(f: BooleanFunction) -> _Signature:
         separating_degree(f, 0), separating_degree(f, 1))
 
 
+@lru_cache(maxsize=4096)
 def _joint(base: Base) -> _Signature:
     return _Signature(*map(min, zip(_TOP, *(_signature(c.fn) for c in base))))
 
@@ -490,24 +491,49 @@ def represent(f: BooleanFunction, base: Base) -> Formula:
     equivalent to ``f``.  Raises :class:`NotInCloneError` when ``f`` is
     not generated by the base, and :class:`CloneError` when the search
     runs out of its composition budget."""
+    return _represent(f, base, [(0, 0)])[0, 0]
+
+
+def represent_variants(f: BooleanFunction, base: Base) -> dict[tuple[int, int], Formula]:
+    """Smallest formulas over the base for the variants
+    q xor f(x1 xor p_1, ..., xn xor p_n) of ``f`` that the base
+    generates, all from one search, keyed by (q, p) with bit i of p
+    negating x_{i+1}.  Variant (0, 0) is ``f`` itself, with the formula
+    :func:`represent` finds; raises as :func:`represent` does."""
+    return _represent(f, base, [(q, p) for q in (0, 1) for p in range(1 << f.arity)])
+
+
+def _variant(f: BooleanFunction, q: int, p: int) -> BooleanFunction:
+    flip = sum(1 << (f.arity - 1 - i) for i in range(f.arity) if p >> i & 1)
+    return BooleanFunction(f.arity, tuple(q ^ f.bits[r ^ flip] for r in range(1 << f.arity)))
+
+
+def _represent(f: BooleanFunction, base: Base,
+               keys: list[tuple[int, int]]) -> dict[tuple[int, int], Formula]:
+    """The smallest formulas of the variants ``keys`` of ``f`` that the
+    base generates, from one search with every one of them a target
+    (the search stops once all are settled, so each formula is the one
+    a search for it alone finds)."""
     if f.arity > CLOSURE_ARITY_MAX:
         raise ArityError(
             f"representation search capped at arity {CLOSURE_ARITY_MAX}")
     clone = clone_of(base)
-    if not catalog_entry(clone).predicate(f):
+    predicate = catalog_entry(clone).predicate
+    if not predicate(f):
         raise NotInCloneError(
             f"{f.bitstring} is not generated by {base!r} (clone {clone})")
-    target = _pack(f)
-    search = _Search(base, f.arity, (target,))
-    found = search.tables.tolist()
-    if target not in found:
+    tables = {key: _pack(g) for key in keys if predicate(g := _variant(f, *key))}
+    search = _Search(base, f.arity, tuple(sorted(set(tables.values()))))
+    found = {t: i for i, t in enumerate(search.tables.tolist())}
+    if tables[0, 0] not in found:
         # the clone predicate reads a constant of arity 0 like the unary
         # one, which needs no nullary connective; the nullary one does
         if f.arity == 0:
             raise NotInCloneError(
                 f"{f.bitstring} is not generated by {base!r} without a variable")
         raise CloneError("representation search failed on a member function")
-    return search.formulas()[found.index(target)]
+    built = search.formulas()
+    return {key: built[found[t]] for key, t in tables.items() if t in found}
 
 
 # ---------------------------------------------------------------------------

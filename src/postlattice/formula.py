@@ -132,6 +132,7 @@ class Base:
         self.connectives = tuple(out)
         self._by_name = by_name
         self._tables = frozenset(c.fn for c in out)
+        self._hash = hash(self.connectives)
 
     def get(self, name: str) -> Connective | None:
         return self._by_name.get(name)
@@ -185,7 +186,7 @@ class Base:
         return isinstance(other, Base) and self.connectives == other.connectives
 
     def __hash__(self):
-        return hash(self.connectives)
+        return self._hash
 
     def __repr__(self):
         return f"Base({', '.join(c.name for c in self.connectives)})"

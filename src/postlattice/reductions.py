@@ -8,8 +8,13 @@ an exhaustive equivalence check when the variable count permits).
 
 Every pipeline brings the formula into a shape whose connectives B'
 can define, then runs one shared body (:func:`_replace_and_eliminate`):
-replace every connective of the shape by its target representation,
-eliminate the constants.  The pipelines differ in the shape:
+replace every connective of the shape by a target witness, eliminate
+the constants.  Replacement (:func:`_replace`) knows two polarities:
+each node may be built as itself or as its negation, from the witness
+of a variant q xor f(y xor p) of its connective, whichever gives the
+smaller tree.  Over ``{nand}`` the negated conjunction is then one
+node, not ``and`` under ``not``, each of which repeats its arguments.
+The pipelines differ in the shape:
 
 * ``reduce_EVL``     - [B] inside E, V or L: the conjunctive,
   disjunctive or affine normal form, probed in one bit-parallel pass
@@ -17,8 +22,8 @@ eliminate the constants.  The pipelines differ in the shape:
 * ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` - the folded
   input itself or the formula restructured to logarithmic depth
   (:func:`_candidates`): restructuring pays only where a witness repeats
-  a variable, and there both shapes are replaced and the smaller
-  replacement is kept.  They differ only in data: the lower
+  a variable, and there both shapes are replaced and eliminated, and
+  the smaller output is kept.  They differ only in data: the lower
   clone, the upper bound (monotone or self-dual), the restructurer
   (``g``/``h`` for monotone clones, the full form otherwise) and the
   adjoined connective (``and`` for S0 clones, ``or`` for their S1
@@ -35,6 +40,7 @@ of the propositions.  No pipeline introduces a proposition.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,6 +56,7 @@ from .clones import (
     includes,
     member,
     represent,
+    represent_variants,
 )
 from .errors import PostLatticeError
 from .formula import (
@@ -71,7 +78,6 @@ from .formula import (
     Prop,
     _eval_mask,
     _postorder,
-    _rebuild,
     connectives_of,
     constant,
     constant_value,
@@ -271,35 +277,98 @@ def _affine_shape(c: int, chosen: tuple[str, ...]) -> Formula:
 def _rep(fn: BooleanFunction, base: Base) -> Formula:
     """``represent`` over the base, cached.  ``represent`` is read from
     this module's globals at each miss, so a wrapper bound there sees
-    every search."""
+    every search this lookup makes."""
     return represent(fn, base)
 
 
-def _rep_flexible(fn: BooleanFunction, target: Base) -> Formula:
-    """The pipelines' lookup: the representation over the target alone
-    when one exists, otherwise over the target with constants (removed
-    again by :func:`eliminate_constants`)."""
-    return _rep(fn, target if member(fn, target) else target.extended(FALSE, TRUE))
+@lru_cache(maxsize=1024)
+def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
+    """Per output polarity q, the variants q xor fn(y xor p) of a
+    connective that the target generates: (p, witness, its non-variable
+    nodes, (argument, occurrences) of each argument it reads), identity
+    first.  A connective the target does not generate has one variant,
+    itself, over the target with constants (removed again by
+    :func:`eliminate_constants`)."""
+    if member(fn, target):
+        found = represent_variants(fn, target)
+    else:
+        found = {(0, 0): _rep(fn, target.extended(FALSE, TRUE))}
+    out: tuple[list, list] = ([], [])
+    for (q, p), w in found.items():
+        reads, nodes, stack = Counter(), 0, [w]     # a witness tree is small
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Prop):
+                reads[node.name] += 1
+            else:
+                nodes += 1
+                stack.extend(node.args)
+        out[q].append((p, w, nodes, tuple((i, n) for i in range(fn.arity)
+                                          if (n := reads[f"x{i + 1}"]))))
+    return tuple(out[0]), tuple(out[1])
 
 
 def _repmap(shaped: Formula, target: Base) -> dict[BooleanFunction, Formula]:
-    """The lookup of every non-nullary connective of the shape."""
-    return {c.fn: _rep_flexible(c.fn, target)
+    """The witness of every non-nullary connective of the shape."""
+    return {c.fn: _variants(c.fn, target)[0][0][1]
             for c in connectives_of(shaped) if c.arity >= 1}
 
 
-def _replace_connectives(phi: Formula, repmap: dict[BooleanFunction, Formula]) -> Formula:
-    """Each application of a ``repmap`` connective replaced by its witness."""
-    memo: dict[int, Formula] = {}
-    for node in _postorder(phi):
+_NEVER = (float("inf"), 0, None, ())
+
+
+def _replace(shape: Formula, target: Base) -> tuple[Formula, int]:
+    """``shape`` with every connective replaced by a witness over the
+    target, and the size of the result.  Each distinct node may be built
+    at polarity 0 (itself) or 1 (its negation): a k-ary node at polarity
+    q is a variant q xor f(y xor p) of its connective over its
+    arguments at polarities p (:func:`_variants`), and a proposition at
+    polarity 1 is the target's ``not`` witness over it; a constant keeps
+    its polarity, so the output holds no constant that replacing every
+    node by itself would not.  One postorder pass finds the
+    smallest tree size of every (node, polarity), a variant costing its
+    witness's non-variable nodes plus each argument's size times its
+    occurrences; the root is positive, and only the pairs it needs are
+    built.  Ties go to the identity variant, then to the smaller p."""
+    negation = _NEVER
+    if member(NOT.fn, target):
+        _, w, nodes, ((_, n),) = _variants(NOT.fn, target)[0][0]
+        negation = (nodes + n, 0, w, ())
+    order = _postorder(shape)
+    best: dict[tuple[int, int], tuple] = {}    # (size, p, witness, reads)
+    for node in order:
+        key = id(node)
         if isinstance(node, Prop):
-            memo[id(node)] = node
-            continue
-        args = [memo[id(a)] for a in node.args]
-        witness = repmap.get(node.conn.fn)
-        memo[id(node)] = (_rebuild(node, args) if witness is None else
-                          instantiate(witness, {f"x{i + 1}": a for i, a in enumerate(args)}))
-    return memo[id(phi)]
+            best[key, 0], best[key, 1] = (1, 0, None, ()), negation
+        elif not node.args:
+            best[key, 0], best[key, 1] = (1, 0, None, ()), _NEVER
+        else:
+            args = [id(a) for a in node.args]
+            for q, options in enumerate(_variants(node.conn.fn, target)):
+                best[key, q] = min(
+                    ((nonvar + sum(n * best[args[i], p >> i & 1][0] for i, n in reads),
+                      p, w, reads) for p, w, nonvar, reads in options),
+                    key=lambda option: option[0], default=_NEVER)
+    needed = {(id(shape), 0)}
+    for node in reversed(order):
+        for q in (0, 1):
+            if (id(node), q) in needed:
+                _, p, _, reads = best[id(node), q]
+                needed.update((id(node.args[i]), p >> i & 1) for i, _ in reads)
+    built: dict[tuple[int, int], Formula] = {}
+    for node in order:
+        for q in (0, 1):
+            if (id(node), q) not in needed:
+                continue
+            _, p, w, reads = best[id(node), q]
+            if w is None:
+                built[id(node), q] = node
+            elif isinstance(node, Prop):
+                built[id(node), q] = instantiate(w, {"x1": node})
+            else:
+                built[id(node), q] = instantiate(
+                    w, {f"x{i + 1}": built[id(node.args[i]), p >> i & 1] for i, _ in reads})
+    return built[id(shape), 0], best[id(shape), 0][0]
 
 
 def _constant_replacement(bit: int, target: Base, props: list[str]) -> Formula | None:
@@ -328,7 +397,7 @@ def _big_fold(phi: Formula, bit: int, target: Base, extra: str,
             f"cannot build it without a proposition")
     tree = _balanced([Prop(p) for p in props], fold_conn)
     if member(fold_conn.fn, target):
-        tree = _replace_connectives(tree, {fold_conn.fn: _rep(fold_conn.fn, target)})
+        tree = _replace(tree, target)[0]
     elif fold_conn.name != extra:
         raise ConstantEliminationError(
             f"constant {bit} is not available in the target clone, which "
@@ -386,7 +455,7 @@ def _candidates(phi: Formula, target: Base, restructurer) -> list[Formula]:
       the folded input, whose replacement is then at most its size times
       the largest witness size, at any depth;
     * otherwise both, folded first: :func:`_replace_and_eliminate` builds
-      both replacements and keeps the smaller, ties to replace-only.
+      both outputs and keeps the smaller, ties to replace-only.
 
     The read-once bound is the guarantee there, not the restructured
     size: the restructurer also simplifies by case splits that ``fold``
@@ -416,21 +485,32 @@ def _pipeline_output(inp: Formula, out: Formula, target: Base,
 
 def _replace_and_eliminate(phi: Formula, shapes: list[Formula], target: Base,
                            extra: str) -> Formula:
-    """The body every pipeline shares: replace each connective of each
-    candidate shape of phi by its representation, keep the smallest
-    replacement (the first on a tie; a lone candidate is not sized), then
-    eliminate the constants for the adjoined ``extra``.  A constant shape
-    is written at phi's first proposition (:func:`_constant_replacement`)."""
-    replaced = [(s, _replace_connectives(s, _repmap(s, target))) for s in shapes]
-    shaped, out = (replaced[0] if len(replaced) == 1
-                   else min(replaced, key=lambda r: size(r[1])))
+    """The body every pipeline shares: replace the connectives of each
+    candidate shape of phi (:func:`_replace`), eliminate its constants
+    for the adjoined ``extra`` and keep the smallest output (the first
+    on a tie; a lone candidate is not sized).  A candidate whose
+    elimination raises gives way to the others; with none left, the
+    first error is raised.  A constant shape is written at phi's first
+    proposition (:func:`_constant_replacement`)."""
+    outs, errors = [], []
+    for shaped in shapes:
+        try:
+            outs.append(_eliminated(phi, shaped, target, extra))
+        except ConstantEliminationError as err:
+            errors.append(err)
+    if not outs:
+        raise errors[0]
+    return outs[0] if len(outs) == 1 else min(outs, key=size)
+
+
+def _eliminated(phi: Formula, shaped: Formula, target: Base, extra: str) -> Formula:
     bit = constant_value(shaped)
-    if bit is not None:
-        out = _constant_replacement(bit, target, props_in_order(phi))
-        if out is None:
-            raise ConstantEliminationError(f"constant {bit} is not available in the target")
-        return out
-    return eliminate_constants(out, target, extra)
+    if bit is None:
+        return eliminate_constants(_replace(shaped, target)[0], target, extra)
+    out = _constant_replacement(bit, target, props_in_order(phi))
+    if out is None:
+        raise ConstantEliminationError(f"constant {bit} is not available in the target")
+    return out
 
 
 def _pipeline(phi: Formula, base: Base, target: Base, lower: str,
@@ -438,8 +518,8 @@ def _pipeline(phi: Formula, base: Base, target: Base, lower: str,
               extra: str) -> ReductionOutput:
     """The restructuring pipelines' body: check the preconditions, then
     replace the candidate shapes (:func:`_candidates`: the folded input,
-    ``restructurer(phi)`` or both), keep the smaller replacement and
-    eliminate."""
+    ``restructurer(phi)`` or both), eliminate and keep the smaller
+    output."""
     _preconditions(phi, base, target, lower, upper)
     out = _replace_and_eliminate(phi, _candidates(phi, target, restructurer), target, extra)
     return _pipeline_output(phi, out, target, extra)
@@ -487,11 +567,12 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
     the adjoined connective ("and" or "or").  Above D2 with a
     functionally complete target nothing is adjoined: that target has
     both constants at an existing proposition.  The shape is the folded
-    input or the restructured formula, whichever replaces into fewer
-    nodes (:func:`_candidates`).  The folded input of a self-dual base
+    input or the restructured formula, whichever gives the smaller
+    output (:func:`_candidates`).  The folded input of a self-dual base
     has no constants, so only the restructured shape can fail constant
-    elimination (self-dual targets lack both constants); the whole
-    formula's function is then represented over the target instead."""
+    elimination (self-dual targets lack both constants) and then gives
+    way to the folded one; when it is the only candidate, the whole
+    formula's function is represented over the target instead."""
     if want not in ("and", "or"):
         raise ReductionError(f"want must be 'and' or 'or', not {want!r}")
     x = _preconditions(phi, base, target, "D2", _SELF_DUAL)

@@ -32,6 +32,7 @@ from postlattice.clones import (
     lattice_dot,
     member,
     represent,
+    represent_variants,
 )
 from postlattice.formula import (
     AND,
@@ -171,6 +172,32 @@ def test_represent():
     assert truth_table(neg, ["x1"]) == NOT_FN
     with pytest.raises(NotInCloneError):
         represent(NIMP_FN, Base([AND, OR]))
+
+
+def test_represent_variants():
+    # one search finds every variant q ^ f(x ^ p) the base generates: each
+    # formula computes its variant, and the identity's is represent's
+    conns = {c.fn for e in catalog() for c in e.base if 1 <= c.arity <= 3}
+    checked = 0
+    for entry in catalog():
+        if (entry.name.degree or 0) > 3:
+            continue
+        for fn in sorted(conns, key=lambda f: (f.arity, f.bits)):
+            if not member(fn, entry.base):
+                continue
+            found = represent_variants(fn, entry.base)
+            assert render(found[0, 0]) == render(represent(fn, entry.base))
+            names = [f"x{i + 1}" for i in range(fn.arity)]
+            for (q, p), w in found.items():
+                flip = [p >> i & 1 for i in range(fn.arity)]
+                want = [q ^ fn.value([b ^ f for b, f in zip(row, flip)])
+                        for row in itertools.product((0, 1), repeat=fn.arity)]
+                assert truth_table(w, names).bits == tuple(want)
+            checked += 1
+    assert checked > 200
+    # a monotone base generates only and itself and its dual, or
+    assert represent_variants(AND_FN, Base([AND, OR])).keys() == {(0, 0), (1, 3)}
+    assert render(represent_variants(AND_FN, Base([AND, OR]))[1, 3]) == "x1 | x2"
 
 
 def test_represent_witnesses_are_smallest_first():

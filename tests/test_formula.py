@@ -43,7 +43,6 @@ from postlattice.formula import (
     truth_table,
     vars_of,
 )
-from postlattice.reductions import _replace_connectives
 from postlattice.restructure import restructure_full, restructure_monotone_g
 
 from conftest import FULL_POOL, MONOTONE_POOL, chain, random_formula
@@ -391,18 +390,9 @@ def _ref_instantiate(phi, mapping):
     return Apply(phi.conn, tuple(_ref_instantiate(a, mapping) for a in phi.args))
 
 
-def _ref_replace(phi, repmap):
-    if isinstance(phi, Prop):
-        return phi
-    args = tuple(_ref_replace(a, repmap) for a in phi.args)
-    witness = repmap.get(phi.conn.fn)
-    if witness is None:
-        return Apply(phi.conn, args)
-    return _ref_instantiate(witness, {f"x{i + 1}": a for i, a in enumerate(args)})
-
-
-_REPMAP = {AND.fn: parse("!(!x1 | !x2)"), OR.fn: parse("(x2 | x1) & (x1 | 1)"),
-           NOT.fn: parse("x1 -> 0")}
+#: what the instantiation check puts in for x and y: a negated
+#: conjunction and a formula with a constant
+_MAPPING = {"x": parse("!(!x | !y)"), "y": parse("(y | x) & 1")}
 
 
 def _ref_eval(phi, assignment):
@@ -427,9 +417,9 @@ def test_walkers_agree_with_recursive_references():
         assert leaf_count(phi) == _ref_leaves(phi)
         assert fold(phi) == _ref_fold(phi)
         assert render(phi) == _ref_render(phi)[0]
-        replaced = _replace_connectives(phi, _REPMAP)
-        assert replaced == _ref_replace(phi, _REPMAP)
-        assert render(replaced) == _ref_render(_ref_replace(phi, _REPMAP))[0]
+        replaced = instantiate(phi, _MAPPING)
+        assert replaced == _ref_instantiate(phi, _MAPPING)
+        assert render(replaced) == _ref_render(_ref_instantiate(phi, _MAPPING))[0]
         alpha = random_formula(rng, FULL_POOL, names, rng.randint(1, 4))
         for old in (alpha, Prop("x"), TRUE_F):
             assert substitute(phi, old, Prop("v")) == _ref_substitute(phi, old, Prop("v"))

@@ -53,8 +53,8 @@ from postlattice.reductions import (
     ReductionError,
     _candidates,
     _constant_replacement,
+    _replace,
     _replace_and_eliminate,
-    _replace_connectives,
     _repmap,
     canonical_equivalent,
     eliminate_constants,
@@ -341,6 +341,57 @@ def test_theorem_reduce_bf_to_nand():
     assert _over_base_set(out.formula) <= {nand.fn}
 
 
+_NAND = Base([Connective("nand", boolfun.apply(NOT_FN, [AND_FN]))])
+
+
+def test_bf_to_nand_negations_are_not_duplicated():
+    # nand's witnesses of and, or and not repeat a variable; written as
+    # itself each node copied its subtrees (up to 9,457 times the input on
+    # this corpus), written at the cheaper polarity it stays within 20x
+    bf = catalog_entry("BF").base
+    names = [f"x{i}" for i in range(1, 7)]
+    for seed in (11, 12, 13):
+        rng = random.Random(seed)
+        for _ in range(25):
+            phi = random_formula(rng, list(bf), names, rng.randint(10, 60))
+            out = theorem_reduce(phi, bf, _NAND)
+            assert out.certificate.equivalent is True
+            assert out.certificate.size_out <= 20 * out.certificate.size_in
+
+
+def test_bf_to_nand_regressions():
+    bf = catalog_entry("BF").base
+    # the restructured shape's replacement is the smaller only after its
+    # constants are eliminated; the route compares eliminated outputs
+    assert size(theorem_reduce(parse("!x3 & !x6 & x2"), bf, _NAND).formula) <= 35
+    # the negated conjunction is nand itself, not and under not
+    assert render(theorem_reduce(parse("!(x & y)"), bf, _NAND).formula) == "nand(x, y)"
+
+
+def test_replaced_size_is_the_built_size():
+    # the size the replacer computes for its choice of polarities is the
+    # tree size of the formula it builds, on every criterion-4 pair and
+    # every shape its pipeline replaces
+    rng = random.Random(0x5123)
+    names = ["a", "b", "c", "d", "e", "f"]
+    checked = 0
+    for case, pairs in theorem_pairs().items():
+        for source, target in pairs:
+            restructurer = (restructure_monotone_g if includes("M", clone_of(source))
+                            else restructure_full)
+            for _ in range(6):
+                phi = random_formula(rng, list(source), names, rng.randint(2, 40))
+                shapes = ([fold(phi)] if case in "abc"
+                          else _candidates(phi, target, restructurer))
+                for shape in shapes:
+                    if constant_value(shape) is None:
+                        out, computed = _replace(shape, target)
+                        assert computed == size(out)
+                        assert equivalent(out, shape)
+                        checked += 1
+    assert checked > 150
+
+
 def test_theorem_reduce_identity_case():
     base = Base([ID])
     out = theorem_reduce(parse("x"), base, base)
@@ -448,7 +499,7 @@ def test_outputs_pinned():
                 phi = random_formula(rng, list(source), names, rng.randint(1, 25))
             out = reduce(phi, source, target)
             digest.update(f"{render(phi)} => {render(out.formula)}\n".encode())
-    assert digest.hexdigest()[:16] == "ac840e9ead881f3e"
+    assert digest.hexdigest()[:16] == "2a888dc517cd3535"
 
 
 def test_route_keeps_its_bound(monkeypatch):
@@ -478,8 +529,7 @@ def test_route_keeps_its_bound(monkeypatch):
                     assert kept <= size(phi) * max(size(w) for w in witnesses)
                 else:
                     restructured = shapes[1]
-                    assert kept <= size(_replace_connectives(
-                        restructured, _repmap(restructured, target)))
+                    assert kept <= size(_replace(restructured, target)[0])
                 checked[len(shapes)] += 1
     assert checked[1] and checked[2]
 
@@ -522,7 +572,7 @@ def test_read_once_input_is_not_simplified():
     base = Base([G, TRUE])
     phi = parse("g(x, g(y, 1, 1), x)", base)
     restructured = restructure_monotone_g(phi)
-    assert size(_replace_connectives(restructured, _repmap(restructured, base))) == 4
+    assert size(_replace(restructured, base)[0]) == 4
     out = theorem_reduce(phi, base, base)
     assert render(out.formula) == "g(x, g(y, 1, 1), x)"
     assert out.certificate.equivalent is True
