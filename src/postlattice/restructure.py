@@ -6,8 +6,12 @@ subformula on that path whose leaf count is at most k*m/(k+1), where m
 is the total leaf count and k the largest connective arity.  Both
 recursion branches then shrink by the factor k/(k+1), which gives depth
 O(k log m).  Each branch of a step is one pass over the formula that
-substitutes the split constant, folds, and records the leaf count and
-largest arity of every new node; the split rule reads those counts.
+substitutes the split constant, folds, and interns every node in a
+table that lives for one restructuring call (hash-consing): structurally
+equal nodes become one object, so a pass finds the split subformula by
+identity and each distinct subformula is restructured once.  The leaf
+count and largest arity of every interned node are recorded for the
+split rule.
 
 * ``restructure_monotone_g``: for monotone connectives; rebuilds around
   g(x,y,z) = x | (y & z) and never introduces negation.
@@ -27,16 +31,13 @@ from .clones import G, H
 from .errors import PostLatticeError
 from .formula import (
     AND,
-    FALSE_F,
     NOT,
     OR,
-    TRUE_F,
     Apply,
     Formula,
     Prop,
     _fold_node,
     _postorder,
-    _same,
     connectives_of,
     constant,
     constant_value,
@@ -126,34 +127,41 @@ def _split(phi: Formula, counts: Counts) -> SplitChoice:
     return SplitChoice(tuple(path), m, count, node)
 
 
-def _branch(phi: Formula, psi: Formula | None, bit: int, counts: Counts) -> Formula:
-    """One pass over ``phi``: replace every subformula equal to ``psi`` by
-    the constant ``bit``, fold constant applications, and add the counts
-    of every new node to ``counts``.  ``psi=None`` only folds.
+def _branch(phi: Formula, psi: Formula | None, bit: int, counts: Counts,
+            table: dict) -> Formula:
+    """One pass over ``phi``: replace the subformula ``psi`` by the
+    constant ``bit``, fold constant applications, and intern every node of
+    the result in ``table``.  ``psi=None`` only folds.
 
-    ``counts`` is shared by a whole restructuring call.  It is only read
-    for nodes that are still alive and got their entry while alive, so an
-    entry left by a freed node whose id was reused is overwritten before
-    it is read."""
-    target = counts[id(psi)][0] if psi is not None else -1
+    ``table`` and ``counts`` are shared by a whole restructuring call.
+    ``table`` keys a proposition by its name and an application by its
+    connective and the ids of its interned arguments, so structurally
+    equal nodes of a result are one object: once ``phi`` is a result,
+    every subformula equal to ``psi`` is ``psi`` itself.  ``counts`` gets
+    an entry for each new table entry, which the table keeps alive."""
     memo: dict[int, Formula] = {}
     stack: list[tuple[Formula, bool]] = [(phi, False)]
     while stack:
         node, expanded = stack.pop()
         key = id(node)
         if expanded:
-            out = memo[key] = _fold_node(node, [memo[id(a)] for a in node.args])
-            if out is not node:
-                counts[id(out)] = _tally(out, counts)
+            out = _fold_node(node, [memo[id(a)] for a in node.args])
         elif key in memo:
             continue
-        elif counts[key][0] == target and _same(node, psi):
-            memo[key] = constant(bit)
+        elif node is psi:
+            out = constant(bit)
         elif isinstance(node, Prop):
-            memo[key] = node
+            out = node
         else:
             stack.append((node, True))
             stack.extend((a, False) for a in reversed(node.args))
+            continue
+        if id(out) not in counts:       # exactly the interned nodes have counts
+            ident = out.name if isinstance(out, Prop) else (out.conn, *map(id, out.args))
+            out = table.setdefault(ident, out)
+            if id(out) not in counts:
+                counts[id(out)] = _tally(out, counts)
+        memo[key] = out
     return memo[id(phi)]
 
 
@@ -193,25 +201,32 @@ def _check_monotone(phi: Formula) -> None:
 def _restructure(phi: Formula, build, allow_negation: bool) -> Formula:
     """Fold ``phi`` and rebuild it with ``build(low, high, part)`` around
     each split subformula psi, where low and high restructure phi with
-    psi set to 0 and to 1 and part restructures psi."""
-    counts = _count(phi)
-    counts[id(TRUE_F)] = counts[id(FALSE_F)] = (0, 0)
+    psi set to 0 and to 1 and part restructures psi.  Each distinct
+    subformula is restructured once per call."""
+    counts: Counts = {}
+    table: dict = {}
+    done: dict[int, Formula] = {}
 
     def step(phi: Formula) -> Formula:
+        if id(phi) in done:
+            return done[id(phi)]
         m = counts[id(phi)][0]
         if m == 0:
             if constant_value(phi) is None:
                 raise RestructureError("proposition-free formula did not fold")
-            return phi
-        if m == 1:
-            return _unary_shape(phi, counts, allow_negation)
-        # psi is a subformula of the folded phi, so it is folded and counted
-        psi = _split(phi, counts).node
-        low = step(_branch(phi, psi, 0, counts))
-        high = step(_branch(phi, psi, 1, counts))
-        return build(low, high, step(psi))
+            out = phi
+        elif m == 1:
+            out = _unary_shape(phi, counts, allow_negation)
+        else:
+            # psi is a subformula of the interned phi, so it is interned too
+            psi = _split(phi, counts).node
+            low = step(_branch(phi, psi, 0, counts, table))
+            high = step(_branch(phi, psi, 1, counts, table))
+            out = build(low, high, step(psi))
+        done[id(phi)] = out
+        return out
 
-    return step(_branch(phi, None, 0, counts))
+    return step(_branch(phi, None, 0, counts, table))
 
 
 def restructure_monotone_g(phi: Formula) -> Formula:

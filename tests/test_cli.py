@@ -6,8 +6,9 @@ import json
 import pytest
 
 from postlattice.cli import main
-from postlattice.formula import equivalent, parse, Base
+from postlattice.formula import equivalent, evaluate, parse, Base
 from postlattice.clones import G
+from postlattice.restructure import depth_bound
 
 
 GOLDEN = [
@@ -151,3 +152,19 @@ def test_unreadable_base_file_is_domain_error(argv, tmp_path, capsys):
     out = capsys.readouterr().out
     assert set(json.loads(out)) == {"error"}
     assert out.count("\n") == 1
+
+
+def test_depth_reduce_above_the_verification_cap(capsys):
+    # 22 variables: restructured, with the equivalence left unchecked
+    formula = " & ".join(f"x{i}" for i in range(1, 23))
+    assert main(["--json", "depth-reduce", "--mode", "g", "--formula", formula]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equivalent"] is None
+    assert payload["leaf_count"] == 22
+    assert payload["depth_out"] <= depth_bound("g", 2, 22)
+    # a conjunction: true at all ones, false wherever one variable is 0
+    out = parse(payload["formula"], Base([G]))
+    names = [f"x{i}" for i in range(1, 23)]
+    assert evaluate(out, dict.fromkeys(names, 1)) == 1
+    for name in names:
+        assert evaluate(out, dict.fromkeys(names, 1) | {name: 0}) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from postlattice.formula import (
     Apply,
     Base,
     Prop,
+    _postorder,
     connectives_of,
     depth,
     equivalent,
@@ -209,3 +211,45 @@ def test_full_restructure_long_chain(shallow_stack):
     out = restructure_full(phi)
     assert equivalent(phi, out)
     assert depth(out) <= depth_bound("full", 2, 256)
+
+
+# each mode with its random-formula pool and the chain links of the long
+# chain tests
+RESTRUCTURERS = [
+    (restructure_monotone_g, MONOTONE_POOL, [AND, OR, OR]),
+    (restructure_monotone_h, MONOTONE_POOL, [AND, OR, OR]),
+    (restructure_full, FULL_POOL, [AND, OR, XOR, IMP, IFF, NIMP, XOR]),
+]
+
+
+def test_restructure_outputs_pinned():
+    # a digest of the rendered outputs of every mode over seeded random
+    # formulas and chains; it changes exactly when an output does
+    rng = random.Random(0x5EED)
+    names = [f"x{i}" for i in range(1, 9)]
+    digest = hashlib.sha256()
+    for build, pool, links in RESTRUCTURERS:
+        inputs = [random_formula(rng, pool, names, rng.randint(1, 60)) for _ in range(300)]
+        inputs += [chain(links, leaves, CHAIN_NAMES) for leaves in (32, 64, 128)]
+        for phi in inputs:
+            digest.update(f"{render(build(phi))}\n".encode())
+    assert digest.hexdigest()[:16] == "e525644cc75521ef"
+
+
+def _distinct_subformulas(phi) -> int:
+    """The number of structurally distinct subformulas of ``phi``."""
+    number: dict[int, int] = {}
+    classes: dict = {}
+    for node in _postorder(phi):
+        key = node.name if isinstance(node, Prop) else (
+            node.conn, tuple(number[id(a)] for a in node.args))
+        number[id(node)] = classes.setdefault(key, len(classes))
+    return len(classes)
+
+
+@pytest.mark.parametrize("build,pool,links", RESTRUCTURERS, ids=["g", "h", "full"])
+def test_restructure_shares_equal_subformulas(build, pool, links):
+    # each distinct subformula is restructured once, so equal subtrees of
+    # the output are mostly one node object
+    out = build(chain(links, 256, CHAIN_NAMES))
+    assert len(_postorder(out)) <= 2 * _distinct_subformulas(out)
