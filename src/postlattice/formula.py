@@ -330,7 +330,8 @@ def parse(text: str, base: Base | None = None) -> Formula:
 # Substitution shares subtrees in memory: a restructured formula uses its
 # split subformula in both case-split branches, so a tree of 300k nodes may
 # hold only a few thousand distinct node objects.  Every walk below is an
-# explicit-stack pass that handles each distinct node object once, with
+# explicit-stack pass that handles each distinct node object once; all but
+# ``render`` and ``_same`` read :func:`_postorder`, children first, with
 # per-node results memoised on ``id(node)``.  A memo lives for one call
 # only, because an id can be reused once its object is freed.
 
@@ -356,23 +357,6 @@ def _postorder(phi: Formula) -> list[Formula]:
             continue
         done.add(key)
         order.append(node)
-    return order
-
-
-def _preorder(phi: Formula) -> list[Formula]:
-    """The distinct node objects of ``phi`` in order of first occurrence:
-    parents before children, left to right."""
-    order: list[Formula] = []
-    seen: set[int] = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        order.append(node)
-        if isinstance(node, Apply):
-            stack.extend(reversed(node.args))
     return order
 
 
@@ -484,18 +468,18 @@ def evaluate(phi: Formula, assignment: Assignment) -> int:
 
 
 def vars_of(phi: Formula) -> frozenset[str]:
-    return frozenset(node.name for node in _preorder(phi) if isinstance(node, Prop))
+    return frozenset(node.name for node in _postorder(phi) if isinstance(node, Prop))
 
 
 def props_in_order(phi: Formula) -> list[str]:
     """Distinct proposition names in order of first occurrence."""
-    return list(dict.fromkeys(node.name for node in _preorder(phi)
+    return list(dict.fromkeys(node.name for node in _postorder(phi)
                               if isinstance(node, Prop)))
 
 
 def connectives_of(phi: Formula) -> list[Connective]:
-    """Distinct connectives in first-occurrence order."""
-    return list(dict.fromkeys(node.conn for node in _preorder(phi)
+    """Distinct connectives, children's before their parents' (postorder)."""
+    return list(dict.fromkeys(node.conn for node in _postorder(phi)
                               if isinstance(node, Apply)))
 
 

@@ -9,11 +9,13 @@ an exhaustive equivalence check when the variable count permits).
 Every pipeline brings the formula into a shape whose connectives B'
 can define, then runs one shared body (:func:`_replace_and_eliminate`):
 replace every connective of the shape by a target witness, eliminate
-the constants.  Replacement (:func:`_replace`) knows two polarities:
-each node may be built as itself or as its negation, from the witness
-of a variant q xor f(y xor p) of its connective, whichever gives the
-smaller tree.  Over ``{nand}`` the negated conjunction is then one
-node, not ``and`` under ``not``, each of which repeats its arguments.
+the constants.  Every witness over a target comes from one cached
+lookup (:func:`_variants`).  Replacement (:func:`_replace`) knows two
+polarities: each node may be built as itself or as its negation, from
+the witness of a variant q xor f(y xor p) of its connective, whichever
+gives the smaller tree.  Over ``{nand}`` the negated conjunction is
+then one node, not ``and`` under ``not``, each of which repeats its
+arguments.
 The pipelines differ in the shape:
 
 * ``reduce_EVL``     - [B] inside E, V or L: the conjunctive,
@@ -27,12 +29,14 @@ The pipelines differ in the shape:
   clone, the upper bound (monotone or self-dual), the restructurer
   (``g``/``h`` for monotone clones, the full form otherwise) and the
   adjoined connective (``and`` for S0 clones, ``or`` for their S1
-  duals).  The theorem bounds output size, not depth, so
-  an output may be deeper than the restructured shape would be.
+  duals).  The theorem bounds output size, not depth, so an output may
+  be deeper than the restructured shape would be.  Where no shape
+  survives constant elimination, ``reduce_D`` replaces the formula's
+  truth table as one node.
 * ``theorem_reduce`` - dispatcher over the seven lattice cases.
 
 Constants follow one rule (:func:`_constant_replacement`): a constant
-the target makes available is the representation of its constant
+the target makes available is the identity variant of its constant
 function, written at the formula's first proposition (nullary when it
 has none); :func:`eliminate_constants` turns any other into a big fold
 of the propositions.  No pipeline introduces a proposition.
@@ -91,7 +95,6 @@ from .formula import (
     size,
     substitute,
     truth_table,
-    vars_of,
 )
 from .restructure import (
     restructure_full,
@@ -151,20 +154,6 @@ def _require(cond: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
-def _check_over_base(phi: Formula, base: Base) -> None:
-    for c in connectives_of(phi):
-        if not base.contains_function(c.fn):
-            raise PreconditionError(
-                f"formula connective {c.name!r} is not in the source base")
-
-
-def _check_subbase(base: Base, target: Base) -> None:
-    for c in base:
-        if not member(c.fn, target):
-            raise PreconditionError(
-                f"{c.name!r} is not generated by the target base")
-
-
 #: Upper bounds a pipeline places on [B], with the message when [B] exceeds it.
 _MONOTONE = ("M", "B must be monotone")
 _SELF_DUAL = ("D", "B must be self-dual")
@@ -174,13 +163,16 @@ def _preconditions(phi: Formula, base: Base, target: Base, lower: str | None,
                    upper: tuple[str, str] | None) -> CloneName:
     """Check that phi is over B, that [B] contains the clone ``lower``
     and lies inside ``upper``, and that B is generated by B'.  Returns [B]."""
-    _check_over_base(phi, base)
+    for c in connectives_of(phi):
+        _require(base.contains_function(c.fn),
+                 f"formula connective {c.name!r} is not in the source base")
     x = clone_of(base)
     if lower is not None:
         _require(includes(x, lower), f"the clone of B must contain {lower}")
     if upper is not None:
         _require(includes(upper[0], x), upper[1])
-    _check_subbase(base, target)
+    for c in base:
+        _require(member(c.fn, target), f"{c.name!r} is not generated by the target base")
     return x
 
 
@@ -274,25 +266,18 @@ def _affine_shape(c: int, chosen: tuple[str, ...]) -> Formula:
 
 
 @lru_cache(maxsize=1024)
-def _rep(fn: BooleanFunction, base: Base) -> Formula:
-    """``represent`` over the base, cached.  ``represent`` is read from
-    this module's globals at each miss, so a wrapper bound there sees
-    every search this lookup makes."""
-    return represent(fn, base)
-
-
-@lru_cache(maxsize=1024)
 def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
-    """Per output polarity q, the variants q xor fn(y xor p) of a
-    connective that the target generates: (p, witness, its non-variable
-    nodes, (argument, occurrences) of each argument it reads), identity
-    first.  A connective the target does not generate has one variant,
-    itself, over the target with constants (removed again by
-    :func:`eliminate_constants`)."""
+    """The one witness lookup over a target, cached: per output polarity
+    q, the variants q xor fn(y xor p) of a connective the target
+    generates as (p, witness, its non-variable nodes, (argument,
+    occurrences) of each argument it reads), identity first.  A
+    connective the target does not generate has one variant, itself, over
+    the target with constants (removed by :func:`eliminate_constants`).
+    Raises as ``represent`` does."""
     if member(fn, target):
         found = represent_variants(fn, target)
     else:
-        found = {(0, 0): _rep(fn, target.extended(FALSE, TRUE))}
+        found = {(0, 0): represent(fn, target.extended(FALSE, TRUE))}
     out: tuple[list, list] = ([], [])
     for (q, p), w in found.items():
         reads, nodes, stack = Counter(), 0, [w]     # a witness tree is small
@@ -306,12 +291,6 @@ def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
         out[q].append((p, w, nodes, tuple((i, n) for i in range(fn.arity)
                                           if (n := reads[f"x{i + 1}"]))))
     return tuple(out[0]), tuple(out[1])
-
-
-def _repmap(shaped: Formula, target: Base) -> dict[BooleanFunction, Formula]:
-    """The witness of every non-nullary connective of the shape."""
-    return {c.fn: _variants(c.fn, target)[0][0][1]
-            for c in connectives_of(shaped) if c.arity >= 1}
 
 
 _NEVER = (float("inf"), 0, None, ())
@@ -373,14 +352,17 @@ def _replace(shape: Formula, target: Base) -> tuple[Formula, int]:
 
 def _constant_replacement(bit: int, target: Base, props: list[str]) -> Formula | None:
     """A target-base formula denoting the constant, when the target makes
-    the constant available: the representation of the constant function,
-    unary at the first proposition, or nullary when there is none."""
-    arity = 1 if props else 0
+    the constant available: the identity variant of the constant
+    function (:func:`_variants`), unary at the first proposition, or
+    nullary when there is none, which the target may build only at a
+    variable (``NotInCloneError``)."""
+    fn = BooleanFunction(len(props[:1]), (bit,) * (2 if props else 1))
     try:
-        rep = _rep(BooleanFunction(arity, (bit,) * (1 << arity)), target)
+        if member(fn, target):
+            return instantiate(_variants(fn, target)[0][0][1], {"x1": Prop(p) for p in props[:1]})
     except NotInCloneError:
-        return None
-    return instantiate(rep, {"x1": Prop(p) for p in props[:1]})
+        pass
+    return None
 
 
 def _big_fold(phi: Formula, bit: int, target: Base, extra: str,
@@ -451,9 +433,9 @@ def _candidates(phi: Formula, target: Base, restructurer) -> list[Formula]:
       shape holds only g, h, and, or, not and constants): the
       restructurer, which reduces a one-occurrence formula to the
       proposition, its negation or a constant;
-    * every witness of the input read-once (each variable at most once):
-      the folded input, whose replacement is then at most its size times
-      the largest witness size, at any depth;
+    * every witness of the input read-once (each argument read at most
+      once): the folded input, whose replacement is then at most its size
+      times the largest witness size, at any depth;
     * otherwise both, folded first: :func:`_replace_and_eliminate` builds
       both outputs and keeps the smaller, ties to replace-only.
 
@@ -462,10 +444,10 @@ def _candidates(phi: Formula, target: Base, restructurer) -> list[Formula]:
     does not make.  The output depth is not bounded by the restructured
     route's."""
     folded = fold(phi)
-    if leaf_count(phi) <= 1 or any(c.arity > CLOSURE_ARITY_MAX
-                                   for c in connectives_of(folded)):
+    conns = [c for c in connectives_of(folded) if c.arity >= 1]
+    if leaf_count(phi) <= 1 or any(c.arity > CLOSURE_ARITY_MAX for c in conns):
         return [restructurer(phi)]
-    if all(leaf_count(w) == len(vars_of(w)) for w in _repmap(folded, target).values()):
+    if all(n == 1 for c in conns for _, n in _variants(c.fn, target)[0][0][3]):
         return [folded]
     return [folded, restructurer(phi)]
 
@@ -547,21 +529,6 @@ def reduce_S12(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     return _pipeline(phi, base, target, "S12", None, restructure_full, "or")
 
 
-def _whole_formula_representation(phi: Formula, target: Base) -> Formula:
-    """Exact fallback: represent the whole formula's function over the
-    target base.  Exponential in the variable count and capped by the
-    representation arity limit; used where piecewise constant elimination
-    is provably impossible (self-dual targets)."""
-    order = props_in_order(phi)
-    if len(order) > CLOSURE_ARITY_MAX:
-        raise ReductionError(
-            f"self-dual target requires the whole-formula fallback, which is "
-            f"capped at {CLOSURE_ARITY_MAX} variables ({len(order)} present)")
-    fn = truth_table(phi, order)
-    witness = _rep(fn, target)
-    return instantiate(witness, {f"x{i + 1}": Prop(p) for i, p in enumerate(order)})
-
-
 def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> ReductionOutput:
     """Pipeline for the self-dual window D2 <= [B] <= D; ``want`` picks
     the adjoined connective ("and" or "or").  Above D2 with a
@@ -571,8 +538,10 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
     output (:func:`_candidates`).  The folded input of a self-dual base
     has no constants, so only the restructured shape can fail constant
     elimination (self-dual targets lack both constants) and then gives
-    way to the folded one; when it is the only candidate, the whole
-    formula's function is represented over the target instead."""
+    way to the folded one.  When it is the only candidate, the shape is
+    the formula's truth table over its propositions as one node, and
+    :func:`_replace` writes it from the witnesses of its variants; that
+    fallback is capped at the representation arity."""
     if want not in ("and", "or"):
         raise ReductionError(f"want must be 'and' or 'or', not {want!r}")
     x = _preconditions(phi, base, target, "D2", _SELF_DUAL)
@@ -586,7 +555,13 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
         out = _replace_and_eliminate(phi, _candidates(phi, target, restructurer),
                                      target, extra)
     except ConstantEliminationError:
-        out = _whole_formula_representation(phi, target)
+        order = props_in_order(phi)
+        if len(order) > CLOSURE_ARITY_MAX:
+            raise ReductionError(
+                f"self-dual target requires the whole-formula fallback, which is "
+                f"capped at {CLOSURE_ARITY_MAX} variables ({len(order)} present)")
+        whole = Connective("phi", truth_table(phi, order))
+        out = _replace(Apply(whole, tuple(map(Prop, order))), target)[0]
     return _pipeline_output(phi, out, target, extra)
 
 

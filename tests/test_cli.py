@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from postlattice import cli
 from postlattice.cli import main
 from postlattice.formula import equivalent, evaluate, parse, Base
 from postlattice.clones import G
@@ -74,6 +75,15 @@ GOLDEN_DUAL = [
         '"size_in": 7, "depth_in": 2, "leaf_count": 4, "size_out": 13, '
         '"depth_out": 3, "equivalent": true}',
         id="depth-reduce-h"),
+    # the adjoined and clashes with the target's own connective named and
+    pytest.param(
+        ["--json", "reduce", "--formula", "g(x,y,z)", "--from-fn", "g/3:00011111",
+         "--to-fn", "and/2:0111", "--to-fn", "g/3:00011111"],
+        '{"formula": "g(x, y, z)", '
+        '"target": ["and/2:0111", "g/3:00011111", "and\'/2:0001"], "extra": "and", '
+        '"depth_in": 1, "depth_out": 1, "size_in": 4, '
+        '"size_out": 4, "equivalent": true}',
+        id="reduce-renamed-extra"),
 ]
 
 
@@ -168,3 +178,20 @@ def test_depth_reduce_above_the_verification_cap(capsys):
     assert evaluate(out, dict.fromkeys(names, 1)) == 1
     for name in names:
         assert evaluate(out, dict.fromkeys(names, 1) | {name: 0}) == 0
+
+
+def test_outputs_above_the_printing_cap_are_domain_errors(capsys, monkeypatch):
+    # restructuring this 4,096-leaf chain gives 148,205,140 nodes: one JSON
+    # error naming the size, before anything is rendered
+    chain = "".join("x%d %s (" % (i % 16 + 1, "&|^"[i % 3]) for i in range(4095))
+    argv = ["--json", "depth-reduce", "--mode", "full",
+            "--formula", chain + "x16" + ")" * 4095]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"error": "output of 148205140 nodes exceeds the printing "
+                                        f"cap {cli.OUTPUT_SIZE_CAP}"}
+    assert out.count("\n") == 1
+    monkeypatch.setattr(cli, "OUTPUT_SIZE_CAP", 3)
+    assert main(["--json", "reduce", "--formula", "g(x,y,y)",
+                 "--from-fn", "g/3:00011111", "--to-fn", "g/3:00011111"]) == 1
+    assert "output of 4 nodes" in json.loads(capsys.readouterr().out)["error"]

@@ -9,6 +9,10 @@ from postlattice import boolfun
 from postlattice.boolfun import (
     AND_FN,
     BooleanFunction,
+    CONST0_1_FN,
+    CONST0_FN,
+    CONST1_1_FN,
+    CONST1_FN,
     NIMP_FN,
     NOT_FN,
     OR_FN,
@@ -176,17 +180,27 @@ def test_represent():
 
 def test_represent_variants():
     # one search finds every variant q ^ f(x ^ p) the base generates: each
-    # formula computes its variant, and the identity's is represent's
+    # formula computes its variant, and the identity's is represent's; the
+    # constants too, nullary wherever represent finds them
     conns = {c.fn for e in catalog() for c in e.base if 1 <= c.arity <= 3}
-    checked = 0
+    conns |= {CONST0_FN, CONST1_FN, CONST0_1_FN, CONST1_1_FN}
+    checked, nullary = 0, 0
     for entry in catalog():
         if (entry.name.degree or 0) > 3:
             continue
         for fn in sorted(conns, key=lambda f: (f.arity, f.bits)):
             if not member(fn, entry.base):
                 continue
+            try:
+                identity = represent(fn, entry.base)
+            except NotInCloneError:
+                assert fn.arity == 0      # the base builds it only at a variable
+                with pytest.raises(NotInCloneError):
+                    represent_variants(fn, entry.base)
+                continue
             found = represent_variants(fn, entry.base)
-            assert render(found[0, 0]) == render(represent(fn, entry.base))
+            assert render(found[0, 0]) == render(identity)
+            nullary += fn.arity == 0
             names = [f"x{i + 1}" for i in range(fn.arity)]
             for (q, p), w in found.items():
                 flip = [p >> i & 1 for i in range(fn.arity)]
@@ -194,7 +208,7 @@ def test_represent_variants():
                         for row in itertools.product((0, 1), repeat=fn.arity)]
                 assert truth_table(w, names).bits == tuple(want)
             checked += 1
-    assert checked > 200
+    assert checked > 200 and nullary > 0
     # a monotone base generates only and itself and its dual, or
     assert represent_variants(AND_FN, Base([AND, OR])).keys() == {(0, 0), (1, 3)}
     assert render(represent_variants(AND_FN, Base([AND, OR]))[1, 3]) == "x1 | x2"

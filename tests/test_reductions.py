@@ -55,7 +55,7 @@ from postlattice.reductions import (
     _constant_replacement,
     _replace,
     _replace_and_eliminate,
-    _repmap,
+    _variants,
     canonical_equivalent,
     eliminate_constants,
     normalize_E,
@@ -523,7 +523,8 @@ def test_route_keeps_its_bound(monkeypatch):
                     continue
                 kept = size(_replace_and_eliminate(phi, shapes, target, "none"))
                 if len(shapes) == 1:
-                    witnesses = _repmap(fold(phi), target).values()
+                    witnesses = [_variants(c.fn, target)[0][0][1]
+                                 for c in connectives_of(fold(phi)) if c.arity >= 1]
                     assert all(leaf_count(w) == len(vars_of(w)) for w in witnesses)
                     assert render(shapes[0]) == render(fold(phi))
                     assert kept <= size(phi) * max(size(w) for w in witnesses)
@@ -602,6 +603,12 @@ def test_self_dual_connective_above_arity_cap():
     source, target = Base([maj5]), Base([MAJ3])
     out = theorem_reduce(parse("maj5(a, a, b, b, c)", source), source, target)
     assert render(out.formula) == "maj3(a, b, c)"
+    assert out.certificate.equivalent is True
+    # a target with not, where the truth-table node may also be built from
+    # a variant with negated arguments
+    source = Base([maj5, NOT])
+    out = theorem_reduce(parse("maj5(a, b, !c, d, !a)", source), source, Base([SD]))
+    assert render(out.formula) == "sd(a, a, sd(c, b, d))"
     assert out.certificate.equivalent is True
 
 
