@@ -23,6 +23,7 @@ from .formula import (
     metrics,
     parse,
     render,
+    size,
     truth_table,
     vars_of,
 )
@@ -59,10 +60,10 @@ def _load_base(file_arg, fn_args, *, required: bool = True,
     return Base(conns)
 
 
-def _printable(size: int) -> None:
-    if size > OUTPUT_SIZE_CAP:
+def _printable(nodes: int) -> None:
+    if nodes > OUTPUT_SIZE_CAP:
         raise PostLatticeError(
-            f"output of {size} nodes exceeds the printing cap {OUTPUT_SIZE_CAP}")
+            f"output of {nodes} nodes exceeds the printing cap {OUTPUT_SIZE_CAP}")
 
 
 def _emit(args, payload: dict, text: str | None) -> None:
@@ -158,8 +159,8 @@ def _cmd_depth_reduce(args) -> int:
                "g": restructure.restructure_monotone_g,
                "h": restructure.restructure_monotone_h}[args.mode]
     out = builder(phi)
+    _printable(size(out))       # before the certificate's equivalence check
     cert = reductions._certificate(phi, out)
-    _printable(cert.size_out)
     payload = {
         "formula": render(out), "mode": args.mode,
         "size_in": cert.size_in, "depth_in": cert.depth_in,

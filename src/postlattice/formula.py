@@ -562,7 +562,8 @@ def instantiate(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
 
 def fold(phi: Formula) -> Formula:
     """Evaluate every connective application whose arguments are all
-    constants; equivalence-preserving."""
+    constants; equivalence-preserving.  Restructuring also absorbs
+    partial constants (``x & 0`` to 0); this fold does not."""
     memo: dict[int, Formula] = {}
     for node in _postorder(phi):
         if isinstance(node, Prop):

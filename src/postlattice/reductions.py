@@ -440,8 +440,8 @@ def _candidates(phi: Formula, target: Base, restructurer) -> list[Formula]:
       both outputs and keeps the smaller, ties to replace-only.
 
     The read-once bound is the guarantee there, not the restructured
-    size: the restructurer also simplifies by case splits that ``fold``
-    does not make.  The output depth is not bounded by the restructured
+    size: the restructurer also absorbs constants and splits cases where
+    ``fold`` does not.  The output depth is not bounded by the restructured
     route's."""
     folded = fold(phi)
     conns = [c for c in connectives_of(folded) if c.arity >= 1]

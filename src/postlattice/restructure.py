@@ -6,12 +6,21 @@ subformula on that path whose leaf count is at most k*m/(k+1), where m
 is the total leaf count and k the largest connective arity.  Both
 recursion branches then shrink by the factor k/(k+1), which gives depth
 O(k log m).  Each branch of a step is one pass over the formula that
-substitutes the split constant, folds, and interns every node in a
-table that lives for one restructuring call (hash-consing): structurally
-equal nodes become one object, so a pass finds the split subformula by
-identity and each distinct subformula is restructured once.  The leaf
-count and largest arity of every interned node are recorded for the
-split rule.
+substitutes the split constant, absorbs constants, and interns every
+node in a table that lives for one restructuring call (hash-consing):
+structurally equal nodes become one object, so a pass finds the split
+subformula by identity and each distinct subformula is restructured
+once.  The leaf count and largest arity of every interned node are
+recorded for the split rule.
+
+Absorbing is the one simplification rule, applied to every node a pass
+or a builder creates: a node whose connective, with its constant
+arguments fixed, is a constant or the projection onto one remaining
+argument becomes that constant or argument (``x & 0`` is 0, ``x | 0``
+is x, ``g(x, 0, z)`` is x); with every argument constant it folds.  It
+never adds a connective, so the monotone builders still emit no
+negation, and it only lowers leaf counts, so the depth law holds as
+before.
 
 * ``restructure_monotone_g``: for monotone connectives; rebuilds around
   g(x,y,z) = x | (y & z) and never introduces negation.
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import boolfun
 from .clones import G, H
@@ -36,8 +46,10 @@ from .formula import (
     Apply,
     Formula,
     Prop,
-    _fold_node,
+    _compose,
     _postorder,
+    _projection_mask,
+    _rebuild,
     connectives_of,
     constant,
     constant_value,
@@ -127,11 +139,44 @@ def _split(phi: Formula, counts: Counts) -> SplitChoice:
     return SplitChoice(tuple(path), m, count, node)
 
 
+@lru_cache(maxsize=4096)      # at most 3**arity constant patterns per function
+def _restriction(fn: boolfun.BooleanFunction, pattern: tuple) -> Formula | int | None:
+    """``fn`` with the arguments at the non-None entries of ``pattern``
+    fixed to those bits: the constant formula it becomes, the index of the
+    one remaining argument it projects onto, or None for neither."""
+    free = [i for i, v in enumerate(pattern) if v is None]
+    full = (1 << (1 << len(free))) - 1
+    columns = {i: _projection_mask(j, len(free)) for j, i in enumerate(free)}
+    table = _compose(fn, [columns[i] if v is None else full * v
+                          for i, v in enumerate(pattern)], full)
+    if table in (0, full):
+        return constant(table == full)
+    return next((i for i, column in columns.items() if column == table), None)
+
+
+def _absorb(node: Apply, args: list[Formula]) -> Formula:
+    """``node`` over the given arguments with their constants absorbed:
+    the constant or the argument the connective becomes with those
+    constants fixed, else ``node`` rebuilt over ``args``.  Never adds a
+    connective; with every argument constant, this is the fold."""
+    pattern = tuple(map(constant_value, args))
+    if not args or pattern.count(None) < len(args):
+        out = _restriction(node.conn.fn, pattern)
+        if out is not None:
+            return args[out] if isinstance(out, int) else out
+    return _rebuild(node, args)
+
+
+def _apply(conn, *args: Formula) -> Formula:
+    """A new application of ``conn``, constants absorbed."""
+    return _absorb(Apply(conn, args), list(args))
+
+
 def _branch(phi: Formula, psi: Formula | None, bit: int, counts: Counts,
             table: dict) -> Formula:
     """One pass over ``phi``: replace the subformula ``psi`` by the
-    constant ``bit``, fold constant applications, and intern every node of
-    the result in ``table``.  ``psi=None`` only folds.
+    constant ``bit``, absorb constants (:func:`_absorb`), and intern every
+    node of the result in ``table``.  ``psi=None`` only absorbs.
 
     ``table`` and ``counts`` are shared by a whole restructuring call.
     ``table`` keys a proposition by its name and an application by its
@@ -145,7 +190,7 @@ def _branch(phi: Formula, psi: Formula | None, bit: int, counts: Counts,
         node, expanded = stack.pop()
         key = id(node)
         if expanded:
-            out = _fold_node(node, [memo[id(a)] for a in node.args])
+            out = _absorb(node, [memo[id(a)] for a in node.args])
         elif key in memo:
             continue
         elif node is psi:
@@ -166,8 +211,8 @@ def _branch(phi: Formula, psi: Formula | None, bit: int, counts: Counts,
 
 
 def _unary_shape(phi: Formula, counts: Counts, allow_negation: bool) -> Formula:
-    """Canonical form of a folded formula with exactly one proposition
-    occurrence: the proposition, its negation, or a constant.  Folding
+    """Canonical form of an absorbed formula with exactly one proposition
+    occurrence: the proposition, its negation, or a constant.  Absorbing
     leaves a constant in every argument off the path to the occurrence,
     so evaluating that path is enough."""
     path = []
@@ -199,10 +244,11 @@ def _check_monotone(phi: Formula) -> None:
 
 
 def _restructure(phi: Formula, build, allow_negation: bool) -> Formula:
-    """Fold ``phi`` and rebuild it with ``build(low, high, part)`` around
-    each split subformula psi, where low and high restructure phi with
-    psi set to 0 and to 1 and part restructures psi.  Each distinct
-    subformula is restructured once per call."""
+    """Absorb the constants of ``phi`` and rebuild it with
+    ``build(low, high, part)`` around each split subformula psi, where low
+    and high restructure phi with psi set to 0 and to 1 and part
+    restructures psi.  Each distinct subformula is restructured once per
+    call."""
     counts: Counts = {}
     table: dict = {}
     done: dict[int, Formula] = {}
@@ -234,14 +280,14 @@ def restructure_monotone_g(phi: Formula) -> Formula:
     depth logarithmic in the leaf count.  Every connective of the input
     must be monotone; negation never appears in the output."""
     _check_monotone(phi)
-    return _restructure(phi, lambda low, high, part: Apply(G, (low, high, part)),
+    return _restructure(phi, lambda low, high, part: _apply(G, low, high, part),
                         allow_negation=False)
 
 
 def restructure_monotone_h(phi: Formula) -> Formula:
     """Dual of :func:`restructure_monotone_g`, built around h."""
     _check_monotone(phi)
-    return _restructure(phi, lambda low, high, part: Apply(H, (high, low, part)),
+    return _restructure(phi, lambda low, high, part: _apply(H, high, low, part),
                         allow_negation=False)
 
 
@@ -250,8 +296,8 @@ def restructure_full(phi: Formula) -> Formula:
     arbitrary connectives within the arity cap."""
     return _restructure(
         phi,
-        lambda low, high, part: Apply(OR, (Apply(AND, (low, Apply(NOT, (part,)))),
-                                           Apply(AND, (high, part)))),
+        lambda low, high, part: _apply(OR, _apply(AND, low, _apply(NOT, part)),
+                                       _apply(AND, high, part)),
         allow_negation=True)
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from postlattice import cli
+from postlattice import cli, reductions
 from postlattice.cli import main
 from postlattice.formula import equivalent, evaluate, parse, Base
 from postlattice.clones import G
@@ -71,8 +71,8 @@ GOLDEN_DUAL = [
         id="reduce-S12"),
     pytest.param(
         ["--json", "depth-reduce", "--formula", "(x | y) & (z | w)", "--mode", "h"],
-        '{"formula": "h(h(1, w, z), h(0, 0, z), h(1, y, x))", "mode": "h", '
-        '"size_in": 7, "depth_in": 2, "leaf_count": 4, "size_out": 13, '
+        '{"formula": "h(h(1, w, z), 0, h(1, y, x))", "mode": "h", '
+        '"size_in": 7, "depth_in": 2, "leaf_count": 4, "size_out": 10, '
         '"depth_out": 3, "equivalent": true}',
         id="depth-reduce-h"),
     # the adjoined and clashes with the target's own connective named and
@@ -181,17 +181,30 @@ def test_depth_reduce_above_the_verification_cap(capsys):
 
 
 def test_outputs_above_the_printing_cap_are_domain_errors(capsys, monkeypatch):
-    # restructuring this 4,096-leaf chain gives 148,205,140 nodes: one JSON
+    # restructuring this 4,096-leaf chain gives 88,498,836 nodes: one JSON
     # error naming the size, before anything is rendered
     chain = "".join("x%d %s (" % (i % 16 + 1, "&|^"[i % 3]) for i in range(4095))
     argv = ["--json", "depth-reduce", "--mode", "full",
             "--formula", chain + "x16" + ")" * 4095]
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert json.loads(out) == {"error": "output of 148205140 nodes exceeds the printing "
+    assert json.loads(out) == {"error": "output of 88498836 nodes exceeds the printing "
                                         f"cap {cli.OUTPUT_SIZE_CAP}"}
     assert out.count("\n") == 1
     monkeypatch.setattr(cli, "OUTPUT_SIZE_CAP", 3)
     assert main(["--json", "reduce", "--formula", "g(x,y,y)",
                  "--from-fn", "g/3:00011111", "--to-fn", "g/3:00011111"]) == 1
     assert "output of 4 nodes" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_depth_reduce_refuses_before_the_certificate(capsys, monkeypatch):
+    # an output above the printing cap is refused without checking its
+    # equivalence
+    def unreachable(*args, **kwargs):
+        raise AssertionError("equivalence checked for an output never printed")
+
+    monkeypatch.setattr(cli, "OUTPUT_SIZE_CAP", 3)
+    monkeypatch.setattr(reductions, "equivalent", unreachable)
+    assert main(["--json", "depth-reduce", "--mode", "g", "--formula", "x & y"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "output of 4 nodes exceeds the printing cap 3"}

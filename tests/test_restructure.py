@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from postlattice.formula import (
     Prop,
     _postorder,
     connectives_of,
+    constant_value,
     depth,
     equivalent,
     leaf_count,
@@ -233,7 +235,40 @@ def test_restructure_outputs_pinned():
         inputs += [chain(links, leaves, CHAIN_NAMES) for leaves in (32, 64, 128)]
         for phi in inputs:
             digest.update(f"{render(build(phi))}\n".encode())
-    assert digest.hexdigest()[:16] == "e525644cc75521ef"
+    assert digest.hexdigest()[:16] == "8673997083ef3931"
+
+
+def _absorbable(node: Apply) -> bool:
+    """Whether fixing the constant arguments of ``node`` leaves a constant
+    or the projection onto one remaining argument (true when every
+    argument is a constant)."""
+    fixed = [constant_value(a) for a in node.args]
+    free = [i for i, v in enumerate(fixed) if v is None]
+    if len(free) == len(fixed):
+        return False
+    values = {}
+    for bits in product((0, 1), repeat=len(free)):
+        row = list(fixed)
+        for i, b in zip(free, bits):
+            row[i] = b
+        values[bits] = node.conn.fn.value(row)
+    if len(set(values.values())) == 1:
+        return True
+    return any(all(v == bits[j] for bits, v in values.items()) for j in range(len(free)))
+
+
+@pytest.mark.parametrize("build,pool,links", RESTRUCTURERS, ids=["g", "h", "full"])
+def test_restructure_absorbs_constants(build, pool, links):
+    # no application in an output has only constant arguments, or becomes
+    # a constant or one of its arguments once its constants are fixed
+    rng = random.Random(0xAB5)
+    names = [f"x{i}" for i in range(1, 9)]
+    inputs = [random_formula(rng, pool, names, rng.randint(1, 60)) for _ in range(150)]
+    inputs += [chain(links, leaves, CHAIN_NAMES) for leaves in (32, 64, 128)]
+    for phi in inputs:
+        for node in _postorder(build(phi)):
+            if isinstance(node, Apply) and node.args:
+                assert not _absorbable(node), render(node)
 
 
 def _distinct_subformulas(phi) -> int:
