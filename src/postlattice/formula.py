@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import boolfun
@@ -561,25 +562,23 @@ def instantiate(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
 
 
 def fold(phi: Formula) -> Formula:
-    """Evaluate every connective application whose arguments are all
-    constants; equivalence-preserving.  Restructuring also absorbs
-    partial constants (``x & 0`` to 0); this fold does not."""
+    """Absorb the constants of ``phi``: :func:`_absorb` at every node,
+    children first (``x & (1 & 1)`` is x, ``x & 0`` is 0).  Equivalence-
+    preserving, and adds no connective but the constants 0 and 1, into
+    which every nullary connective folds.
+
+    A subformula with a proposition may become a constant that was not
+    there before (``0 -> x`` is 1).  That subformula computes the unary
+    constant function, so the constant lies in the clone [B] of the base
+    the formula is written over, and any target B' with [B] inside [B']
+    builds it at a proposition."""
     memo: dict[int, Formula] = {}
     for node in _postorder(phi):
         if isinstance(node, Prop):
             memo[id(node)] = node
         else:
-            memo[id(node)] = _fold_node(node, [memo[id(a)] for a in node.args])
+            memo[id(node)] = _absorb(node, [memo[id(a)] for a in node.args])
     return memo[id(phi)]
-
-
-def _fold_node(node: Apply, args: list[Formula]) -> Formula:
-    """``node`` over the given (folded) arguments, evaluated to a constant
-    when they are all constants."""
-    vals = [constant_value(a) for a in args]
-    if None in vals:
-        return _rebuild(node, args)
-    return constant(node.conn.fn.value(vals))
 
 
 def constant_value(phi: Formula):
@@ -627,6 +626,35 @@ def _compose(fn: BooleanFunction, args: list, mask):
                 term = term & (arg if (v >> (m - 1 - j)) & 1 else arg ^ mask)
             acc = acc | term
     return acc ^ mask if flip else acc
+
+
+@lru_cache(maxsize=4096)      # at most 3**arity constant patterns per function
+def _restriction(fn: BooleanFunction, pattern: tuple) -> Formula | int | None:
+    """``fn`` with the arguments at the non-None entries of ``pattern``
+    fixed to those bits: the constant formula it becomes, the index of the
+    one remaining argument it projects onto, or None for neither."""
+    free = [i for i, v in enumerate(pattern) if v is None]
+    full = (1 << (1 << len(free))) - 1
+    columns = {i: _projection_mask(j, len(free)) for j, i in enumerate(free)}
+    table = _compose(fn, [columns[i] if v is None else full * v
+                          for i, v in enumerate(pattern)], full)
+    if table in (0, full):
+        return constant(table == full)
+    return next((i for i, column in columns.items() if column == table), None)
+
+
+def _absorb(node: Apply, args: list[Formula]) -> Formula:
+    """``node`` over the given arguments with their constants absorbed:
+    the constant or the argument the connective becomes with those
+    constants fixed, else ``node`` rebuilt over ``args``.  The package's
+    one constant rule, read by :func:`fold` and by restructuring; with
+    every argument constant it evaluates the node."""
+    pattern = tuple(map(constant_value, args))
+    if not args or pattern.count(None) < len(args):
+        out = _restriction(node.conn.fn, pattern)
+        if out is not None:
+            return args[out] if isinstance(out, int) else out
+    return _rebuild(node, args)
 
 
 def _eval_mask(phi: Formula, masks: Mapping[str, int], nrows: int) -> int:

@@ -402,9 +402,8 @@ def eliminate_constants(phi: Formula, target: Base, extra: str) -> Formula:
     """
     if extra not in ("and", "or", "none"):
         raise ReductionError(f"unknown adjoined connective {extra!r}")
-    phi = fold(phi)
-    # only the standard constants count; other nullary connectives stay
-    present = {c.fn.bits[0] for c in connectives_of(phi) if c in (TRUE, FALSE)}
+    phi = fold(phi)     # every nullary connective is now 0 or 1
+    present = {c.fn.bits[0] for c in connectives_of(phi) if c.arity == 0}
     if not present:
         return phi
     props = props_in_order(phi)
@@ -440,8 +439,7 @@ def _candidates(phi: Formula, target: Base, restructurer) -> list[Formula]:
       both outputs and keeps the smaller, ties to replace-only.
 
     The read-once bound is the guarantee there, not the restructured
-    size: the restructurer also absorbs constants and splits cases where
-    ``fold`` does not.  The output depth is not bounded by the restructured
+    size, and the output depth is not bounded by the restructured
     route's."""
     folded = fold(phi)
     conns = [c for c in connectives_of(folded) if c.arity >= 1]

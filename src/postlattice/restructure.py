@@ -13,14 +13,15 @@ subformula by identity and each distinct subformula is restructured
 once.  The leaf count and largest arity of every interned node are
 recorded for the split rule.
 
-Absorbing is the one simplification rule, applied to every node a pass
-or a builder creates: a node whose connective, with its constant
-arguments fixed, is a constant or the projection onto one remaining
-argument becomes that constant or argument (``x & 0`` is 0, ``x | 0``
-is x, ``g(x, 0, z)`` is x); with every argument constant it folds.  It
-never adds a connective, so the monotone builders still emit no
-negation, and it only lowers leaf counts, so the depth law holds as
-before.
+The one simplification rule is the constant rule of ``formula.fold``
+(``formula._absorb``), applied to every node a pass or a builder
+creates: a node whose connective, with its constant arguments fixed, is
+a constant or the projection onto one remaining argument becomes that
+constant or argument (``x & 0`` is 0, ``x | 0`` is x, ``g(x, 0, z)`` is
+x); with every argument constant it folds.  It never adds a connective,
+so the monotone builders still emit no negation, and it only lowers
+leaf counts, so the depth law holds as before.  A formula left with one
+proposition occurrence is read off its one-variable table.
 
 * ``restructure_monotone_g``: for monotone connectives; rebuilds around
   g(x,y,z) = x | (y & z) and never introduces negation.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import boolfun
 from .clones import G, H
@@ -46,10 +46,9 @@ from .formula import (
     Apply,
     Formula,
     Prop,
-    _compose,
+    _absorb,
+    _eval_mask,
     _postorder,
-    _projection_mask,
-    _rebuild,
     connectives_of,
     constant,
     constant_value,
@@ -139,34 +138,6 @@ def _split(phi: Formula, counts: Counts) -> SplitChoice:
     return SplitChoice(tuple(path), m, count, node)
 
 
-@lru_cache(maxsize=4096)      # at most 3**arity constant patterns per function
-def _restriction(fn: boolfun.BooleanFunction, pattern: tuple) -> Formula | int | None:
-    """``fn`` with the arguments at the non-None entries of ``pattern``
-    fixed to those bits: the constant formula it becomes, the index of the
-    one remaining argument it projects onto, or None for neither."""
-    free = [i for i, v in enumerate(pattern) if v is None]
-    full = (1 << (1 << len(free))) - 1
-    columns = {i: _projection_mask(j, len(free)) for j, i in enumerate(free)}
-    table = _compose(fn, [columns[i] if v is None else full * v
-                          for i, v in enumerate(pattern)], full)
-    if table in (0, full):
-        return constant(table == full)
-    return next((i for i, column in columns.items() if column == table), None)
-
-
-def _absorb(node: Apply, args: list[Formula]) -> Formula:
-    """``node`` over the given arguments with their constants absorbed:
-    the constant or the argument the connective becomes with those
-    constants fixed, else ``node`` rebuilt over ``args``.  Never adds a
-    connective; with every argument constant, this is the fold."""
-    pattern = tuple(map(constant_value, args))
-    if not args or pattern.count(None) < len(args):
-        out = _restriction(node.conn.fn, pattern)
-        if out is not None:
-            return args[out] if isinstance(out, int) else out
-    return _rebuild(node, args)
-
-
 def _apply(conn, *args: Formula) -> Formula:
     """A new application of ``conn``, constants absorbed."""
     return _absorb(Apply(conn, args), list(args))
@@ -210,27 +181,15 @@ def _branch(phi: Formula, psi: Formula | None, bit: int, counts: Counts,
     return memo[id(phi)]
 
 
-def _unary_shape(phi: Formula, counts: Counts, allow_negation: bool) -> Formula:
-    """Canonical form of an absorbed formula with exactly one proposition
-    occurrence: the proposition, its negation, or a constant.  Absorbing
-    leaves a constant in every argument off the path to the occurrence,
-    so evaluating that path is enough."""
-    path = []
-    leaf = phi
-    while isinstance(leaf, Apply):
-        path.append(leaf)
-        leaf = next(a for a in leaf.args if counts[id(a)][0])
-    v0, v1 = 0, 1       # values with the occurrence set to 0 and to 1
-    for node in reversed(path):
-        args = [constant_value(a) for a in node.args]
-        at = args.index(None)
-        args[at] = v0
-        v0 = node.conn.fn.value(args)
-        args[at] = v1
-        v1 = node.conn.fn.value(args)
-    if v0 == v1:
-        return constant(v0)
-    if v0 == 0:
+def _unary_shape(phi: Formula, allow_negation: bool) -> Formula:
+    """Canonical form of a formula with exactly one proposition
+    occurrence: the proposition, its negation or a constant, read off
+    its one-variable table."""
+    leaf = next(node for node in _postorder(phi) if isinstance(node, Prop))
+    table = _eval_mask(phi, {leaf.name: 0b10}, 2)     # bit b: the value at leaf = b
+    if table in (0, 0b11):
+        return constant(table == 0b11)
+    if table == 0b10:
         return leaf
     if not allow_negation:
         raise RestructureError("non-monotone behaviour under monotone connectives")
@@ -262,7 +221,7 @@ def _restructure(phi: Formula, build, allow_negation: bool) -> Formula:
                 raise RestructureError("proposition-free formula did not fold")
             out = phi
         elif m == 1:
-            out = _unary_shape(phi, counts, allow_negation)
+            out = _unary_shape(phi, allow_negation)
         else:
             # psi is a subformula of the interned phi, so it is interned too
             psi = _split(phi, counts).node

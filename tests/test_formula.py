@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -242,7 +243,7 @@ def test_truth_table_invariant_under_renaming():
 def test_props_in_order_and_fold():
     phi = parse("(b | a) & (a | c)")
     assert props_in_order(phi) == ["b", "a", "c"]
-    assert fold(parse("x & (1 & 1)")) == Apply(AND, (Prop("x"), TRUE_F))
+    assert fold(parse("x & (1 & 1)")) == Prop("x")
     assert fold(parse("(1 & 1) | (0 & x)")) != parse("(1 & 1) | (0 & x)")
     assert fold(parse("1 & 1")) == TRUE_F
 
@@ -341,12 +342,29 @@ def _ref_leaves(phi):
 
 
 def _ref_fold(phi):
+    """Each node over its folded arguments: the constant or the argument
+    the connective becomes with its constant arguments fixed, read off
+    its value at every completion of the others."""
     if isinstance(phi, Prop):
         return phi
     args = tuple(_ref_fold(a) for a in phi.args)
-    if all(isinstance(a, Apply) and not a.args for a in args):
-        bit = phi.conn.fn.value([a.conn.fn.bits[0] for a in args])
-        return TRUE_F if bit else FALSE_F
+    fixed = [a.conn.fn.bits[0] if isinstance(a, Apply) and not a.args else None
+             for a in args]
+    free = [i for i, v in enumerate(fixed) if v is None]
+    if args and len(free) == len(args):
+        return Apply(phi.conn, args)
+    values = {}
+    for bits in product((0, 1), repeat=len(free)):
+        row = list(fixed)
+        for i, b in zip(free, bits):
+            row[i] = b
+        values[bits] = phi.conn.fn.value(row)
+    outs = set(values.values())
+    if len(outs) == 1:
+        return TRUE_F if outs.pop() else FALSE_F
+    for j, i in enumerate(free):
+        if all(v == bits[j] for bits, v in values.items()):
+            return args[i]
     return Apply(phi.conn, args)
 
 

@@ -24,6 +24,7 @@ from postlattice.formula import (
     constant_value,
     depth,
     equivalent,
+    fold,
     leaf_count,
     parse,
     render,
@@ -257,18 +258,26 @@ def _absorbable(node: Apply) -> bool:
     return any(all(v == bits[j] for bits, v in values.items()) for j in range(len(free)))
 
 
-@pytest.mark.parametrize("build,pool,links", RESTRUCTURERS, ids=["g", "h", "full"])
+# fold over the monotone pool and over the full pool, with their chains
+@pytest.mark.parametrize("build,pool,links", RESTRUCTURERS + [
+    (fold, pool, links) for _, pool, links in RESTRUCTURERS[1:]],
+    ids=["g", "h", "full", "fold-monotone", "fold-full"])
 def test_restructure_absorbs_constants(build, pool, links):
     # no application in an output has only constant arguments, or becomes
-    # a constant or one of its arguments once its constants are fixed
+    # a constant or one of its arguments once its constants are fixed;
+    # the constant rule is formula.fold's, which adds no connective but
+    # the constants
     rng = random.Random(0xAB5)
     names = [f"x{i}" for i in range(1, 9)]
     inputs = [random_formula(rng, pool, names, rng.randint(1, 60)) for _ in range(150)]
     inputs += [chain(links, leaves, CHAIN_NAMES) for leaves in (32, 64, 128)]
     for phi in inputs:
-        for node in _postorder(build(phi)):
+        out = build(phi)
+        for node in _postorder(out):
             if isinstance(node, Apply) and node.args:
                 assert not _absorbable(node), render(node)
+        if build is fold:
+            assert set(connectives_of(out)) <= set(connectives_of(phi)) | {FALSE, TRUE}
 
 
 def _distinct_subformulas(phi) -> int:
