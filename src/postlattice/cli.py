@@ -101,7 +101,8 @@ def _cmd_eval(args) -> int:
 def _cmd_table(args) -> int:
     base = _load_base(args.base, args.fn, required=False)
     phi = parse(args.formula, base)
-    order = args.vars.split(",") if args.vars else sorted(vars_of(phi))
+    order = ([name.strip() for name in args.vars.split(",")] if args.vars
+             else sorted(vars_of(phi)))
     fn = truth_table(phi, order)
     _emit(args, {"vars": order, "table": fn.bitstring}, fn.bitstring)
     return 0

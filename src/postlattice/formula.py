@@ -7,8 +7,10 @@ so every operation here is a pure function, and a subtree may be shared
 by several parents in memory.  Parsing and every walk over a formula are
 iterative (explicit stacks, so no nesting depth exhausts the Python
 stack), and a walk handles each distinct node object once within a call.
-Size and leaf count are still tree counts: a shared subtree counts once
-per occurrence.
+Every node carries its size, depth, leaf count and largest connective
+arity, computed once by its constructor from its arguments', so reading
+them takes no walk.  Size and leaf count are tree counts: a shared
+subtree counts once per occurrence.
 
 Grammar (ASCII): identifiers ``[a-zA-Z_][a-zA-Z0-9_']*``, infix ``&``
 ``|`` ``^`` ``->`` ``<->`` ``-/>``, prefix ``!``, literals ``0`` ``1``,
@@ -68,17 +70,35 @@ class Connective:
 class Prop:
     name: str
 
+    # a leaf's counts, as :class:`Apply` computes them for a node
+    size, depth, leaf_count, max_arity = 1, 0, 1, 0
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Apply:
-    conn: Connective
-    args: tuple["Formula", ...] = ()
+    """A connective applied to its arguments.  The constructor computes
+    the node's counts from its arguments': ``size`` (nodes), ``depth``,
+    ``leaf_count`` (proposition occurrences) and ``max_arity`` (the
+    largest connective arity, 0 when there is none)."""
 
-    def __post_init__(self):
-        if len(self.args) != self.conn.arity:
-            raise ArityError(
-                f"{self.conn.name} expects {self.conn.arity} arguments, "
-                f"got {len(self.args)}")
+    conn: Connective
+    args: tuple["Formula", ...]
+
+    def __init__(self, conn: Connective, args: tuple["Formula", ...] = ()):
+        if len(args) != conn.arity:
+            raise ArityError(f"{conn.name} expects {conn.arity} arguments, got {len(args)}")
+        size, depth, leaves, arity = 1, 0, 0, len(args)
+        for a in args:
+            size += a.size
+            leaves += a.leaf_count
+            if a.depth > depth:
+                depth = a.depth
+            if a.max_arity > arity:
+                arity = a.max_arity
+        fields = self.__dict__      # frozen: written past __setattr__
+        fields["conn"], fields["args"] = conn, args
+        fields["size"], fields["depth"] = size, depth + 1
+        fields["leaf_count"], fields["max_arity"] = leaves, arity
 
     # structural, like the generated methods, but without recursion
     def __eq__(self, other):
@@ -492,41 +512,26 @@ class Metrics(NamedTuple):
 
 
 def metrics(phi: Formula) -> Metrics:
-    """Size (node count), depth, leaf count and variables in one pass.
-    Size and leaf count are tree counts: a subtree shared in memory counts
-    once per occurrence."""
-    memo: dict[int, tuple[int, int, int]] = {}
-    names: set[str] = set()
-    for node in _postorder(phi):
-        if isinstance(node, Prop):
-            names.add(node.name)
-            memo[id(node)] = (1, 0, 1)
-            continue
-        n, d, leaves = 1, 0, 0
-        for a in node.args:
-            a_n, a_d, a_leaves = memo[id(a)]
-            n += a_n
-            leaves += a_leaves
-            if a_d > d:
-                d = a_d
-        memo[id(node)] = (n, d + 1, leaves)
-    n, d, leaves = memo[id(phi)]
-    return Metrics(n, d, leaves, frozenset(names))
+    """Size (node count), depth, leaf count and variables.  The counts are
+    the node's own, computed when it was built; they are tree counts, so a
+    subtree shared in memory counts once per occurrence.  Only the
+    variables take a walk."""
+    return Metrics(phi.size, phi.depth, phi.leaf_count, vars_of(phi))
 
 
 def size(phi: Formula) -> int:
-    return metrics(phi).size
+    return phi.size
 
 
 def depth(phi: Formula) -> int:
     """Maximum nesting of connective applications; a lone proposition has
     depth 0 and a lone constant depth 1."""
-    return metrics(phi).depth
+    return phi.depth
 
 
 def leaf_count(phi: Formula) -> int:
     """Number of proposition occurrences; constants do not count."""
-    return metrics(phi).leaf_count
+    return phi.leaf_count
 
 
 def substitute(phi: Formula, alpha: Formula, beta: Formula) -> Formula:
@@ -534,20 +539,17 @@ def substitute(phi: Formula, alpha: Formula, beta: Formula) -> Formula:
 
     Occurrences are found outside-in and replacements are never re-scanned.
     """
-    target = leaf_count(alpha)
-    memo: dict[int, tuple[Formula, int]] = {}   # result and leaf count
+    memo: dict[int, Formula] = {}
     for node in _postorder(phi):
-        if isinstance(node, Prop):
-            out, leaves = node, 1
-        else:
-            out = _rebuild(node, [memo[id(a)][0] for a in node.args])
-            leaves = sum(memo[id(a)][1] for a in node.args)
         # a match discards whatever was rebuilt below it, so matching
         # bottom-up replaces the same occurrences as matching outside-in
-        if leaves == target and _same(node, alpha):
-            out = beta
-        memo[id(node)] = (out, leaves)
-    return memo[id(phi)][0]
+        if node.size == alpha.size and _same(node, alpha):
+            memo[id(node)] = beta
+        elif isinstance(node, Prop):
+            memo[id(node)] = node
+        else:
+            memo[id(node)] = _rebuild(node, [memo[id(a)] for a in node.args])
+    return memo[id(phi)]
 
 
 def instantiate(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:

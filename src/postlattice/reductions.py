@@ -65,7 +65,6 @@ from .clones import (
 from .errors import PostLatticeError
 from .formula import (
     AND,
-    EQUIVALENCE_CAP,
     FALSE,
     FALSE_F,
     ID,
@@ -80,6 +79,7 @@ from .formula import (
     Connective,
     Formula,
     Prop,
+    VariableCapError,
     _eval_mask,
     _postorder,
     connectives_of,
@@ -89,10 +89,7 @@ from .formula import (
     evaluate,
     fold,
     instantiate,
-    leaf_count,
-    metrics,
     props_in_order,
-    size,
     substitute,
     truth_table,
 )
@@ -134,9 +131,11 @@ class ReductionOutput:
 
 
 def _certificate(inp: Formula, out: Formula) -> Certificate:
-    m_in, m_out = metrics(inp), metrics(out)
-    eq = equivalent(inp, out) if len(m_in.vars | m_out.vars) <= EQUIVALENCE_CAP else None
-    return Certificate(m_in.size, m_in.depth, m_out.size, m_out.depth, eq)
+    try:
+        eq = equivalent(inp, out)
+    except VariableCapError:
+        eq = None
+    return Certificate(inp.size, inp.depth, out.size, out.depth, eq)
 
 
 def _check_target(result: ReductionOutput) -> ReductionOutput:
@@ -280,16 +279,15 @@ def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
         found = {(0, 0): represent(fn, target.extended(FALSE, TRUE))}
     out: tuple[list, list] = ([], [])
     for (q, p), w in found.items():
-        reads, nodes, stack = Counter(), 0, [w]     # a witness tree is small
+        reads, stack = Counter(), [w]     # a witness tree is small
         while stack:
             node = stack.pop()
             if isinstance(node, Prop):
                 reads[node.name] += 1
             else:
-                nodes += 1
                 stack.extend(node.args)
-        out[q].append((p, w, nodes, tuple((i, n) for i in range(fn.arity)
-                                          if (n := reads[f"x{i + 1}"]))))
+        out[q].append((p, w, w.size - w.leaf_count,
+                       tuple((i, n) for i in range(fn.arity) if (n := reads[f"x{i + 1}"]))))
     return tuple(out[0]), tuple(out[1])
 
 
@@ -443,7 +441,7 @@ def _candidates(phi: Formula, target: Base, restructurer) -> list[Formula]:
     route's."""
     folded = fold(phi)
     conns = [c for c in connectives_of(folded) if c.arity >= 1]
-    if leaf_count(phi) <= 1 or any(c.arity > CLOSURE_ARITY_MAX for c in conns):
+    if phi.leaf_count <= 1 or any(c.arity > CLOSURE_ARITY_MAX for c in conns):
         return [restructurer(phi)]
     if all(n == 1 for c in conns for _, n in _variants(c.fn, target)[0][0][3]):
         return [folded]
@@ -480,7 +478,7 @@ def _replace_and_eliminate(phi: Formula, shapes: list[Formula], target: Base,
             errors.append(err)
     if not outs:
         raise errors[0]
-    return outs[0] if len(outs) == 1 else min(outs, key=size)
+    return outs[0] if len(outs) == 1 else min(outs, key=lambda out: out.size)
 
 
 def _eliminated(phi: Formula, shaped: Formula, target: Base, extra: str) -> Formula:

@@ -10,8 +10,8 @@ substitutes the split constant, absorbs constants, and interns every
 node in a table that lives for one restructuring call (hash-consing):
 structurally equal nodes become one object, so a pass finds the split
 subformula by identity and each distinct subformula is restructured
-once.  The leaf count and largest arity of every interned node are
-recorded for the split rule.
+once.  The split rule reads the leaf count and largest arity that every
+node carries, so choosing a split takes no walk.
 
 The one simplification rule is the constant rule of ``formula.fold``
 (``formula._absorb``), applied to every node a pass or a builder
@@ -48,7 +48,6 @@ from .formula import (
     Prop,
     _absorb,
     _eval_mask,
-    _postorder,
     connectives_of,
     constant,
     constant_value,
@@ -80,62 +79,25 @@ class SplitChoice:
     node: Formula
 
 
-#: Leaf count and largest connective arity (0 when there is none) of each
-#: distinct node, keyed by ``id(node)``.
-Counts = dict[int, tuple[int, int]]
-
-
-def _count(phi: Formula) -> Counts:
-    """The counts of every node of ``phi``, in one pass."""
-    counts: Counts = {}
-    for node in _postorder(phi):
-        counts[id(node)] = _tally(node, counts)
-    return counts
-
-
-def _tally(node: Formula, counts: Counts) -> tuple[int, int]:
-    """Counts of one node, given its arguments' in ``counts``."""
-    if isinstance(node, Prop):
-        return 1, 0
-    leaves, arity = 0, len(node.args)
-    for a in node.args:
-        a_leaves, a_arity = counts[id(a)]
-        leaves += a_leaves
-        if a_arity > arity:
-            arity = a_arity
-    return leaves, arity
-
-
 def max_connective_arity(phi: Formula) -> int:
-    return _count(phi)[id(phi)][1]
+    return phi.max_arity
 
 
 def select_split(phi: Formula) -> SplitChoice:
-    """Pick the split subformula.  Requires at least two proposition
-    occurrences.  The result psi satisfies
-    m/(k+1) < leaves(psi) <= k*m/(k+1)."""
-    return _split(phi, _count(phi))
-
-
-def _split(phi: Formula, counts: Counts) -> SplitChoice:
-    """Descend from the root into the child with the most leaves (the
-    first on ties) until the leaf count is within the bound."""
-    m, k = counts[id(phi)]
+    """Pick the split subformula: descend from the root into the child
+    with the most leaves (the first on ties) until the leaf count is
+    within the bound.  Requires at least two proposition occurrences.
+    The result psi satisfies m/(k+1) < leaves(psi) <= k*m/(k+1)."""
+    m, k = phi.leaf_count, phi.max_arity
     if m < 2:
         raise RestructureError("split requires at least two proposition occurrences")
     bound = k * m / (k + 1)
     path: list[int] = []
     node = phi
-    count = m
-    while count > bound:
-        best = -1
-        for i, a in enumerate(node.args):
-            leaves = counts[id(a)][0]
-            if leaves > best:
-                best, idx, child = leaves, i, a
+    while node.leaf_count > bound:
+        idx, node = max(enumerate(node.args), key=lambda arg: arg[1].leaf_count)
         path.append(idx)
-        node, count = child, best
-    return SplitChoice(tuple(path), m, count, node)
+    return SplitChoice(tuple(path), m, node.leaf_count, node)
 
 
 def _apply(conn, *args: Formula) -> Formula:
@@ -143,18 +105,18 @@ def _apply(conn, *args: Formula) -> Formula:
     return _absorb(Apply(conn, args), list(args))
 
 
-def _branch(phi: Formula, psi: Formula | None, bit: int, counts: Counts,
+def _branch(phi: Formula, psi: Formula | None, bit: int, interned: set[int],
             table: dict) -> Formula:
     """One pass over ``phi``: replace the subformula ``psi`` by the
     constant ``bit``, absorb constants (:func:`_absorb`), and intern every
     node of the result in ``table``.  ``psi=None`` only absorbs.
 
-    ``table`` and ``counts`` are shared by a whole restructuring call.
+    ``table`` and ``interned`` are shared by a whole restructuring call.
     ``table`` keys a proposition by its name and an application by its
     connective and the ids of its interned arguments, so structurally
     equal nodes of a result are one object: once ``phi`` is a result,
-    every subformula equal to ``psi`` is ``psi`` itself.  ``counts`` gets
-    an entry for each new table entry, which the table keeps alive."""
+    every subformula equal to ``psi`` is ``psi`` itself.  ``interned``
+    holds the id of each table entry, which the table keeps alive."""
     memo: dict[int, Formula] = {}
     stack: list[tuple[Formula, bool]] = [(phi, False)]
     while stack:
@@ -172,11 +134,10 @@ def _branch(phi: Formula, psi: Formula | None, bit: int, counts: Counts,
             stack.append((node, True))
             stack.extend((a, False) for a in reversed(node.args))
             continue
-        if id(out) not in counts:       # exactly the interned nodes have counts
+        if id(out) not in interned:
             ident = out.name if isinstance(out, Prop) else (out.conn, *map(id, out.args))
             out = table.setdefault(ident, out)
-            if id(out) not in counts:
-                counts[id(out)] = _tally(out, counts)
+            interned.add(id(out))
         memo[key] = out
     return memo[id(phi)]
 
@@ -185,7 +146,9 @@ def _unary_shape(phi: Formula, allow_negation: bool) -> Formula:
     """Canonical form of a formula with exactly one proposition
     occurrence: the proposition, its negation or a constant, read off
     its one-variable table."""
-    leaf = next(node for node in _postorder(phi) if isinstance(node, Prop))
+    leaf = phi
+    while isinstance(leaf, Apply):
+        leaf = next(a for a in leaf.args if a.leaf_count)
     table = _eval_mask(phi, {leaf.name: 0b10}, 2)     # bit b: the value at leaf = b
     if table in (0, 0b11):
         return constant(table == 0b11)
@@ -208,14 +171,14 @@ def _restructure(phi: Formula, build, allow_negation: bool) -> Formula:
     and high restructure phi with psi set to 0 and to 1 and part
     restructures psi.  Each distinct subformula is restructured once per
     call."""
-    counts: Counts = {}
+    interned: set[int] = set()
     table: dict = {}
     done: dict[int, Formula] = {}
 
     def step(phi: Formula) -> Formula:
         if id(phi) in done:
             return done[id(phi)]
-        m = counts[id(phi)][0]
+        m = phi.leaf_count
         if m == 0:
             if constant_value(phi) is None:
                 raise RestructureError("proposition-free formula did not fold")
@@ -224,14 +187,14 @@ def _restructure(phi: Formula, build, allow_negation: bool) -> Formula:
             out = _unary_shape(phi, allow_negation)
         else:
             # psi is a subformula of the interned phi, so it is interned too
-            psi = _split(phi, counts).node
-            low = step(_branch(phi, psi, 0, counts, table))
-            high = step(_branch(phi, psi, 1, counts, table))
+            psi = select_split(phi).node
+            low = step(_branch(phi, psi, 0, interned, table))
+            high = step(_branch(phi, psi, 1, interned, table))
             out = build(low, high, step(psi))
         done[id(phi)] = out
         return out
 
-    return step(_branch(phi, None, 0, counts, table))
+    return step(_branch(phi, None, 0, interned, table))
 
 
 def restructure_monotone_g(phi: Formula) -> Formula:

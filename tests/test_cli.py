@@ -97,6 +97,11 @@ def test_golden_json(argv, expected, capsys):
     assert out == expected + "\n"
 
 
+def test_table_strips_spaces_around_variable_names(capsys):
+    assert main(["--json", "table", "--formula", "x & y", "--vars", "x, y"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"vars": ["x", "y"], "table": "0001"}
+
+
 def test_reduce_output_is_equivalent_independently(capsys):
     assert main(["--json", "reduce", "--formula", "g(x,y,y)",
                  "--from-fn", "g/3:00011111", "--to-fn", "g/3:00011111"]) == 0

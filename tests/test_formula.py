@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import postlattice
-from postlattice import boolfun
+from postlattice import boolfun, formula
 from postlattice.boolfun import ARITY_CAP, ArityError
 from postlattice.formula import (
     AND,
@@ -44,7 +44,12 @@ from postlattice.formula import (
     truth_table,
     vars_of,
 )
-from postlattice.restructure import restructure_full, restructure_monotone_g
+from postlattice.restructure import (
+    max_connective_arity,
+    restructure_full,
+    restructure_monotone_g,
+    select_split,
+)
 
 from conftest import FULL_POOL, MONOTONE_POOL, chain, random_formula
 
@@ -298,6 +303,27 @@ def test_walkers_on_deep_chain(shallow_stack):
     assert leaf_count(cut) == DEEP // 2 + 1 and depth(cut) == DEEP // 2
 
 
+def test_counts_take_no_walk(shallow_stack, monkeypatch):
+    # every node carries its counts from construction, so reading them
+    # or choosing a split never walks the formula
+    names = ["a", "b", "c", "d", "e"]
+    phi = chain([AND], DEEP, names)
+    shared = restructure_monotone_g(chain([AND, OR], 256, names))
+    want = [(size(shared), depth(shared), leaf_count(shared), max_connective_arity(shared),
+             select_split(shared))]
+
+    def no_walk(phi):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(formula, "_postorder", no_walk)
+    assert (size(phi), depth(phi), leaf_count(phi), max_connective_arity(phi)) == \
+        (2 * DEEP - 1, DEEP - 1, DEEP, 2)
+    choice = select_split(phi)
+    assert DEEP / 3 < choice.chosen_leaves <= 2 * DEEP / 3
+    assert want == [(size(shared), depth(shared), leaf_count(shared),
+                     max_connective_arity(shared), select_split(shared))]
+
+
 def test_apply_equality_and_hash_on_deep_chains(shallow_stack):
     names = ["a", "b", "c", "d"]
     phi, twin = chain([AND, OR], 3000, names), chain([AND, OR], 3000, names)
@@ -339,6 +365,12 @@ def _ref_depth(phi):
 
 def _ref_leaves(phi):
     return 1 if isinstance(phi, Prop) else sum(_ref_leaves(a) for a in phi.args)
+
+
+def _ref_arity(phi):
+    if isinstance(phi, Prop):
+        return 0
+    return max([len(phi.args)] + [_ref_arity(a) for a in phi.args])
 
 
 def _ref_fold(phi):
@@ -433,6 +465,7 @@ def test_walkers_agree_with_recursive_references():
         assert size(phi) == _ref_size(phi)
         assert depth(phi) == _ref_depth(phi)
         assert leaf_count(phi) == _ref_leaves(phi)
+        assert max_connective_arity(phi) == _ref_arity(phi)
         assert fold(phi) == _ref_fold(phi)
         assert render(phi) == _ref_render(phi)[0]
         replaced = instantiate(phi, _MAPPING)
