@@ -22,6 +22,7 @@ tightest first: ``!``, ``&``, ``|``, ``^``, ``->`` (right associative,
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -357,13 +358,14 @@ def parse(text: str, base: Base | None = None) -> Formula:
 # only, because an id can be reused once its object is freed.
 
 
-def _postorder(phi: Formula) -> list[Formula]:
-    """The distinct node objects of ``phi``, each once, children before
+def _postorder(*roots: Formula) -> list[Formula]:
+    """The distinct node objects of ``roots``, each once, children before
     parents and left to right."""
     order: list[Formula] = []
     seen: set[int] = set()      # expanded
     done: set[int] = set()      # in ``order``
-    stack = [phi]
+    stack = list(roots)
+    stack.reverse()
     while stack:
         node = stack.pop()
         key = id(node)
@@ -484,8 +486,8 @@ Assignment = Mapping[str, int]
 
 def evaluate(phi: Formula, assignment: Assignment) -> int:
     """Bottom-up evaluation under a total assignment: the one-row case of
-    :func:`_eval_mask`."""
-    return _eval_mask(phi, assignment, 1)
+    :func:`_eval_masks`."""
+    return _eval_masks([phi], assignment, 1)[0]
 
 
 def vars_of(phi: Formula) -> frozenset[str]:
@@ -659,20 +661,39 @@ def _absorb(node: Apply, args: list[Formula]) -> Formula:
     return _rebuild(node, args)
 
 
-def _eval_mask(phi: Formula, masks: Mapping[str, int], nrows: int) -> int:
-    """The packed table of ``phi`` over ``nrows`` rows, given the packed
-    column of each proposition (bits above the rows are ignored)."""
+def _eval_masks(roots, masks: Mapping[str, int] | None = None, nrows: int = 0,
+                cap: int = EQUIVALENCE_CAP) -> list[int]:
+    """The packed tables of ``roots`` over ``nrows`` rows, given the packed
+    column of each proposition (bits above the rows are ignored), in one
+    walk.  Without ``masks``, over the whole truth table of the roots'
+    propositions in order of first occurrence, or ``VariableCapError``
+    above ``cap`` of them.  Each name's column is cut to the rows once;
+    above 2^10 rows a table is dropped once its last parent has read it."""
+    order = _postorder(*roots)
+    names = dict.fromkeys(node.name for node in order if isinstance(node, Prop))
+    if masks is None:
+        if len(names) > cap:
+            raise VariableCapError(f"{len(names)} variables exceed the verification cap {cap}")
+        nrows = 1 << len(names)
+        masks = {name: _projection_mask(j, len(names)) for j, name in enumerate(names)}
     full = (1 << nrows) - 1
-    memo: dict[int, int] = {}
-    for node in _postorder(phi):
-        if isinstance(node, Prop):
-            try:
-                memo[id(node)] = masks[node.name] & full
-            except KeyError:
-                raise EvaluationError(f"unbound proposition {node.name!r}") from None
-        else:
+    readers = None
+    if nrows > 1 << 10:
+        readers = Counter(map(id, roots))       # a root's table is never dropped
+        readers.update(id(a) for node in order if isinstance(node, Apply) for a in node.args)
+    try:
+        columns = {name: masks[name] & full for name in names}
+    except KeyError as missing:
+        raise EvaluationError(f"unbound proposition {missing.args[0]!r}") from None
+    memo = {id(node): columns[node.name] for node in order if isinstance(node, Prop)}
+    for node in order:
+        if isinstance(node, Apply):
             memo[id(node)] = _compose(node.conn.fn, [memo[id(a)] for a in node.args], full)
-    return memo[id(phi)]
+            for a in node.args if readers else ():
+                readers[id(a)] -= 1
+                if not readers[id(a)]:
+                    del memo[id(a)]
+    return [memo[id(root)] for root in roots]
 
 
 def truth_table(phi: Formula, var_order=None) -> BooleanFunction:
@@ -691,16 +712,10 @@ def truth_table(phi: Formula, var_order=None) -> BooleanFunction:
     if n > boolfun.ARITY_CAP:
         raise ArityError(f"truth table over {n} variables exceeds the arity cap")
     masks = {name: _projection_mask(j, n) for j, name in enumerate(var_order)}
-    return _unpack(_eval_mask(phi, masks, 1 << n), n)
+    return _unpack(_eval_masks([phi], masks, 1 << n)[0], n)
 
 
 def equivalent(phi: Formula, psi: Formula, cap: int = EQUIVALENCE_CAP) -> bool:
     """Truth-table equivalence over the union of the two variable sets."""
-    names = sorted(vars_of(phi) | vars_of(psi))
-    if len(names) > cap:
-        raise VariableCapError(
-            f"{len(names)} variables exceed the verification cap {cap}")
-    n = len(names)
-    rows = 1 << n
-    masks = {name: _projection_mask(j, n) for j, name in enumerate(names)}
-    return _eval_mask(phi, masks, rows) == _eval_mask(psi, masks, rows)
+    table, other = _eval_masks([phi, psi], cap=cap)
+    return table == other

@@ -80,7 +80,7 @@ from .formula import (
     Formula,
     Prop,
     VariableCapError,
-    _eval_mask,
+    _eval_masks,
     _postorder,
     connectives_of,
     constant,
@@ -195,7 +195,7 @@ def _probe(phi: Formula, bit: int) -> tuple[int, tuple[str, ...]]:
     props = props_in_order(phi)
     rows = len(props) + 1
     flip = (1 << rows) - 1 if bit else 0
-    table = _eval_mask(phi, {p: (2 << j) ^ flip for j, p in enumerate(props)}, rows)
+    table = _eval_masks([phi], {p: (2 << j) ^ flip for j, p in enumerate(props)}, rows)[0]
     c = table & 1
     return c, tuple(p for j, p in enumerate(props) if (table >> (j + 1)) & 1 != c)
 

@@ -21,14 +21,26 @@ constant or argument (``x & 0`` is 0, ``x | 0`` is x, ``g(x, 0, z)`` is
 x); with every argument constant it folds.  It never adds a connective,
 so the monotone builders still emit no negation, and it only lowers
 leaf counts, so the depth law holds as before.  A formula left with one
-proposition occurrence is read off its one-variable table.
+proposition occurrence splits on it.
+
+Each split compares its branches low = phi[psi/0] and high = phi[psi/1]
+by their packed truth tables when phi has at most ``EQUIVALENCE_CAP``
+(20) variables.  Equal branches drop the split: phi does not depend on
+psi, so the step is low restructured and psi is not restructured for
+it.  When low <= high (phi positively unate in psi) the full builder
+writes psi once, low | (high & psi); when high <= low, high | (low &
+!psi) (Brayton et al. 1984); otherwise, or above the cap, the binate
+form.  A monotone phi is positively unate in every psi: the g builder
+g(low, high, psi) = low | (high & psi) is that form, h its dual.  No
+unate form is deeper than the binate one or adds a connective to {and,
+or, not}, so the depth law and the full connective set hold.
 
 * ``restructure_monotone_g``: for monotone connectives; rebuilds around
   g(x,y,z) = x | (y & z) and never introduces negation.
 * ``restructure_monotone_h``: the dual, around h(x,y,z) = x & (y | z).
 * ``restructure_full``: for arbitrary connectives; rebuilds into
-  {and, or, not} with constants via the two-branch case split
-  (phi[psi/0] & !psi) | (phi[psi/1] & psi).
+  {and, or, not} with constants via the case split
+  (phi[psi/0] & !psi) | (phi[psi/1] & psi) or its unate forms.
 """
 
 from __future__ import annotations
@@ -41,16 +53,18 @@ from .clones import G, H
 from .errors import PostLatticeError
 from .formula import (
     AND,
+    EQUIVALENCE_CAP,
     NOT,
     OR,
     Apply,
     Formula,
     Prop,
     _absorb,
-    _eval_mask,
+    _eval_masks,
     connectives_of,
     constant,
     constant_value,
+    vars_of,
 )
 
 #: Empirical size-law factors asserted by the test suite:
@@ -142,21 +156,21 @@ def _branch(phi: Formula, psi: Formula | None, bit: int, interned: set[int],
     return memo[id(phi)]
 
 
-def _unary_shape(phi: Formula, allow_negation: bool) -> Formula:
-    """Canonical form of a formula with exactly one proposition
-    occurrence: the proposition, its negation or a constant, read off
-    its one-variable table."""
-    leaf = phi
-    while isinstance(leaf, Apply):
-        leaf = next(a for a in leaf.args if a.leaf_count)
-    table = _eval_mask(phi, {leaf.name: 0b10}, 2)     # bit b: the value at leaf = b
-    if table in (0, 0b11):
-        return constant(table == 0b11)
-    if table == 0b10:
-        return leaf
-    if not allow_negation:
-        raise RestructureError("non-monotone behaviour under monotone connectives")
-    return Apply(NOT, (leaf,))
+def _order(phi: Formula, low: Formula, high: Formula) -> int | None:
+    """How the branches low = phi[psi/0] and high = phi[psi/1] compare
+    over the variables of ``phi``: None if equal, 1 if low <= high, -1 if
+    high <= low, 0 otherwise or above ``EQUIVALENCE_CAP`` variables."""
+    if low is high:
+        return None
+    if constant_value(low) is not None and constant_value(high) is not None:
+        return constant_value(high) - constant_value(low) or None
+    # phi has no more variables than leaves; the tables cover those the branches read
+    if phi.leaf_count > EQUIVALENCE_CAP and len(vars_of(phi)) > EQUIVALENCE_CAP:
+        return 0
+    t0, t1 = _eval_masks([low, high])
+    if t0 == t1:
+        return None
+    return 1 if t0 & ~t1 == 0 else -1 if t1 & ~t0 == 0 else 0
 
 
 def _check_monotone(phi: Formula) -> None:
@@ -165,12 +179,13 @@ def _check_monotone(phi: Formula) -> None:
             raise RestructureError(f"connective {c.name!r} is not monotone")
 
 
-def _restructure(phi: Formula, build, allow_negation: bool) -> Formula:
+def _restructure(phi: Formula, build) -> Formula:
     """Absorb the constants of ``phi`` and rebuild it with
-    ``build(low, high, part)`` around each split subformula psi, where low
-    and high restructure phi with psi set to 0 and to 1 and part
-    restructures psi.  Each distinct subformula is restructured once per
-    call."""
+    ``build(low, high, part, order)`` around each split subformula psi:
+    low and high restructure phi with psi set to 0 and to 1, part
+    restructures psi and order is :func:`_order` of the two branches (a
+    split with equal branches is low alone).  Each distinct subformula is
+    restructured once per call."""
     interned: set[int] = set()
     table: dict = {}
     done: dict[int, Formula] = {}
@@ -178,19 +193,24 @@ def _restructure(phi: Formula, build, allow_negation: bool) -> Formula:
     def step(phi: Formula) -> Formula:
         if id(phi) in done:
             return done[id(phi)]
-        m = phi.leaf_count
-        if m == 0:
+        if phi.leaf_count == 0:
             if constant_value(phi) is None:
                 raise RestructureError("proposition-free formula did not fold")
             out = phi
-        elif m == 1:
-            out = _unary_shape(phi, allow_negation)
+        elif isinstance(phi, Prop):
+            out = phi
         else:
             # psi is a subformula of the interned phi, so it is interned too
-            psi = select_split(phi).node
-            low = step(_branch(phi, psi, 0, interned, table))
-            high = step(_branch(phi, psi, 1, interned, table))
-            out = build(low, high, step(psi))
+            if phi.leaf_count > 1:
+                psi = select_split(phi).node
+            else:       # one proposition occurrence: split on it
+                psi = phi
+                while isinstance(psi, Apply):
+                    psi = next(a for a in psi.args if a.leaf_count)
+            low = _branch(phi, psi, 0, interned, table)
+            high = _branch(phi, psi, 1, interned, table)
+            order = _order(phi, low, high)
+            out = step(low) if order is None else build(step(low), step(high), step(psi), order)
         done[id(phi)] = out
         return out
 
@@ -202,25 +222,30 @@ def restructure_monotone_g(phi: Formula) -> Formula:
     depth logarithmic in the leaf count.  Every connective of the input
     must be monotone; negation never appears in the output."""
     _check_monotone(phi)
-    return _restructure(phi, lambda low, high, part: _apply(G, low, high, part),
-                        allow_negation=False)
+    return _restructure(phi, lambda low, high, part, _: _apply(G, low, high, part))
 
 
 def restructure_monotone_h(phi: Formula) -> Formula:
     """Dual of :func:`restructure_monotone_g`, built around h."""
     _check_monotone(phi)
-    return _restructure(phi, lambda low, high, part: _apply(H, high, low, part),
-                        allow_negation=False)
+    return _restructure(phi, lambda low, high, part, _: _apply(H, high, low, part))
 
 
 def restructure_full(phi: Formula) -> Formula:
     """Equivalent {and, or, not, 0, 1}-formula of logarithmic depth, for
-    arbitrary connectives within the arity cap."""
-    return _restructure(
-        phi,
-        lambda low, high, part: _apply(OR, _apply(AND, low, _apply(NOT, part)),
-                                       _apply(AND, high, part)),
-        allow_negation=True)
+    arbitrary connectives within the arity cap; a split whose branches
+    compare writes psi once (see the module docstring)."""
+    return _restructure(phi, _case_split)
+
+
+def _case_split(low: Formula, high: Formula, part: Formula, order: int) -> Formula:
+    """The full builder: low | (high & part) when low <= high, high | (low
+    & !part) when high <= low, else (low & !part) | (high & part)."""
+    if order < 0:       # positively unate in !psi, with the branches swapped
+        low, high, part = high, low, _apply(NOT, part)
+    if order:
+        return _apply(OR, low, _apply(AND, high, part))
+    return _apply(OR, _apply(AND, low, _apply(NOT, part)), _apply(AND, high, part))
 
 
 def depth_bound(mode: str, k: int, leaves: int) -> float:

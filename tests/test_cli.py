@@ -2,9 +2,15 @@
 least one byte-exact JSON-mode expectation."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import postlattice
 from postlattice import cli, reductions
 from postlattice.cli import main
 from postlattice.formula import equivalent, evaluate, parse, Base
@@ -186,20 +192,47 @@ def test_depth_reduce_above_the_verification_cap(capsys):
 
 
 def test_outputs_above_the_printing_cap_are_domain_errors(capsys, monkeypatch):
-    # restructuring this 4,096-leaf chain gives 88,498,836 nodes: one JSON
-    # error naming the size, before anything is rendered
-    chain = "".join("x%d %s (" % (i % 16 + 1, "&|^"[i % 3]) for i in range(4095))
+    # restructuring this 4,096-leaf chain over 24 variables gives
+    # 57,907,348 nodes: one JSON error naming the size, before anything is
+    # rendered
+    chain = "".join("x%d %s (" % (i % 24 + 1, "&|^"[i % 3]) for i in range(4095))
     argv = ["--json", "depth-reduce", "--mode", "full",
             "--formula", chain + "x16" + ")" * 4095]
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert json.loads(out) == {"error": "output of 88498836 nodes exceeds the printing "
+    assert json.loads(out) == {"error": "output of 57907348 nodes exceeds the printing "
                                         f"cap {cli.OUTPUT_SIZE_CAP}"}
     assert out.count("\n") == 1
     monkeypatch.setattr(cli, "OUTPUT_SIZE_CAP", 3)
     assert main(["--json", "reduce", "--formula", "g(x,y,y)",
                  "--from-fn", "g/3:00011111", "--to-fn", "g/3:00011111"]) == 1
     assert "output of 4 nodes" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_depth_reduce_checks_a_twenty_variable_chain_in_512_mib():
+    # a child process capped at 512 MiB of address space restructures the
+    # 4,096-leaf &| chain over x1..x20 and checks the output against it:
+    # each truth table is 2^20 bits, so the check fits only if it keeps
+    # one column per name and drops a table once its parents have read it
+    code = textwrap.dedent("""
+        import resource, sys
+        from postlattice.cli import main
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 1 << 29 if hard == resource.RLIM_INFINITY else min(1 << 29, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        chain = "".join("x%d %s (" % (i % 20 + 1, "&|"[i % 3 == 0]) for i in range(4095))
+        sys.exit(main(["--json", "depth-reduce", "--mode", "g",
+                       "--formula", chain + "x16" + ")" * 4095]))
+    """)
+    src = str(Path(postlattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    payload = json.loads(done.stdout)
+    assert (payload["size_out"], payload["equivalent"]) == (286, True)
+    assert payload["depth_out"] <= depth_bound("g", 2, 4096)
 
 
 def test_depth_reduce_refuses_before_the_certificate(capsys, monkeypatch):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from postlattice import boolfun
+from postlattice import boolfun, restructure
 from postlattice.clones import G, MAJ3
 from postlattice.formula import (
     AND,
@@ -24,12 +24,14 @@ from postlattice.formula import (
     constant_value,
     depth,
     equivalent,
+    evaluate,
     fold,
     leaf_count,
     parse,
     render,
     size,
     truth_table,
+    vars_of,
 )
 from postlattice.restructure import (
     RestructureError,
@@ -225,18 +227,91 @@ RESTRUCTURERS = [
 ]
 
 
-def test_restructure_outputs_pinned():
-    # a digest of the rendered outputs of every mode over seeded random
-    # formulas and chains; it changes exactly when an output does
+def _pinned_inputs():
+    """Per mode, the builder and its seeded random formulas and chains."""
     rng = random.Random(0x5EED)
     names = [f"x{i}" for i in range(1, 9)]
-    digest = hashlib.sha256()
     for build, pool, links in RESTRUCTURERS:
         inputs = [random_formula(rng, pool, names, rng.randint(1, 60)) for _ in range(300)]
         inputs += [chain(links, leaves, CHAIN_NAMES) for leaves in (32, 64, 128)]
+        yield build, inputs
+
+
+def test_restructure_outputs_pinned():
+    # a digest of the rendered outputs of every mode over seeded random
+    # formulas and chains; it changes exactly when an output does
+    digest = hashlib.sha256()
+    for build, inputs in _pinned_inputs():
         for phi in inputs:
             digest.update(f"{render(build(phi))}\n".encode())
-    assert digest.hexdigest()[:16] == "8673997083ef3931"
+    assert digest.hexdigest()[:16] == "626699773586531c"
+
+
+def test_compared_splits_never_grow_an_output(monkeypatch):
+    # comparing each split's branches never makes a pinned output larger
+    # or deeper than the builders' binate form at every split, which
+    # restructures both branches and psi
+    outputs = [(build, phi, build(phi)) for build, inputs in _pinned_inputs() for phi in inputs]
+    monkeypatch.setattr(restructure, "_order", lambda phi, low, high: 0)
+    smaller = 0
+    for build, phi, out in outputs:
+        binate = build(phi)
+        assert size(out) <= size(binate) and depth(out) <= depth(binate), render(phi)
+        smaller += size(out) < size(binate)
+    assert smaller >= 200, smaller
+
+
+def test_full_positively_unate_split():
+    # psi = c ^ d, low = b <= high = a | b: low | (high & part), psi once
+    phi = parse("(a & (c ^ d)) | b")
+    assert render(select_split(phi).node) == "c ^ d"
+    out = restructure_full(phi)
+    assert render(out) == "b | (b | a) & (d & !c | !d & c)"
+    assert equivalent(phi, out)
+
+
+def test_full_negatively_unate_split():
+    # psi = c ^ d, high = b <= low = a | b: high | (low & !part), psi once
+    phi = parse("(a -/> (c ^ d)) | b")
+    assert render(select_split(phi).node) == "c ^ d"
+    out = restructure_full(phi)
+    assert render(out) == "b | (b | a) & !(d & !c | !d & c)"
+    assert equivalent(phi, out)
+
+
+@pytest.mark.parametrize("build", [restructure_monotone_g, restructure_monotone_h,
+                                   restructure_full], ids=["g", "h", "full"])
+def test_irrelevant_split_is_dropped(build, monkeypatch):
+    # psi = c & d does not matter: low = a and high = a | a are equal, so
+    # the output is the restructured low and psi is never split itself
+    splits = []
+
+    def recorded(phi):
+        splits.append(phi)
+        return select_split(phi)
+
+    monkeypatch.setattr(restructure, "select_split", recorded)
+    phi = parse("a | (a & (c & d))")
+    assert build(phi) == Prop("a")
+    assert splits == [phi]
+
+
+@pytest.mark.parametrize("n,negations", [(18, 0), (22, 1)])
+def test_split_above_the_cap_is_binate(n, negations):
+    # x | y & (z1 & ... & zn) is positively unate in every split: no
+    # negation at 20 variables; at 24 the top split, above the 20-variable
+    # cap, takes the binate form (low & !part) | (high & part)
+    phi = parse("x | y & (" + " & ".join(f"z{i}" for i in range(1, n + 1)) + ")")
+    out = restructure_full(phi)
+    nots = [node for node in _postorder(out) if isinstance(node, Apply) and node.conn == NOT]
+    assert len(nots) == negations
+    if negations:
+        assert out.conn == OR and out.args[0].args[1] is nots[0]
+    rng = random.Random(n)
+    names = sorted(vars_of(phi))
+    for _ in range(200):
+        row = {name: rng.randint(0, 1) for name in names}
+        assert evaluate(out, row) == evaluate(phi, row)
 
 
 def _absorbable(node: Apply) -> bool:
