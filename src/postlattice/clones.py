@@ -543,7 +543,7 @@ def _represent(f: BooleanFunction, base: Base,
 def lattice_dot(max_degree: int = 3) -> str:
     """DOT digraph of the covering relations among catalog clones with
     degree parameters at most ``max_degree`` (edges point from the smaller
-    clone to the covering larger clone)."""
+    clone to the covering larger clone), in catalog order."""
     if not 2 <= max_degree <= 4:
         raise CloneError("max degree must be between 2 and 4")
     names = [e.name for e in catalog()
@@ -555,8 +555,8 @@ def lattice_dot(max_degree: int = 3) -> str:
     for a in names:
         lines.append(f'  "{a}";')
     for a in names:           # a covers b: b < a with nothing in between
-        for b in below[a]:
-            if not any(b in below[c] for c in below[a] if c != b):
+        for b in names:       # catalog order, not set order
+            if b in below[a] and not any(b in below[c] for c in below[a] if c != b):
                 lines.append(f'  "{b}" -> "{a}";')
     lines.append("}")
     return "\n".join(lines)

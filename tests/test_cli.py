@@ -1,6 +1,7 @@
 """Golden tests for the command-line surface: every subcommand has at
-least one byte-exact JSON-mode expectation."""
+least one byte-exact expectation in JSON mode and one in text mode."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,32 @@ GOLDEN_DUAL = [
 ]
 
 
+#: Text mode: (argv, exit code, stdout, stderr), each byte-exact.
+GOLDEN_TEXT = [
+    (["parse", "--formula", "x & (y | z)"], 0, "x & (y | z)\n", ""),
+    (["eval", "--formula", "x -/> y", "--assign", "x=1,y=0"], 0, "1\n", ""),
+    (["table", "--formula", "(x&y)|(x&z)|(y&z)"], 0, "00010111\n", ""),
+    (["id", "--fn", "imp/2:1101"], 0, "S0\n", ""),
+    (["closure", "--fn", "g/3:00011111", "--arity", "2"], 0,
+     "0011\tx1\n0101\tx2\n0111\tg(x1, x2, x2)\n", ""),
+    (["represent", "--target", "or/2:0111", "--fn", "g/3:00011111"], 0,
+     "g(x1, x2, x2)\n", ""),
+    (["member", "--target", "nimp/2:0010", "--fn", "and/2:0001", "--fn", "not/1:10"],
+     0, "true\n", ""),
+    (["classify-sat", "--fn", "nand/2:1110"], 0, "NP-complete\n", ""),
+    (["depth-reduce", "--formula", "x ^ y", "--mode", "full"], 0,
+     "depth 1 -> 3, size 3 -> 9\ny & !x | !y & x\n", ""),
+    (["reduce", "--formula", "g(x,y,y)",
+      "--from-fn", "g/3:00011111", "--to-fn", "g/3:00011111"], 0,
+     "target: g, and (extra: and)\ndepth 1 -> 1, size 4 -> 4\ng(x, y, y)\n", ""),
+    (["canonical", "--fn", "xor/2:0110", "--fn", "1/0:1"], 0, "L -> {xor, 1}\n", ""),
+    (["verify", "--formula", "x^y", "--formula2", "(x&!y)|(!x&y)"], 0,
+     "equivalent\n", ""),
+    (["parse", "--formula", "x &"], 1, "",
+     "error: unexpected end of input (at position 3)\n"),
+]
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [pytest.param(argv, expected, id=argv[1]) for argv, expected in GOLDEN]
@@ -101,6 +128,35 @@ def test_golden_json(argv, expected, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [pytest.param(*row, id=row[0][0] if row[1] == 0 else "domain-error")
+     for row in GOLDEN_TEXT])
+def test_golden_text(argv, code, out, err, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+#: sha256 of ``postlattice lattice --max-degree 2`` in text mode: 147 lines,
+#: nodes and then covering edges, each in catalog order
+LATTICE_SHA256 = "5bf1dc1b5766df41c9004a6a8635fc67026bece17448066df542288862d6cb57"
+
+
+def test_golden_lattice(capsys):
+    assert main(["lattice", "--max-degree", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (LATTICE_SHA256, "")
+    # JSON mode wraps the same DOT text in one object
+    assert main(["--json", "lattice", "--max-degree", "2"]) == 0
+    assert capsys.readouterr() == (json.dumps({"dot": out[:-1]}) + "\n", "")
+
+
+def test_eval_strips_spaces_around_assignments(capsys):
+    assert main(["--json", "eval", "--formula", "x -/> y",
+                 "--assign", "x = 1, y = 0"]) == 0
+    assert capsys.readouterr().out == '{"value": 1}\n'
 
 
 def test_table_strips_spaces_around_variable_names(capsys):

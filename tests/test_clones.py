@@ -1,10 +1,15 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import postlattice
 from postlattice import boolfun
 from postlattice.boolfun import (
     AND_FN,
@@ -288,6 +293,23 @@ def test_lattice_dot_covers_are_minimal():
     i2_edges = [e for e in edges if e.startswith('"I2"')]
     assert i2_edges
     assert '"I2" -> "BF";' not in dot
+
+
+def test_lattice_dot_is_the_same_under_any_hash_seed():
+    # edges follow catalog order, not the order of a set of clone names,
+    # which changes with string-hash randomisation
+    src = str(Path(postlattice.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from postlattice.clones import lattice_dot; print(lattice_dot(3))"],
+            env=env, capture_output=True, check=True, timeout=120)
+        outputs.append(done.stdout)
+    assert outputs[0].startswith(b"digraph post_lattice {")
+    assert outputs[0] == outputs[1]
 
 
 def test_closure_arity_4():
