@@ -4,17 +4,21 @@
 
 Exports the parent revision with ``git archive`` into a temporary
 directory and runs ``perfbench/run.py --trace 0`` of each side on the
-same seeds, one pair per seed, alternating which side goes first.  For
-every workload of ``BENCHMARK.json`` and every end-to-end metric it
-writes the per-side median and quartiles, the relative change of the
-medians and the number of pairs the change wins, plus every run's
-digest, op counts and failures.  Standard library only.
+same seeds, one pair per seed, alternating which side goes first.  Each
+side reads and writes its own bytecode cache (``PYTHONPYCACHEPREFIX``),
+byte-compiled before the first pair, so that neither side imports
+compiled modules the other lacks.  For every workload of
+``BENCHMARK.json`` and every end-to-end metric it writes the per-side
+median and quartiles, the relative change of the medians and the number
+of pairs the change wins, plus every run's digest, op counts and
+failures.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -45,12 +49,20 @@ def _export(rev: str, into: Path) -> str:
     return commit
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _env(cache: Path) -> dict:
+    """The environment of one side's runs: bytecode is read from and
+    written to ``cache`` only."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    return env
+
+
+def _run(tree: Path, env: dict, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run of the checkout at ``tree``."""
     done = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
-                          capture_output=True, text=True, cwd=tree)
+                          capture_output=True, text=True, cwd=tree, env=env)
     lines = done.stdout.splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     digest = next((m.group(1) for m in map(DIGEST_RE.search, lines) if m), None)
@@ -95,15 +107,20 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = _seeds(args.seeds)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
+        parent_tree = Path(tmp) / "parent"
+        parent_tree.mkdir()
         record = {"parent": _export(args.parent, parent_tree), "seeds": seeds,
                   "seconds": args.seconds, "workloads": {}}
+        order = [(side, tree, _env(Path(tmp) / f"pycache-{side}"))
+                 for side, tree in (("parent", parent_tree), ("change", ROOT))]
+        for _, tree, env in order:
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src"),
+                            str(tree / "perfbench")], env=env, check=True)
         for workload in workloads:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
-                order = [("parent", parent_tree), ("change", ROOT)]
-                for side, tree in order if i % 2 == 0 else order[::-1]:
-                    runs[side].append(_run(tree, workload, seed, args.seconds))
+                for side, tree, env in order if i % 2 == 0 else order[::-1]:
+                    runs[side].append(_run(tree, env, workload, seed, args.seconds))
                     run = runs[side][-1]
                     print(f"{workload} seed {seed} {side}: exit {run['exit']}, "
                           f"digest {run['digest']}", file=sys.stderr)

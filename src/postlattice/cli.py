@@ -74,8 +74,9 @@ def _cmd_eval(args):
     if args.assign:
         for part in args.assign.split(","):
             name, _, value = (s.strip() for s in part.partition("="))
-            if value not in ("0", "1"):
-                raise PostLatticeError(f"bad assignment entry {part!r}")
+            if value not in ("0", "1") or not name or name in assignment:
+                raise PostLatticeError(f"bad assignment entry {part!r}" + (
+                    f": {name!r} assigned twice" if name in assignment else ""))
             assignment[name] = int(value)
     value = formula.evaluate(phi, assignment)
     return {"value": value}, str(value)

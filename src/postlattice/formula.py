@@ -106,11 +106,8 @@ class Apply:
         return _same(self, other) if other.__class__ is Apply else NotImplemented
 
     def __hash__(self):
-        memo: dict[int, int] = {}
-        for node in _postorder(self):
-            memo[id(node)] = hash(node.name if isinstance(node, Prop) else
-                                  (node.conn, tuple(memo[id(a)] for a in node.args)))
-        return memo[id(self)]
+        return _rewrite(self, lambda node, args: hash(
+            node.name if isinstance(node, Prop) else (node.conn, tuple(args))))
 
 
 Formula = Union[Prop, Apply]
@@ -351,19 +348,21 @@ def parse(text: str, base: Base | None = None) -> Formula:
 #
 # Substitution shares subtrees in memory: a restructured formula uses its
 # split subformula in both case-split branches, so a tree of 300k nodes may
-# hold only a few thousand distinct node objects.  Every walk below is an
-# explicit-stack pass that handles each distinct node object once; all but
-# ``render`` and ``_same`` read :func:`_postorder`, children first, with
-# per-node results memoised on ``id(node)``.  A memo lives for one call
-# only, because an id can be reused once its object is freed.
+# hold only a few thousand distinct node objects.  :func:`_postorder` is
+# the walk: each distinct node object once, children first, off an explicit
+# stack.  :func:`_rewrite` is the map built on it, memoised on ``id(node)``;
+# a node already in a caller's memo keeps its image and is not descended
+# into.  A memo lives for one call only, because an id can be reused once
+# its object is freed.  ``render`` and ``_same`` keep passes of their own.
 
 
-def _postorder(*roots: Formula) -> list[Formula]:
+def _postorder(*roots: Formula, known=()) -> list[Formula]:
     """The distinct node objects of ``roots``, each once, children before
-    parents and left to right."""
+    parents and left to right.  A node whose id is in ``known`` is neither
+    listed nor descended into."""
     order: list[Formula] = []
-    seen: set[int] = set()      # expanded
-    done: set[int] = set()      # in ``order``
+    seen: set[int] = set(known)     # expanded
+    done: set[int] = set(known)     # in ``order``
     stack = list(roots)
     stack.reverse()
     while stack:
@@ -381,6 +380,18 @@ def _postorder(*roots: Formula) -> list[Formula]:
         done.add(key)
         order.append(node)
     return order
+
+
+def _rewrite(phi: Formula, at, memo: dict | None = None):
+    """The image of ``phi`` under ``at``: each distinct node object maps,
+    once and children first, to ``at(node, images of its arguments)``; a
+    leaf has no arguments.  A node whose id is a key of ``memo`` keeps
+    that image and is not descended into."""
+    memo = {} if memo is None else memo
+    for node in _postorder(phi, known=memo):
+        memo[id(node)] = at(node, [memo[id(a)] for a in node.args]
+                            if isinstance(node, Apply) else ())
+    return memo[id(phi)]
 
 
 def _same(a: Formula, b: Formula) -> bool:
@@ -541,28 +552,17 @@ def substitute(phi: Formula, alpha: Formula, beta: Formula) -> Formula:
 
     Occurrences are found outside-in and replacements are never re-scanned.
     """
-    memo: dict[int, Formula] = {}
-    for node in _postorder(phi):
-        # a match discards whatever was rebuilt below it, so matching
-        # bottom-up replaces the same occurrences as matching outside-in
-        if node.size == alpha.size and _same(node, alpha):
-            memo[id(node)] = beta
-        elif isinstance(node, Prop):
-            memo[id(node)] = node
-        else:
-            memo[id(node)] = _rebuild(node, [memo[id(a)] for a in node.args])
-    return memo[id(phi)]
+    # a match discards whatever was rebuilt below it, so matching
+    # bottom-up replaces the same occurrences as matching outside-in
+    return _rewrite(phi, lambda node, args: (
+        beta if node.size == alpha.size and _same(node, alpha)
+        else node if isinstance(node, Prop) else _rebuild(node, args)))
 
 
 def instantiate(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace propositions by formulas."""
-    memo: dict[int, Formula] = {}
-    for node in _postorder(phi):
-        if isinstance(node, Prop):
-            memo[id(node)] = mapping.get(node.name, node)
-        else:
-            memo[id(node)] = _rebuild(node, [memo[id(a)] for a in node.args])
-    return memo[id(phi)]
+    return _rewrite(phi, lambda node, args: (
+        mapping.get(node.name, node) if isinstance(node, Prop) else _rebuild(node, args)))
 
 
 def fold(phi: Formula) -> Formula:
@@ -576,13 +576,7 @@ def fold(phi: Formula) -> Formula:
     constant function, so the constant lies in the clone [B] of the base
     the formula is written over, and any target B' with [B] inside [B']
     builds it at a proposition."""
-    memo: dict[int, Formula] = {}
-    for node in _postorder(phi):
-        if isinstance(node, Prop):
-            memo[id(node)] = node
-        else:
-            memo[id(node)] = _absorb(node, [memo[id(a)] for a in node.args])
-    return memo[id(phi)]
+    return _rewrite(phi, _absorb)
 
 
 def constant_value(phi: Formula):
@@ -647,12 +641,14 @@ def _restriction(fn: BooleanFunction, pattern: tuple) -> Formula | int | None:
     return next((i for i, column in columns.items() if column == table), None)
 
 
-def _absorb(node: Apply, args: list[Formula]) -> Formula:
+def _absorb(node: Formula, args) -> Formula:
     """``node`` over the given arguments with their constants absorbed:
     the constant or the argument the connective becomes with those
-    constants fixed, else ``node`` rebuilt over ``args``.  The package's
-    one constant rule, read by :func:`fold` and by restructuring; with
-    every argument constant it evaluates the node."""
+    constants fixed, else ``node`` rebuilt over ``args``; a proposition
+    is itself.  The package's one constant rule, read by :func:`fold` and
+    by restructuring; with every argument constant it evaluates the node."""
+    if isinstance(node, Prop):
+        return node
     pattern = tuple(map(constant_value, args))
     if not args or pattern.count(None) < len(args):
         out = _restriction(node.conn.fn, pattern)
@@ -661,19 +657,20 @@ def _absorb(node: Apply, args: list[Formula]) -> Formula:
     return _rebuild(node, args)
 
 
-def _eval_masks(roots, masks: Mapping[str, int] | None = None, nrows: int = 0,
-                cap: int = EQUIVALENCE_CAP) -> list[int]:
+def _eval_masks(roots, masks: Mapping[str, int] | None = None, nrows: int = 0) -> list[int]:
     """The packed tables of ``roots`` over ``nrows`` rows, given the packed
     column of each proposition (bits above the rows are ignored), in one
     walk.  Without ``masks``, over the whole truth table of the roots'
     propositions in order of first occurrence, or ``VariableCapError``
-    above ``cap`` of them.  Each name's column is cut to the rows once;
-    above 2^10 rows a table is dropped once its last parent has read it."""
+    above ``EQUIVALENCE_CAP`` of them.  Each name's column is cut to the
+    rows once; above 2^10 rows a table is dropped once its last parent has
+    read it."""
     order = _postorder(*roots)
     names = dict.fromkeys(node.name for node in order if isinstance(node, Prop))
     if masks is None:
-        if len(names) > cap:
-            raise VariableCapError(f"{len(names)} variables exceed the verification cap {cap}")
+        if len(names) > EQUIVALENCE_CAP:
+            raise VariableCapError(
+                f"{len(names)} variables exceed the verification cap {EQUIVALENCE_CAP}")
         nrows = 1 << len(names)
         masks = {name: _projection_mask(j, len(names)) for j, name in enumerate(names)}
     full = (1 << nrows) - 1
@@ -715,7 +712,7 @@ def truth_table(phi: Formula, var_order=None) -> BooleanFunction:
     return _unpack(_eval_masks([phi], masks, 1 << n)[0], n)
 
 
-def equivalent(phi: Formula, psi: Formula, cap: int = EQUIVALENCE_CAP) -> bool:
+def equivalent(phi: Formula, psi: Formula) -> bool:
     """Truth-table equivalence over the union of the two variable sets."""
-    table, other = _eval_masks([phi, psi], cap=cap)
+    table, other = _eval_masks([phi, psi])
     return table == other

@@ -82,6 +82,7 @@ from .formula import (
     VariableCapError,
     _eval_masks,
     _postorder,
+    _rewrite,
     connectives_of,
     constant,
     constant_value,
@@ -279,13 +280,9 @@ def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
         found = {(0, 0): represent(fn, target.extended(FALSE, TRUE))}
     out: tuple[list, list] = ([], [])
     for (q, p), w in found.items():
-        reads, stack = Counter(), [w]     # a witness tree is small
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Prop):
-                reads[node.name] += 1
-            else:
-                stack.extend(node.args)
+        # occurrences, not distinct nodes: a shared subtree counts once per parent
+        reads = _rewrite(w, lambda node, args: (
+            Counter([node.name]) if isinstance(node, Prop) else sum(args, Counter())))
         out[q].append((p, w, w.size - w.leaf_count,
                        tuple((i, n) for i in range(fn.arity) if (n := reads[f"x{i + 1}"]))))
     return tuple(out[0]), tuple(out[1])

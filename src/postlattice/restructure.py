@@ -61,6 +61,7 @@ from .formula import (
     Prop,
     _absorb,
     _eval_masks,
+    _rewrite,
     connectives_of,
     constant,
     constant_value,
@@ -121,9 +122,10 @@ def _apply(conn, *args: Formula) -> Formula:
 
 def _branch(phi: Formula, psi: Formula | None, bit: int, interned: set[int],
             table: dict) -> Formula:
-    """One pass over ``phi``: replace the subformula ``psi`` by the
-    constant ``bit``, absorb constants (:func:`_absorb`), and intern every
-    node of the result in ``table``.  ``psi=None`` only absorbs.
+    """One :func:`formula._rewrite` of ``phi`` that absorbs constants
+    (:func:`_absorb`) and then interns each image in ``table``, with the
+    subformula ``psi`` pre-seeded to the constant ``bit``, so nothing
+    below ``psi`` is visited.  ``psi=None`` only absorbs.
 
     ``table`` and ``interned`` are shared by a whole restructuring call.
     ``table`` keys a proposition by its name and an application by its
@@ -131,29 +133,15 @@ def _branch(phi: Formula, psi: Formula | None, bit: int, interned: set[int],
     equal nodes of a result are one object: once ``phi`` is a result,
     every subformula equal to ``psi`` is ``psi`` itself.  ``interned``
     holds the id of each table entry, which the table keeps alive."""
-    memo: dict[int, Formula] = {}
-    stack: list[tuple[Formula, bool]] = [(phi, False)]
-    while stack:
-        node, expanded = stack.pop()
-        key = id(node)
-        if expanded:
-            out = _absorb(node, [memo[id(a)] for a in node.args])
-        elif key in memo:
-            continue
-        elif node is psi:
-            out = constant(bit)
-        elif isinstance(node, Prop):
-            out = node
-        else:
-            stack.append((node, True))
-            stack.extend((a, False) for a in reversed(node.args))
-            continue
+    def absorb_intern(node: Formula, args) -> Formula:
+        out = _absorb(node, args)
         if id(out) not in interned:
             ident = out.name if isinstance(out, Prop) else (out.conn, *map(id, out.args))
             out = table.setdefault(ident, out)
             interned.add(id(out))
-        memo[key] = out
-    return memo[id(phi)]
+        return out
+
+    return _rewrite(phi, absorb_intern, {} if psi is None else {id(psi): constant(bit)})
 
 
 def _order(phi: Formula, low: Formula, high: Formula) -> int | None:

@@ -159,6 +159,17 @@ def test_eval_strips_spaces_around_assignments(capsys):
     assert capsys.readouterr().out == '{"value": 1}\n'
 
 
+def test_eval_rejects_an_empty_name(capsys):
+    assert main(["--json", "eval", "--formula", "x", "--assign", "=1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "bad assignment entry '=1'"}
+
+
+def test_eval_rejects_a_repeated_name(capsys):
+    assert main(["--json", "eval", "--formula", "x", "--assign", "x=1,x=0"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "bad assignment entry 'x=0': 'x' assigned twice"}
+
+
 def test_table_strips_spaces_around_variable_names(capsys):
     assert main(["--json", "table", "--formula", "x & y", "--vars", "x, y"]) == 0
     assert json.loads(capsys.readouterr().out) == {"vars": ["x", "y"], "table": "0001"}

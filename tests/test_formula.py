@@ -167,6 +167,10 @@ def test_truth_table():
     assert truth_table(phi, ["x", "y", "z"]).bitstring == "00010111"
     with pytest.raises(EvaluationError):
         truth_table(parse("x & y"), ["x"])
+    with pytest.raises(VariableCapError):
+        truth_table(parse("x & y"), ["x", "y", "x"])
+    with pytest.raises(ArityError):
+        truth_table(parse("x"), [f"v{i}" for i in range(ARITY_CAP)] + ["x"])
 
 
 def test_substitute():
@@ -253,12 +257,35 @@ def test_props_in_order_and_fold():
     assert fold(parse("1 & 1")) == TRUE_F
 
 
+def test_rewrite_maps_each_distinct_node_once():
+    # d_{i+1} = d_i & d_i: 2^40 leaf occurrences but only 41 distinct nodes
+    nodes = [Prop("x")]
+    for _ in range(40):
+        nodes.append(Apply(AND, (nodes[-1], nodes[-1])))
+    seen = []
+
+    def count_leaves(node, args):
+        seen.append(node)
+        return sum(args) if args else 1
+
+    assert formula._rewrite(nodes[-1], count_leaves) == 2 ** 40
+    assert list(map(id, seen)) == list(map(id, nodes))
+    # a pre-seeded node keeps its image and is not descended into
+    seen.clear()
+    assert formula._rewrite(nodes[-1], count_leaves, {id(nodes[20]): 1}) == 2 ** 20
+    assert list(map(id, seen)) == list(map(id, nodes[21:]))
+
+
 def test_base_file_round_trip():
     text = "# comment\nand/2:0001\nmaj3/3:00010111\n"
     base = Base.from_text(text)
     assert [c.name for c in base] == ["and", "maj3"]
     again = Base.from_text(base.to_text())
     assert again == base
+    # one function under one name twice is kept once; two functions clash
+    assert Base.from_text(text + "and/2:0001\n") == base
+    with pytest.raises(formula.BaseError):
+        Base.from_text(text + "and/2:0111\n")
 
 
 def test_arity_mismatch_apply():

@@ -235,6 +235,8 @@ def test_reduce_D_monotone():
     out_or = reduce_D(phi, base, base, want="or")
     assert out_or.extra == "or"
     assert out_or.certificate.equivalent is True
+    with pytest.raises(ReductionError):
+        reduce_D(phi, base, base, want="xor")
 
 
 def test_reduce_D_fresh_proposition():
