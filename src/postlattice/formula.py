@@ -10,7 +10,9 @@ stack), and a walk handles each distinct node object once within a call.
 Every node carries its size, depth, leaf count and largest connective
 arity, computed once by its constructor from its arguments', so reading
 them takes no walk.  Size and leaf count are tree counts: a shared
-subtree counts once per occurrence.
+subtree counts once per occurrence.  A node's distinct connectives and
+propositions take one walk, the first time they are asked for, and are
+kept on the node.
 
 Grammar (ASCII): identifiers ``[a-zA-Z_][a-zA-Z0-9_']*``, infix ``&``
 ``|`` ``^`` ``->`` ``<->`` ``-/>``, prefix ``!``, literals ``0`` ``1``,
@@ -41,7 +43,8 @@ class ParseError(PostLatticeError):
 
 
 class EvaluationError(PostLatticeError):
-    """A proposition had no value in the assignment."""
+    """A proposition had no value, or a value other than 0 and 1, in the
+    assignment."""
 
 
 class VariableCapError(PostLatticeError):
@@ -496,8 +499,11 @@ Assignment = Mapping[str, int]
 
 
 def evaluate(phi: Formula, assignment: Assignment) -> int:
-    """Bottom-up evaluation under a total assignment: the one-row case of
-    :func:`_eval_masks`."""
+    """Bottom-up evaluation under a total assignment of 0s and 1s (or
+    bools): the one-row case of :func:`_eval_masks`."""
+    for name, value in assignment.items():
+        if value not in (0, 1):
+            raise EvaluationError(f"proposition {name!r} has the value {value!r}, not 0 or 1")
     return _eval_masks([phi], assignment, 1)[0]
 
 
@@ -507,14 +513,25 @@ def vars_of(phi: Formula) -> frozenset[str]:
 
 def props_in_order(phi: Formula) -> list[str]:
     """Distinct proposition names in order of first occurrence."""
-    return list(dict.fromkeys(node.name for node in _postorder(phi)
-                              if isinstance(node, Prop)))
+    return list(_facts(phi)[1])
 
 
 def connectives_of(phi: Formula) -> list[Connective]:
     """Distinct connectives, children's before their parents' (postorder)."""
-    return list(dict.fromkeys(node.conn for node in _postorder(phi)
-                              if isinstance(node, Apply)))
+    return list(_facts(phi)[0])
+
+
+def _facts(phi: Formula) -> tuple[tuple[Connective, ...], tuple[str, ...]]:
+    """The distinct connectives and proposition names of ``phi``, each in
+    postorder, from one walk, kept on the node (nodes are immutable); a
+    leaf takes no walk."""
+    facts = phi.__dict__.get("_facts")
+    if facts is None:
+        order = _postorder(phi) if isinstance(phi, Apply) and phi.args else [phi]
+        facts = phi.__dict__["_facts"] = (
+            tuple(dict.fromkeys(node.conn for node in order if isinstance(node, Apply))),
+            tuple(dict.fromkeys(node.name for node in order if isinstance(node, Prop))))
+    return facts
 
 
 class Metrics(NamedTuple):
@@ -575,7 +592,12 @@ def fold(phi: Formula) -> Formula:
     there before (``0 -> x`` is 1).  That subformula computes the unary
     constant function, so the constant lies in the clone [B] of the base
     the formula is written over, and any target B' with [B] inside [B']
-    builds it at a proposition."""
+    builds it at a proposition.
+
+    Without a nullary connective there is nothing to absorb, and phi
+    itself is returned without a rewrite."""
+    if all(c.arity for c in connectives_of(phi)):
+        return phi
     return _rewrite(phi, _absorb)
 
 

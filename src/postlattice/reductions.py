@@ -6,6 +6,15 @@ the connective ``and`` or ``or`` adjoined where the lattice position of
 [B] requires it.  Every output carries a certificate (sizes, depths and
 an exhaustive equivalence check when the variable count permits).
 
+What a reduction does before it reads the formula is fixed per pair
+(B, B') and planned once (:func:`_plan`): the clone of B, its lattice
+case and the pipeline ``theorem_reduce`` calls, which pipeline
+preconditions fail, and the output bases.  Each witness is compiled once
+into build steps (:func:`_variants`, :func:`_build`), so replacing a
+node builds its witness without walking it, and a node that replacing
+leaves unchanged is kept.  Connectives and propositions of a formula
+are walked for once per node (``formula.connectives_of``).
+
 Every pipeline brings the formula into a shape whose connectives B'
 can define, then runs one shared body (:func:`_replace_and_eliminate`):
 replace every connective of the shape by a target witness, eliminate
@@ -47,6 +56,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import boolfun
 from .boolfun import BooleanFunction
@@ -82,6 +92,7 @@ from .formula import (
     VariableCapError,
     _eval_masks,
     _postorder,
+    _rebuild,
     _rewrite,
     connectives_of,
     constant,
@@ -89,7 +100,6 @@ from .formula import (
     equivalent,
     evaluate,
     fold,
-    instantiate,
     props_in_order,
     substitute,
     truth_table,
@@ -154,26 +164,68 @@ def _require(cond: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
-#: Upper bounds a pipeline places on [B], with the message when [B] exceeds it.
-_MONOTONE = ("M", "B must be monotone")
-_SELF_DUAL = ("D", "B must be self-dual")
+#: Per pipeline, the clone [B] must contain and the one it must lie
+#: inside, with the message when it does not.
+_BOUNDS = {
+    "reduce_S00": ("S00", ("M", "B must be monotone")),
+    "reduce_S10": ("S10", ("M", "B must be monotone")),
+    "reduce_S02": ("S02", None),
+    "reduce_S12": ("S12", None),
+    "reduce_D": ("D2", ("D", "B must be self-dual")),
+    "reduce_EVL": (None, None),
+}
 
 
-def _preconditions(phi: Formula, base: Base, target: Base, lower: str | None,
-                   upper: tuple[str, str] | None) -> CloneName:
-    """Check that phi is over B, that [B] contains the clone ``lower``
-    and lies inside ``upper``, and that B is generated by B'.  Returns [B]."""
+class _Plan(NamedTuple):
+    clone: CloneName                    # [B]
+    case: str                           # its theorem case
+    route: str                          # the pipeline theorem_reduce calls
+    normal: str | None                  # V, L or E: reduce_EVL's normal form
+    refusals: dict[str, str | None]     # per pipeline, its first failing bound, or None
+    complete: bool                      # [B'] is BF
+    outputs: dict[str, Base]            # per adjoined connective, B' with it
+
+
+@lru_cache(maxsize=1024)
+def _plan(base: Base, target: Base) -> _Plan:
+    """What a reduction from B into B' does before it reads the formula,
+    fixed per pair: the pipeline bounds that fail (the generation of B by
+    B' last), the dispatch and the output bases.  Holds no function: the
+    pipelines are looked up when called."""
+    x = clone_of(base)
+    case = theorem_case(x)
+    if case in ("a", "b", "c"):
+        route = "reduce_EVL"
+    elif case == "d":
+        route = "reduce_S00" if includes(CloneName("S01", 2), x) else "reduce_S02"
+    elif case == "e":
+        route = "reduce_S10" if includes(CloneName("S11", 2), x) else "reduce_S12"
+    elif case == "f":
+        route = "reduce_D"
+    else:
+        route = "reduce_S00" if includes("M", x) else "reduce_S02"
+    normal = next((n for n in "VLE" if includes(n, x)), None)
+    missing = next((f"{c.name!r} is not generated by the target base"
+                    for c in base if not member(c.fn, target)), None)
+    refusals = {pipeline: f"the clone of B must contain {lower}"
+                if lower and not includes(x, lower)
+                else upper[1] if upper and not includes(upper[0], x) else missing
+                for pipeline, (lower, upper) in _BOUNDS.items()}
+    if normal is None:
+        refusals["reduce_EVL"] = missing or "the clone of B is not inside E, V or L"
+    return _Plan(x, case, route, normal, refusals, clone_of(target) == CloneName("BF"),
+                 {"none": target, "and": target.extended(AND), "or": target.extended(OR)})
+
+
+def _preconditions(phi: Formula, base: Base, target: Base, pipeline: str) -> _Plan:
+    """Check that phi is over B, then the pipeline's bounds on [B] and
+    that B is generated by B' (:func:`_plan`).  Returns the plan."""
     for c in connectives_of(phi):
         _require(base.contains_function(c.fn),
                  f"formula connective {c.name!r} is not in the source base")
-    x = clone_of(base)
-    if lower is not None:
-        _require(includes(x, lower), f"the clone of B must contain {lower}")
-    if upper is not None:
-        _require(includes(upper[0], x), upper[1])
-    for c in base:
-        _require(member(c.fn, target), f"{c.name!r} is not generated by the target base")
-    return x
+    plan = _plan(base, target)
+    _require(plan.refusals[pipeline] is None, plan.refusals[pipeline])
+    return plan
 
 
 def _balanced(items: list[Formula], conn: Connective) -> Formula:
@@ -270,10 +322,11 @@ def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
     """The one witness lookup over a target, cached: per output polarity
     q, the variants q xor fn(y xor p) of a connective the target
     generates as (p, witness, its non-variable nodes, (argument,
-    occurrences) of each argument it reads), identity first.  A
-    connective the target does not generate has one variant, itself, over
-    the target with constants (removed by :func:`eliminate_constants`).
-    Raises as ``represent`` does."""
+    occurrences) of each argument it reads, its build steps
+    (:func:`_build`)), identity first.  A connective the target does not
+    generate has one variant, itself, over the target with constants
+    (removed by :func:`eliminate_constants`).  Raises as ``represent``
+    does."""
     if member(fn, target):
         found = represent_variants(fn, target)
     else:
@@ -283,12 +336,42 @@ def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
         # occurrences, not distinct nodes: a shared subtree counts once per parent
         reads = _rewrite(w, lambda node, args: (
             Counter([node.name]) if isinstance(node, Prop) else sum(args, Counter())))
+        # a step is an argument's position, a proposition-free node kept as
+        # it is, or a connective over earlier steps
+        order = _postorder(w)
+        index = {id(node): j for j, node in enumerate(order)}
+        steps = tuple(int(node.name[1:]) - 1 if isinstance(node, Prop)
+                      else (node.conn, tuple(index[id(a)] for a in node.args))
+                      if node.leaf_count else node for node in order)
         out[q].append((p, w, w.size - w.leaf_count,
-                       tuple((i, n) for i in range(fn.arity) if (n := reads[f"x{i + 1}"]))))
+                       tuple((i, n) for i in range(fn.arity) if (n := reads[f"x{i + 1}"])),
+                       steps))
     return tuple(out[0]), tuple(out[1])
 
 
+def _build(steps: tuple, args) -> Formula:
+    """The witness compiled to ``steps`` (:func:`_variants`) over the
+    formulas ``args``, by position: what substituting them for its
+    propositions gives, without a walk."""
+    built: list[Formula] = []
+    for step in steps:
+        built.append(args[step] if isinstance(step, int)
+                     else Apply(step[0], tuple(built[k] for k in step[1]))
+                     if isinstance(step, tuple) else step)
+    return built[-1]
+
+
 _NEVER = (float("inf"), 0, None, ())
+
+
+@lru_cache(maxsize=1024)
+def _negation(target: Base) -> tuple:
+    """:func:`_replace`'s option for a proposition at polarity 1: the
+    target's ``not`` witness over it, or none."""
+    if not member(NOT.fn, target):
+        return _NEVER
+    _, _, nodes, ((_, n),), steps = _variants(NOT.fn, target)[0][0]
+    return nodes + n, 0, steps, ()
 
 
 def _replace(shape: Formula, target: Base) -> tuple[Formula, int]:
@@ -303,13 +386,12 @@ def _replace(shape: Formula, target: Base) -> tuple[Formula, int]:
     smallest tree size of every (node, polarity), a variant costing its
     witness's non-variable nodes plus each argument's size times its
     occurrences; the root is positive, and only the pairs it needs are
-    built.  Ties go to the identity variant, then to the smaller p."""
-    negation = _NEVER
-    if member(NOT.fn, target):
-        _, w, nodes, ((_, n),) = _variants(NOT.fn, target)[0][0]
-        negation = (nodes + n, 0, w, ())
+    built, each from its witness's compiled steps (:func:`_build`); a
+    node built as itself is kept.  Ties go to the identity variant, then
+    to the smaller p."""
+    negation = _negation(target)
     order = _postorder(shape)
-    best: dict[tuple[int, int], tuple] = {}    # (size, p, witness, reads)
+    best: dict[tuple[int, int], tuple] = {}    # (size, p, build steps, reads)
     for node in order:
         key = id(node)
         if isinstance(node, Prop):
@@ -321,7 +403,7 @@ def _replace(shape: Formula, target: Base) -> tuple[Formula, int]:
             for q, options in enumerate(_variants(node.conn.fn, target)):
                 best[key, q] = min(
                     ((nonvar + sum(n * best[args[i], p >> i & 1][0] for i, n in reads),
-                      p, w, reads) for p, w, nonvar, reads in options),
+                      p, steps, reads) for p, _, nonvar, reads, steps in options),
                     key=lambda option: option[0], default=_NEVER)
     needed = {(id(shape), 0)}
     for node in reversed(order):
@@ -334,14 +416,17 @@ def _replace(shape: Formula, target: Base) -> tuple[Formula, int]:
         for q in (0, 1):
             if (id(node), q) not in needed:
                 continue
-            _, p, w, reads = best[id(node), q]
-            if w is None:
-                built[id(node), q] = node
+            _, p, steps, reads = best[id(node), q]
+            if steps is None:
+                out = node
             elif isinstance(node, Prop):
-                built[id(node), q] = instantiate(w, {"x1": node})
+                out = _build(steps, (node,))
             else:
-                built[id(node), q] = instantiate(
-                    w, {f"x{i + 1}": built[id(node.args[i]), p >> i & 1] for i, _ in reads})
+                out = _build(steps, [built.get((id(a), p >> i & 1))
+                                     for i, a in enumerate(node.args)])
+                if out.__class__ is Apply and out.conn == node.conn:
+                    out = _rebuild(node, out.args)  # node itself: an unchanged shape is its output
+            built[id(node), q] = out
     return built[id(shape), 0], best[id(shape), 0][0]
 
 
@@ -354,7 +439,7 @@ def _constant_replacement(bit: int, target: Base, props: list[str]) -> Formula |
     fn = BooleanFunction(len(props[:1]), (bit,) * (2 if props else 1))
     try:
         if member(fn, target):
-            return instantiate(_variants(fn, target)[0][0][1], {"x1": Prop(p) for p in props[:1]})
+            return _build(_variants(fn, target)[0][0][4], [Prop(p) for p in props[:1]])
     except NotInCloneError:
         pass
     return None
@@ -449,12 +534,10 @@ def _candidates(phi: Formula, target: Base, restructurer) -> list[Formula]:
 # pipelines
 
 
-def _pipeline_output(inp: Formula, out: Formula, target: Base,
+def _pipeline_output(inp: Formula, out: Formula, plan: _Plan,
                      extra: str) -> ReductionOutput:
     """The checked result over B' plus the adjoined ``extra`` connective."""
-    if extra != "none":
-        target = target.extended(AND if extra == "and" else OR)
-    return _check_target(ReductionOutput(out, target, extra,
+    return _check_target(ReductionOutput(out, plan.outputs[extra], extra,
                                          _certificate(inp, out)))
 
 
@@ -488,38 +571,35 @@ def _eliminated(phi: Formula, shaped: Formula, target: Base, extra: str) -> Form
     return out
 
 
-def _pipeline(phi: Formula, base: Base, target: Base, lower: str,
-              upper: tuple[str, str] | None, restructurer,
+def _pipeline(phi: Formula, base: Base, target: Base, pipeline: str, restructurer,
               extra: str) -> ReductionOutput:
     """The restructuring pipelines' body: check the preconditions, then
     replace the candidate shapes (:func:`_candidates`: the folded input,
     ``restructurer(phi)`` or both), eliminate and keep the smaller
     output."""
-    _preconditions(phi, base, target, lower, upper)
+    plan = _preconditions(phi, base, target, pipeline)
     out = _replace_and_eliminate(phi, _candidates(phi, target, restructurer), target, extra)
-    return _pipeline_output(phi, out, target, extra)
+    return _pipeline_output(phi, out, plan, extra)
 
 
 def reduce_S00(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Monotone pipeline for S00 <= [B] <= M; output over B' + {and}."""
-    return _pipeline(phi, base, target, "S00", _MONOTONE,
-                     restructure_monotone_g, "and")
+    return _pipeline(phi, base, target, "reduce_S00", restructure_monotone_g, "and")
 
 
 def reduce_S10(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Dual monotone pipeline for S10 <= [B] <= M; output over B' + {or}."""
-    return _pipeline(phi, base, target, "S10", _MONOTONE,
-                     restructure_monotone_h, "or")
+    return _pipeline(phi, base, target, "reduce_S10", restructure_monotone_h, "or")
 
 
 def reduce_S02(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Pipeline for S02 <= [B]; output over B' + {and}."""
-    return _pipeline(phi, base, target, "S02", None, restructure_full, "and")
+    return _pipeline(phi, base, target, "reduce_S02", restructure_full, "and")
 
 
 def reduce_S12(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Dual pipeline for S12 <= [B]; output over B' + {or}."""
-    return _pipeline(phi, base, target, "S12", None, restructure_full, "or")
+    return _pipeline(phi, base, target, "reduce_S12", restructure_full, "or")
 
 
 def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> ReductionOutput:
@@ -537,13 +617,13 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
     fallback is capped at the representation arity."""
     if want not in ("and", "or"):
         raise ReductionError(f"want must be 'and' or 'or', not {want!r}")
-    x = _preconditions(phi, base, target, "D2", _SELF_DUAL)
-    if x == CloneName("D2"):
+    plan = _preconditions(phi, base, target, "reduce_D")
+    if plan.clone == CloneName("D2"):
         restructurer = restructure_monotone_g if want == "and" else restructure_monotone_h
         extra = want
     else:
         restructurer = restructure_full
-        extra = "none" if clone_of(target) == CloneName("BF") else want
+        extra = "none" if plan.complete else want
     try:
         out = _replace_and_eliminate(phi, _candidates(phi, target, restructurer),
                                      target, extra)
@@ -555,7 +635,7 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
                 f"capped at {CLOSURE_ARITY_MAX} variables ({len(order)} present)")
         whole = Connective("phi", truth_table(phi, order))
         out = _replace(Apply(whole, tuple(map(Prop, order))), target)[0]
-    return _pipeline_output(phi, out, target, extra)
+    return _pipeline_output(phi, out, plan, extra)
 
 
 def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
@@ -563,17 +643,15 @@ def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     (:func:`normalize_V`, :func:`_affine_shape` of :func:`normalize_L`,
     :func:`normalize_E`), balanced; then the shared replace-and-eliminate
     body.  Output over B' exactly."""
-    x = _preconditions(phi, base, target, None, None)
-    if includes("V", x):
+    plan = _preconditions(phi, base, target, "reduce_EVL")
+    if plan.normal == "V":
         shaped = normalize_V(phi)[2]
-    elif includes("L", x):
+    elif plan.normal == "L":
         shaped = _affine_shape(*normalize_L(phi)[:2])
-    elif includes("E", x):
-        shaped = normalize_E(phi)[2]
     else:
-        raise PreconditionError("the clone of B is not inside E, V or L")
+        shaped = normalize_E(phi)[2]
     out = _replace_and_eliminate(phi, [shaped], target, "none")
-    return _pipeline_output(phi, out, target, "none")
+    return _pipeline_output(phi, out, plan, "none")
 
 
 # ---------------------------------------------------------------------------
@@ -607,30 +685,16 @@ def theorem_reduce(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     Cases (a)-(c) and (g) land in the target base exactly; case (d)
     adjoins ``and``, case (e) adjoins ``or``, and case (f) adjoins the
     default ``and`` (or nothing over a functionally complete target).
-    Every pipeline checks that B is generated by B' itself.
+    Every pipeline checks that B is generated by B' itself.  The case
+    and the pipeline are planned once per pair (:func:`_plan`).
     """
-    x = clone_of(base)
-    case = theorem_case(x)
-    if case in ("a", "b", "c"):
-        return reduce_EVL(phi, base, target)
-    if case == "d":
-        if includes(CloneName("S01", 2), x):
-            return reduce_S00(phi, base, target)
-        return reduce_S02(phi, base, target)
-    if case == "e":
-        if includes(CloneName("S11", 2), x):
-            return reduce_S10(phi, base, target)
-        return reduce_S12(phi, base, target)
-    if case == "f":
-        return reduce_D(phi, base, target, want="and")
+    plan = _plan(base, target)
+    out = globals()[plan.route](phi, base, target)    # looked up now: it may be wrapped
+    if plan.case != "g":
+        return out
     # case (g): M2 <= [B] <= [B'] (checked by the pipeline), so the target
     # generates both and/or and nothing is adjoined
-    if includes("M", x):
-        inner = reduce_S00(phi, base, target)
-    else:
-        inner = reduce_S02(phi, base, target)
-    return _check_target(ReductionOutput(inner.formula, target, "none",
-                                         inner.certificate))
+    return _check_target(ReductionOutput(out.formula, target, "none", out.certificate))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,39 @@ def test_evaluate():
         evaluate(parse("x & y"), {"x": 1})
 
 
+def test_evaluate_rejects_values_other_than_0_and_1():
+    # read by its low bit, a value would make x | y 0 at x = 2, !x 0 at
+    # x = 3 and x 1 at x = 7; bools are 0 and 1
+    for text, assignment, name, value in (("x | y", {"x": 2, "y": 0}, "x", 2),
+                                          ("!x", {"x": 3}, "x", 3),
+                                          ("x", {"x": 7}, "x", 7),
+                                          ("x & y", {"x": 1, "y": -1}, "y", -1)):
+        with pytest.raises(EvaluationError, match=f"'{name}' has the value {value}"):
+            evaluate(parse(text), assignment)
+    assert evaluate(parse("x | y"), {"x": False, "y": True}) == 1
+    assert evaluate(parse("!x"), {"x": True}) == 0
+
+
+def test_facts_are_kept_on_the_node(monkeypatch):
+    # connectives_of and props_in_order walk a node once; later calls on
+    # the same object read what the first walk kept, as fresh lists
+    phi = parse("(y & !x) | (x & 1)")
+    walks = []
+    real = formula._postorder
+    monkeypatch.setattr(formula, "_postorder", lambda *a, **k: walks.append(1) or real(*a, **k))
+    assert connectives_of(phi) == [NOT, AND, TRUE_F.conn, OR]
+    assert props_in_order(phi) == ["y", "x"]
+    props_in_order(phi).append("z")
+    assert props_in_order(phi) == ["y", "x"] and connectives_of(phi)[0] == NOT
+    assert len(walks) == 1
+    # a leaf takes no walk; fold returns a formula without a nullary
+    # connective itself, after the walk that finds none
+    assert connectives_of(Prop("x")) == [] and connectives_of(TRUE_F) == [TRUE_F.conn]
+    psi = parse("x & !y")
+    assert fold(psi) is psi and fold(psi) is psi
+    assert len(walks) == 2
+
+
 def test_nimp_agrees_with_and_not():
     for x in (0, 1):
         for y in (0, 1):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from postlattice import boolfun, reductions
+from postlattice import boolfun, formula, reductions
 from postlattice.boolfun import AND_FN, NOT_FN
 from postlattice.clones import (
     G,
@@ -646,3 +646,94 @@ def test_case_f_above_four_variables(source, target):
             phi = random_formula(rng, list(source), names, rng.randint(8, 40))
         out = theorem_reduce(phi, source, target)
         assert out.certificate.equivalent is True
+
+
+def _corpus(seed):
+    """Per criterion-4 pair, 25 seeded formulas of 1..25 nodes over six
+    propositions (four in case (f)); equal seeds give equal formulas as
+    fresh node objects."""
+    rng = random.Random(seed)
+    runs = []
+    for case, pairs in theorem_pairs().items():
+        names = [f"x{i}" for i in range(1, (4 if case == "f" else 6) + 1)]
+        for source, target in pairs:
+            runs += [(case, source, target, random_formula(rng, list(source), names, n))
+                     for n in range(1, 26)]
+    return runs
+
+
+def test_walks_per_case_are_bounded(monkeypatch):
+    # formula walks per warm theorem_reduce, every _postorder call through
+    # formula's binding and reductions' own: the pair's plan and witnesses
+    # are cached, a node's facts are walked for once, witnesses are built
+    # from their compiled steps and an unchanged shape is its own output.
+    # Measured (a)-(g): 4.39, 4.39, 4.23, 3.05, 3.24, 13.14, 8.24, overall
+    # 6.15; without those, 10.60, 9.80, 10.23, 10.54, 10.59, 23.21, 19.54
+    # and 14.16.  Restructuring takes 8.8 walks of case (f)'s 13.14
+    for _, source, target, phi in _corpus(0xAA1C):
+        theorem_reduce(phi, source, target)
+    walks = []
+    real = formula._postorder
+    def counted(*roots, **kwargs):
+        walks.append(1)
+        return real(*roots, **kwargs)
+    monkeypatch.setattr(formula, "_postorder", counted)
+    monkeypatch.setattr(reductions, "_postorder", counted)
+    per_case: dict[str, list[int]] = {}
+    for case, source, target, phi in _corpus(0xAA1C):
+        walks.clear()
+        theorem_reduce(phi, source, target)
+        per_case.setdefault(case, []).append(len(walks))
+    means = {case: sum(n) / len(n) for case, n in per_case.items()}
+    assert all(means[case] <= 5 for case in "abcde"), means
+    assert means["f"] <= 13.5 and means["g"] <= 12, means
+    every = [n for counts in per_case.values() for n in counts]
+    assert sum(every) / len(every) <= 7, means
+
+
+def test_plans_raise_the_same_refusal_every_time():
+    # a pair that fails a precondition is planned like any other, so the
+    # call after the first (planned) one refuses with the same message
+    base = Base([MAJ3])
+    phi = parse("maj3(x, y, z)", base)
+    reductions._plan.cache_clear()
+    for reduce, target, message in ((reduce_S00, Base([AND]), "the clone of B must contain S00"),
+                                    (theorem_reduce, Base([AND]), "'maj3' is not generated"),
+                                    (reduce_EVL, base, "not inside E, V or L")):
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match=message):
+                reduce(phi, base, target)
+
+
+def test_cold_and_warm_calls_agree():
+    # with the plans and the witnesses dropped, each criterion-4 pair
+    # renders and certifies exactly as when they are cached
+    rng = random.Random(0xC01D)
+    for case, pairs in theorem_pairs().items():
+        for source, target in pairs:
+            phi = random_formula(rng, list(source), ["a", "b", "c", "d"], 15)
+            text = render(phi)
+            results = []
+            for cold in (True, False):
+                if cold:
+                    for cache in (reductions._plan, reductions._variants, reductions._negation):
+                        cache.cache_clear()
+                out = theorem_reduce(parse(text, source), source, target)
+                results.append((render(out.formula), out.certificate, out.extra,
+                                out.target.connectives))
+            assert results[0] == results[1], (case, text)
+
+
+def test_targets_over_one_base_keep_separate_plans():
+    # D1 into D adjoins and; D1 into the functionally complete BF adjoins
+    # nothing; alternating the two targets keeps each pair's own plan
+    source = catalog_entry(CloneName("D1")).base
+    targets = {"and": catalog_entry(CloneName("D")).base,
+               "none": catalog_entry(CloneName("BF")).base}
+    phi = random_formula(random.Random(0xD1), list(source), ["a", "b", "c"], 12)
+    for extra in ("none", "and", "none", "and"):
+        target = targets[extra]
+        out = theorem_reduce(phi, source, target)
+        assert out.extra == extra and out.certificate.equivalent is True
+        assert out.target == (target if extra == "none" else target.extended(AND))
+    assert reductions._plan(source, targets["and"]) != reductions._plan(source, targets["none"])
