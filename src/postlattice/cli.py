@@ -86,6 +86,8 @@ def _cmd_table(args):
     phi, = _formulas(args, "formula")
     order = ([name.strip() for name in args.vars.split(",")] if args.vars
              else sorted(formula.vars_of(phi)))
+    if "" in order:
+        raise PostLatticeError(f"bad variable list {args.vars!r}: an empty name")
     bits = formula.truth_table(phi, order).bitstring
     return {"vars": order, "table": bits}, bits
 

@@ -6,43 +6,41 @@ the connective ``and`` or ``or`` adjoined where the lattice position of
 [B] requires it.  Every output carries a certificate (sizes, depths and
 an exhaustive equivalence check when the variable count permits).
 
-What a reduction does before it reads the formula is fixed per pair
-(B, B') and planned once (:func:`_plan`): the clone of B, its lattice
-case and the pipeline ``theorem_reduce`` calls, which pipeline
-preconditions fail, and the output bases.  Each witness is compiled once
-into build steps (:func:`_variants`, :func:`_build`), so replacing a
-node builds its witness without walking it, and a node that replacing
-leaves unchanged is kept.  Connectives and propositions of a formula
-are walked for once per node (``formula.connectives_of``).
+The theorem's case analysis is written once, as two tables.  ``_CASES``
+holds per case the window of [B] and the pipeline for a monotone [B]
+and for any other; ``_PIPELINES`` holds per restructuring pipeline the
+clone [B] must contain, the one it must lie inside and the adjoined
+connective (``and`` for S0 clones, ``or`` for their S1 duals).  What a
+reduction reads off them is planned once per pair (B, B') (:func:`_plan`).
 
 Every pipeline brings the formula into a shape whose connectives B'
 can define, then runs one shared body (:func:`_replace_and_eliminate`):
 replace every connective of the shape by a target witness, eliminate
 the constants.  Every witness over a target comes from one cached
-lookup (:func:`_variants`).  Replacement (:func:`_replace`) knows two
-polarities: each node may be built as itself or as its negation, from
-the witness of a variant q xor f(y xor p) of its connective, whichever
-gives the smaller tree.  Over ``{nand}`` the negated conjunction is
-then one node, not ``and`` under ``not``, each of which repeats its
-arguments.
-The pipelines differ in the shape:
+lookup, compiled once into build steps (:func:`_variants`,
+:func:`_build`), so replacing a node builds its witness without walking
+it, and a node that replacing leaves unchanged is kept.  Replacement
+(:func:`_replace`) knows two polarities: each node may be built as
+itself or as its negation, from the witness of a variant
+q xor f(y xor p) of its connective, whichever gives the smaller tree.
+Over ``{nand}`` the negated conjunction is then one node, not ``and``
+under ``not``, each of which repeats its arguments.  The pipelines
+differ in the shape:
 
-* ``reduce_EVL``     - [B] inside E, V or L: the conjunctive,
-  disjunctive or affine normal form, probed in one bit-parallel pass
+* ``reduce_EVL`` - cases (a)-(c), [B] inside V, L or E: the disjunctive,
+  affine or conjunctive normal form, probed in one bit-parallel pass
   and rebuilt balanced.
 * ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` - the folded
   input itself or the formula restructured to logarithmic depth
   (:func:`_candidates`): restructuring pays only where a witness repeats
   a variable, and there both shapes are replaced and eliminated, and
-  the smaller output is kept.  They differ only in data: the lower
-  clone, the upper bound (monotone or self-dual), the restructurer
-  (``g``/``h`` for monotone clones, the full form otherwise) and the
-  adjoined connective (``and`` for S0 clones, ``or`` for their S1
-  duals).  The theorem bounds output size, not depth, so an output may
-  be deeper than the restructured shape would be.  Where no shape
-  survives constant elimination, ``reduce_D`` replaces the formula's
-  truth table as one node.
-* ``theorem_reduce`` - dispatcher over the seven lattice cases.
+  the smaller output is kept.  One rule picks the restructurer: ``g``
+  for a monotone [B] with ``and`` adjoined, ``h`` with ``or``, the full
+  form for any other [B].  The theorem bounds output size, not depth,
+  so an output may be deeper than the restructured shape would be.
+  Where no shape survives constant elimination, ``reduce_D`` replaces
+  the formula's truth table as one node.
+* ``theorem_reduce`` - the dispatcher: the pipeline of the case's row.
 
 Constants follow one rule (:func:`_constant_replacement`): a constant
 the target makes available is the identity variant of its constant
@@ -164,15 +162,29 @@ def _require(cond: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
-#: Per pipeline, the clone [B] must contain and the one it must lie
-#: inside, with the message when it does not.
-_BOUNDS = {
-    "reduce_S00": ("S00", ("M", "B must be monotone")),
-    "reduce_S10": ("S10", ("M", "B must be monotone")),
-    "reduce_S02": ("S02", None),
-    "reduce_S12": ("S12", None),
-    "reduce_D": ("D2", ("D", "B must be self-dual")),
-    "reduce_EVL": (None, None),
+#: The theorem's seven cases, tried in order, with their windows read off
+#: Post's lattice (Böhler, Creignou, Reith and Vollmer, "Playing with
+#: Boolean blocks, Part I", 2003): the clone [B] must contain, the one it
+#: must lie inside (the bottom I2 and the top BF bound nothing), and the
+#: pipeline for a monotone [B] and for any other.
+_CASES = {
+    "a": ("I2", "V", "reduce_EVL", "reduce_EVL"),
+    "b": ("I2", "L", "reduce_EVL", "reduce_EVL"),
+    "c": ("I2", "E", "reduce_EVL", "reduce_EVL"),
+    "d": ("S00", CloneName("S0", 2), "reduce_S00", "reduce_S02"),
+    "e": ("S10", CloneName("S1", 2), "reduce_S10", "reduce_S12"),
+    "f": ("D2", "D", "reduce_D", "reduce_D"),
+    "g": ("M2", "BF", "reduce_S00", "reduce_S02"),
+}
+
+#: Per restructuring pipeline: the clone [B] must contain, the one it must
+#: lie inside with the refusal when it does not, and the adjoined connective.
+_PIPELINES = {
+    "reduce_S00": ("S00", "M", "B must be monotone", "and"),
+    "reduce_S10": ("S10", "M", "B must be monotone", "or"),
+    "reduce_S02": ("S02", "BF", None, "and"),
+    "reduce_S12": ("S12", "BF", None, "or"),
+    "reduce_D": ("D2", "D", "B must be self-dual", "and"),
 }
 
 
@@ -180,7 +192,7 @@ class _Plan(NamedTuple):
     clone: CloneName                    # [B]
     case: str                           # its theorem case
     route: str                          # the pipeline theorem_reduce calls
-    normal: str | None                  # V, L or E: reduce_EVL's normal form
+    monotone: bool                      # [B] is inside M
     refusals: dict[str, str | None]     # per pipeline, its first failing bound, or None
     complete: bool                      # [B'] is BF
     outputs: dict[str, Base]            # per adjoined connective, B' with it
@@ -188,32 +200,22 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _plan(base: Base, target: Base) -> _Plan:
-    """What a reduction from B into B' does before it reads the formula,
-    fixed per pair: the pipeline bounds that fail (the generation of B by
-    B' last), the dispatch and the output bases.  Holds no function: the
-    pipelines are looked up when called."""
+    """What a reduction from B into B' reads off the tables before it reads
+    the formula, fixed per pair: the case, the pipeline, the bounds that
+    fail (the generation of B by B' last) and the output bases.  Holds no
+    function: the pipelines are looked up when called."""
     x = clone_of(base)
     case = theorem_case(x)
-    if case in ("a", "b", "c"):
-        route = "reduce_EVL"
-    elif case == "d":
-        route = "reduce_S00" if includes(CloneName("S01", 2), x) else "reduce_S02"
-    elif case == "e":
-        route = "reduce_S10" if includes(CloneName("S11", 2), x) else "reduce_S12"
-    elif case == "f":
-        route = "reduce_D"
-    else:
-        route = "reduce_S00" if includes("M", x) else "reduce_S02"
-    normal = next((n for n in "VLE" if includes(n, x)), None)
+    monotone = includes("M", x)
+    route = _CASES[case][2 if monotone else 3]
     missing = next((f"{c.name!r} is not generated by the target base"
                     for c in base if not member(c.fn, target)), None)
-    refusals = {pipeline: f"the clone of B must contain {lower}"
-                if lower and not includes(x, lower)
-                else upper[1] if upper and not includes(upper[0], x) else missing
-                for pipeline, (lower, upper) in _BOUNDS.items()}
-    if normal is None:
-        refusals["reduce_EVL"] = missing or "the clone of B is not inside E, V or L"
-    return _Plan(x, case, route, normal, refusals, clone_of(target) == CloneName("BF"),
+    refusals = {pipeline: f"the clone of B must contain {lower}" if not includes(x, lower)
+                else refusal if not includes(upper, x) else missing
+                for pipeline, (lower, upper, refusal, _) in _PIPELINES.items()}
+    refusals["reduce_EVL"] = missing if route == "reduce_EVL" else (
+        missing or "the clone of B is not inside E, V or L")
+    return _Plan(x, case, route, monotone, refusals, clone_of(target) == CloneName("BF"),
                  {"none": target, "and": target.extended(AND), "or": target.extended(OR)})
 
 
@@ -325,10 +327,14 @@ def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
     occurrences) of each argument it reads, its build steps
     (:func:`_build`)), identity first.  A connective the target does not
     generate has one variant, itself, over the target with constants
-    (removed by :func:`eliminate_constants`).  Raises as ``represent``
-    does."""
+    (removed by :func:`eliminate_constants`).  A constant the target
+    builds only at a variable has no variant, so that refusal is cached
+    too; otherwise raises as ``represent`` does."""
     if member(fn, target):
-        found = represent_variants(fn, target)
+        try:
+            found = represent_variants(fn, target)
+        except NotInCloneError:
+            found = {}
     else:
         found = {(0, 0): represent(fn, target.extended(FALSE, TRUE))}
     out: tuple[list, list] = ([], [])
@@ -435,14 +441,10 @@ def _constant_replacement(bit: int, target: Base, props: list[str]) -> Formula |
     the constant available: the identity variant of the constant
     function (:func:`_variants`), unary at the first proposition, or
     nullary when there is none, which the target may build only at a
-    variable (``NotInCloneError``)."""
+    variable."""
     fn = BooleanFunction(len(props[:1]), (bit,) * (2 if props else 1))
-    try:
-        if member(fn, target):
-            return _build(_variants(fn, target)[0][0][4], [Prop(p) for p in props[:1]])
-    except NotInCloneError:
-        pass
-    return None
+    options = _variants(fn, target)[0] if member(fn, target) else ()
+    return _build(options[0][4], [Prop(p) for p in props[:1]]) if options else None
 
 
 def _big_fold(phi: Formula, bit: int, target: Base, extra: str,
@@ -571,35 +573,39 @@ def _eliminated(phi: Formula, shaped: Formula, target: Base, extra: str) -> Form
     return out
 
 
-def _pipeline(phi: Formula, base: Base, target: Base, pipeline: str, restructurer,
-              extra: str) -> ReductionOutput:
+def _pipeline(phi: Formula, base: Base, target: Base, pipeline: str,
+              extra: str | None = None) -> ReductionOutput:
     """The restructuring pipelines' body: check the preconditions, then
-    replace the candidate shapes (:func:`_candidates`: the folded input,
-    ``restructurer(phi)`` or both), eliminate and keep the smaller
-    output."""
+    replace the candidate shapes (:func:`_candidates`), eliminate and
+    keep the smaller output.  ``extra`` defaults to the pipeline's
+    adjoined connective; a monotone [B] is restructured by g when it is
+    ``and`` and by h when it is ``or``, any other [B] by the full form."""
     plan = _preconditions(phi, base, target, pipeline)
+    extra = extra or _PIPELINES[pipeline][3]
+    restructurer = (restructure_full if not plan.monotone
+                    else restructure_monotone_g if extra == "and" else restructure_monotone_h)
     out = _replace_and_eliminate(phi, _candidates(phi, target, restructurer), target, extra)
     return _pipeline_output(phi, out, plan, extra)
 
 
 def reduce_S00(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Monotone pipeline for S00 <= [B] <= M; output over B' + {and}."""
-    return _pipeline(phi, base, target, "reduce_S00", restructure_monotone_g, "and")
+    return _pipeline(phi, base, target, "reduce_S00")
 
 
 def reduce_S10(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Dual monotone pipeline for S10 <= [B] <= M; output over B' + {or}."""
-    return _pipeline(phi, base, target, "reduce_S10", restructure_monotone_h, "or")
+    return _pipeline(phi, base, target, "reduce_S10")
 
 
 def reduce_S02(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Pipeline for S02 <= [B]; output over B' + {and}."""
-    return _pipeline(phi, base, target, "reduce_S02", restructure_full, "and")
+    return _pipeline(phi, base, target, "reduce_S02")
 
 
 def reduce_S12(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Dual pipeline for S12 <= [B]; output over B' + {or}."""
-    return _pipeline(phi, base, target, "reduce_S12", restructure_full, "or")
+    return _pipeline(phi, base, target, "reduce_S12")
 
 
 def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> ReductionOutput:
@@ -617,16 +623,10 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
     fallback is capped at the representation arity."""
     if want not in ("and", "or"):
         raise ReductionError(f"want must be 'and' or 'or', not {want!r}")
-    plan = _preconditions(phi, base, target, "reduce_D")
-    if plan.clone == CloneName("D2"):
-        restructurer = restructure_monotone_g if want == "and" else restructure_monotone_h
-        extra = want
-    else:
-        restructurer = restructure_full
-        extra = "none" if plan.complete else want
+    plan = _plan(base, target)
+    extra = "none" if plan.complete and not plan.monotone else want
     try:
-        out = _replace_and_eliminate(phi, _candidates(phi, target, restructurer),
-                                     target, extra)
+        return _pipeline(phi, base, target, "reduce_D", extra)
     except ConstantEliminationError:
         order = props_in_order(phi)
         if len(order) > CLOSURE_ARITY_MAX:
@@ -644,9 +644,9 @@ def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     :func:`normalize_E`), balanced; then the shared replace-and-eliminate
     body.  Output over B' exactly."""
     plan = _preconditions(phi, base, target, "reduce_EVL")
-    if plan.normal == "V":
+    if plan.case == "a":
         shaped = normalize_V(phi)[2]
-    elif plan.normal == "L":
+    elif plan.case == "b":
         shaped = _affine_shape(*normalize_L(phi)[:2])
     else:
         shaped = normalize_E(phi)[2]
@@ -659,23 +659,12 @@ def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
 
 
 def theorem_case(clone: CloneName) -> str:
-    """Which of the seven lattice cases the clone falls in: (a) inside V,
-    (b) inside L, (c) inside E, (d) S00..S0^2, (e) S10..S1^2, (f) D2..D,
-    (g) above M2.  First match in that order."""
-    if includes("V", clone):
-        return "a"
-    if includes("L", clone):
-        return "b"
-    if includes("E", clone):
-        return "c"
-    if includes(clone, "S00") and includes(CloneName("S0", 2), clone):
-        return "d"
-    if includes(clone, "S10") and includes(CloneName("S1", 2), clone):
-        return "e"
-    if includes(clone, "D2") and includes("D", clone):
-        return "f"
-    if includes(clone, "M2"):
-        return "g"
+    """Which of the seven lattice cases the clone falls in: the first row
+    of ``_CASES`` whose window holds it ((a) inside V, (b) L, (c) E,
+    (d) S00..S0^2, (e) S10..S1^2, (f) D2..D, (g) above M2)."""
+    for case, (lower, upper, *_) in _CASES.items():
+        if includes(clone, lower) and includes(upper, clone):
+            return case
     raise ReductionError(f"clone {clone} escapes the case analysis")
 
 
@@ -740,16 +729,9 @@ def canonical_equivalent(base: Base) -> CanonicalResult:
         names: tuple[str, ...] = ("id",)
     elif includes("N", x):
         names = ("not",)
-    elif case == "a":
-        names = ("or",)
-    elif case == "b":
-        names = ("xor",)
-    elif case == "c":
-        names = ("and",)
-    elif includes("M", x):
-        names = ("and", "or")
     else:
-        names = ("and", "or", "not")
+        names = {"a": ("or",), "b": ("xor",), "c": ("and",)}.get(
+            case, ("and", "or") if includes("M", x) else ("and", "or", "not"))
     return CanonicalResult(
         x, names,
         f"theorem case ({case}); forward direction via theorem_reduce, the "

@@ -313,3 +313,9 @@ def test_depth_reduce_refuses_before_the_certificate(capsys, monkeypatch):
     assert main(["--json", "depth-reduce", "--mode", "g", "--formula", "x & y"]) == 1
     assert json.loads(capsys.readouterr().out) == {
         "error": "output of 4 nodes exceeds the printing cap 3"}
+
+
+def test_table_rejects_an_empty_name(capsys):
+    assert main(["--json", "table", "--formula", "x & y", "--vars", "x,,y"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "bad variable list 'x,,y': an empty name"}

@@ -737,3 +737,59 @@ def test_targets_over_one_base_keep_separate_plans():
         assert out.extra == extra and out.certificate.equivalent is True
         assert out.target == (target if extra == "none" else target.extended(AND))
     assert reductions._plan(source, targets["and"]) != reductions._plan(source, targets["none"])
+
+
+def test_plans_pinned():
+    # a digest of every catalog pair's plan (case, pipeline, per pipeline
+    # its refusal, whether [B'] is BF) and of every catalog base's
+    # canonical set; it changes exactly when a dispatch, a bound or a
+    # canonical set does
+    digest = hashlib.sha256()
+    for source in catalog():
+        for target in catalog():
+            plan = reductions._plan(source.base, target.base)
+            digest.update(f"{source.name} {target.name} {plan.case} {plan.route} "
+                          f"{sorted(plan.refusals.items())} {plan.complete}\n".encode())
+        canon = canonical_equivalent(source.base)
+        digest.update(f"{source.name} {canon.clone} {canon.connectives} {canon.note}\n".encode())
+    assert digest.hexdigest()[:16] == "3563e792b63a0e29"
+
+
+@pytest.mark.parametrize("source,target,called", [
+    ("S02", "S02", ["reduce_S02", "restructure_full"]),
+    ("S10", "S10", ["reduce_S10", "restructure_monotone_h"]),
+    ("D2", "M2", ["reduce_D", "restructure_monotone_g"]),
+    ("D1", "BF", ["reduce_D", "restructure_full"]),
+    ("M", "M", ["reduce_S00", "restructure_monotone_g"]),
+    ("R2", "BF", ["reduce_S02", "restructure_full"]),
+])
+def test_pipelines_are_looked_up_when_called(monkeypatch, source, target, called):
+    # theorem_reduce calls the pipeline, and the pipeline the restructurer,
+    # through the module's names, so a wrapped one runs (the benchmark's
+    # trace wraps them); one proposition is always restructured
+    calls = []
+    for name in ("reduce_S00", "reduce_S10", "reduce_S02", "reduce_S12", "reduce_D",
+                 "reduce_EVL", "restructure_monotone_g", "restructure_monotone_h",
+                 "restructure_full"):
+        def wrapped(*args, _name=name, _real=getattr(reductions, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(reductions, name, wrapped)
+    source, target = catalog_entry(source).base, catalog_entry(target).base
+    out = theorem_reduce(Prop("x"), source, target)
+    assert calls == called and render(out.formula) == "x"
+
+
+def test_constant_refusal_is_searched_once(monkeypatch):
+    # {and, not} builds 0 only at a variable: without a proposition the
+    # witness search refuses, and _variants keeps the refusal like a witness
+    searches = []
+    real = reductions.represent_variants
+    def counted(*args):
+        searches.append(1)
+        return real(*args)
+    monkeypatch.setattr(reductions, "represent_variants", counted)
+    _variants.cache_clear()
+    for _ in range(3):
+        assert _constant_replacement(0, Base([AND, NOT]), []) is None
+    assert len(searches) == 1
