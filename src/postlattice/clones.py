@@ -18,8 +18,6 @@ from math import prod
 from operator import ge
 from typing import NamedTuple
 
-import numpy as np
-
 from . import boolfun
 from .boolfun import (
     INFINITE,
@@ -65,7 +63,7 @@ CLOSURE_ARITY_MAX = 4
 #: before it gives up with CloneError.
 CLOSURE_COMPOSITION_BUDGET = 100_000_000
 _CHUNK = 1 << 16            # argument tuples composed per numpy batch
-_NO_CANDIDATE = np.iinfo(np.int64).max
+_NO_CANDIDATE = (1 << 63) - 1     # the int64 maximum
 MAX_CATALOG_DEGREE = 5
 _DEGREES = range(2, MAX_CATALOG_DEGREE + 1)
 
@@ -364,9 +362,11 @@ class _Search:
     one-at-a-time search would.  After each layer it composes every
     argument tuple that uses a function of that layer and keeps the best
     candidate per unsettled table.  It stops when every pending table
-    (the targets, or all) is settled or no candidate is left."""
+    (the targets, or all) is settled or no candidate is left.  numpy is
+    imported by the methods, so only a search loads it."""
 
     def __init__(self, base: Base, k: int, targets: tuple[int, ...] = ()):
+        import numpy as np
         rows = 1 << k
         self.full = (1 << rows) - 1
         self.dtype = np.uint8 if rows <= 8 else np.uint16
@@ -412,6 +412,7 @@ class _Search:
     def _trim(self, box: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
         """``box`` without the tuples larger than every pending table's best
         candidate (each span keeps a prefix), or None if none is left."""
+        import numpy as np
         if any(lo >= hi for lo, hi in box):
             return None
         limit = self.best[self.pending].max()
@@ -427,6 +428,7 @@ class _Search:
     def _offer(self, cidx: int, box: list[tuple[int, int]]) -> None:
         """Compose connective ``cidx`` over the argument tuples of the box
         and keep each unsettled table's best candidate."""
+        import numpy as np
         box = self._trim(box)
         if box is None:
             return
@@ -560,8 +562,3 @@ def lattice_dot(max_degree: int = 3) -> str:
                 lines.append(f'  "{b}" -> "{a}";')
     lines.append("}")
     return "\n".join(lines)
-
-
-def dual_base(base: Base) -> Base:
-    """The base of dual functions (names suffixed with ``_d``)."""
-    return Base([Connective(f"{c.name}_d", dual(c.fn)) for c in base])

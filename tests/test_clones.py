@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from postlattice.clones import (
     classify_sat,
     clone_of,
     closure,
-    dual_base,
     includes,
     lattice_dot,
     member,
@@ -128,6 +128,11 @@ def test_includes():
     assert includes("BF", "I2")
     for entry in catalog():
         assert includes(entry.name, "I2")
+
+
+def dual_base(base: Base) -> Base:
+    """The base of dual functions (names suffixed with ``_d``)."""
+    return Base([Connective(f"{c.name}_d", boolfun.dual(c.fn)) for c in base])
 
 
 def test_duality_symmetry():
@@ -310,6 +315,45 @@ def test_lattice_dot_is_the_same_under_any_hash_seed():
         outputs.append(done.stdout)
     assert outputs[0].startswith(b"digraph post_lattice {")
     assert outputs[0] == outputs[1]
+
+
+def test_numpy_is_loaded_by_the_first_witness_search():
+    # a child process, because this one has numpy loaded already: every
+    # call that needs no witness search leaves numpy unimported, and the
+    # first reduction that looks a witness up imports it
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from postlattice import (Base, Connective, catalog, classify_sat, clone_of,
+                                 equivalent, member, parse, restructure_full,
+                                 theorem_case, theorem_reduce)
+        from postlattice.boolfun import parse_function_literal
+        from postlattice.cli import main
+        from postlattice.formula import AND, NOT
+        base = Base([AND, NOT])
+        nand = Base([Connective(*parse_function_literal("nand/2:1110"))])
+        phi = parse("!(x & y)")
+        assert len(catalog()) > 0
+        assert clone_of(base) == clone_of(nand)
+        assert member(AND.fn, nand)
+        assert classify_sat(nand) == "NP-complete"
+        assert theorem_case(clone_of(base)) == "g"
+        assert equivalent(restructure_full(parse("x ^ (y | z)")), parse("x ^ (y | z)"))
+        for argv in (["parse", "--formula", "x & (y | z)"], ["id", "--fn", "imp/2:1101"],
+                     ["lattice", "--max-degree", "2"],
+                     ["depth-reduce", "--formula", "x ^ y", "--mode", "full"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["--json", *argv]) == 0
+        assert "numpy" not in sys.modules
+        out = theorem_reduce(phi, base, nand)
+        assert out.certificate.equivalent is True and equivalent(out.formula, phi)
+        assert "numpy" in sys.modules
+    """)
+    src = str(Path(postlattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_closure_arity_4():
