@@ -9,7 +9,6 @@ from .boolfun import (
     dual,
     is_affine,
     is_c_reproducing,
-    is_c_separating,
     is_essentially_unary,
     is_monotone,
     is_self_dual,

@@ -1,12 +1,17 @@
-"""Finite Boolean functions as packed truth tables, plus the structural
-predicates used to classify them (reproducing, monotone, self-dual,
-affine, essentially unary, c-separating of a degree).
+"""Finite Boolean functions, the packed truth-table format the package
+computes with, and the structural predicates used to classify them
+(reproducing, monotone, self-dual, affine, essentially unary, conjunction
+or disjunction shape, c-separating of a degree).
 
 Table convention: row ``p`` of an ``n``-ary function holds the value at
 the argument tuple ``(a1, ..., an)`` where ``p = a1*2**(n-1) + ... + an``.
 The first argument is the most significant bit and row 0 is the all-zeros
 tuple.  The canonical text form is ``name/arity:bitstring`` with position
 ``p`` of the bitstring holding row ``p``.
+
+This module owns the packed format, one integer whose bit ``p`` is row
+``p``: packing, projection masks, composition (on ints or numpy arrays)
+and variants.  ``formula`` and ``clones`` read tables through it.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_, xor
 
 from .errors import PostLatticeError
 
@@ -91,12 +98,72 @@ def format_function_literal(name: str, fn: BooleanFunction) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the packed format
+
+
+def _projection_mask(j: int, n: int) -> int:
+    """Packed table of the j-th of n variables: bit p is set iff row p
+    has that variable true.  Built by doubling one period (a run of
+    zeros, then a run of ones) up to all 2^n rows."""
+    run = 1 << (n - 1 - j)
+    mask = ((1 << run) - 1) << run
+    period = 2 * run
+    while period < 1 << n:
+        mask |= mask << period
+        period *= 2
+    return mask
+
+
+def _pack(f: BooleanFunction) -> int:
+    """The packed table of ``f``: bit p is set iff row p is true."""
+    return sum(1 << p for p, b in enumerate(f.bits) if b)
+
+
+def _unpack(table: int, n: int) -> BooleanFunction:
+    """The n-ary function whose packed table has bit p set for row p."""
+    return BooleanFunction(n, tuple((table >> p) & 1 for p in range(1 << n)))
+
+
+def _compose(fn: BooleanFunction, args: list, mask):
+    """The packed table of ``fn`` over packed argument tables (Python
+    ints, or numpy arrays that broadcast together) with every row of
+    ``mask`` set: an OR of the true rows' minterms, or the complement of
+    the false rows' when those are fewer."""
+    m = fn.arity
+    flip = 2 * sum(fn.bits) > len(fn.bits)
+    acc = 0
+    for v, bit in enumerate(fn.bits):
+        if bit != flip:
+            term = mask
+            for j, arg in enumerate(args):
+                term = term & (arg if (v >> (m - 1 - j)) & 1 else arg ^ mask)
+            acc = acc | term
+    return acc ^ mask if flip else acc
+
+
+def _variant(f: BooleanFunction, q: int, p: int) -> BooleanFunction:
+    """q xor f(x1 xor p_1, ..., xn xor p_n); bit i of p negates x_{i+1}."""
+    flip = sum(1 << (f.arity - 1 - i) for i in range(f.arity) if p >> i & 1)
+    return BooleanFunction(f.arity, tuple(q ^ f.bits[r ^ flip] for r in range(1 << f.arity)))
+
+
+def _relevant(f: BooleanFunction) -> tuple[int, list[int]]:
+    """The packed table of ``f`` and the projection masks of the inputs it
+    depends on: input j is relevant when, on the rows where x_j = 0, the
+    table differs from itself shifted down by that input's run."""
+    n, table = f.arity, _pack(f)
+    masks = (_projection_mask(j, n) for j in range(n))
+    return table, [m for j, m in enumerate(masks)
+                   if (table ^ table >> (1 << (n - 1 - j))) & ~m]
+
+
+# ---------------------------------------------------------------------------
 # property predicates
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:
     """The dual function: negate the output after negating every input."""
-    return BooleanFunction(f.arity, tuple(1 - b for b in reversed(f.bits)))
+    return _variant(f, 1, (1 << f.arity) - 1)
 
 
 def is_c_reproducing(f: BooleanFunction, c: int) -> bool:
@@ -106,13 +173,11 @@ def is_c_reproducing(f: BooleanFunction, c: int) -> bool:
 
 
 def is_monotone(f: BooleanFunction) -> bool:
-    """True iff flipping any input 0 -> 1 never decreases the output."""
-    n = f.arity
-    for p in range(1 << n):
-        for b in range(n):
-            if not p & (1 << b) and f.bits[p] > f.bits[p | (1 << b)]:
-                return False
-    return True
+    """True iff flipping any input 0 -> 1 never decreases the output: no
+    row with x_j = 0 is true while the row with x_j set is false."""
+    n, table = f.arity, _pack(f)
+    return not any(table & ~(table >> (1 << (n - 1 - j))) & ~_projection_mask(j, n)
+                   for j in range(n))
 
 
 def is_self_dual(f: BooleanFunction) -> bool:
@@ -120,65 +185,32 @@ def is_self_dual(f: BooleanFunction) -> bool:
 
 
 def is_affine(f: BooleanFunction) -> bool:
-    """True iff f is an XOR of a subset of its inputs plus a constant.
-
-    The candidate is read off the all-zeros row and the unit rows, then
-    verified against the whole table.
-    """
-    n = f.arity
-    c = f.bits[0]
-    mask = 0
-    for i in range(n):
-        row = 1 << (n - 1 - i)
-        if f.bits[row] != c:
-            mask |= row
-    for p in range(1 << n):
-        if f.bits[p] != c ^ (bin(p & mask).count("1") & 1):
-            return False
-    return True
+    """True iff f is an XOR of a subset of its inputs plus a constant: the
+    constant of the all-zeros row XOR the inputs it depends on."""
+    table, masks = _relevant(f)
+    return table == reduce(xor, masks, f.bits[0] * ((1 << (1 << f.arity)) - 1))
 
 
 def is_essentially_unary(f: BooleanFunction) -> bool:
     """True iff the output depends on at most one input position."""
-    n = f.arity
-    relevant = 0
-    for b in range(n):
-        for p in range(1 << n):
-            if not p & (1 << b) and f.bits[p] != f.bits[p | (1 << b)]:
-                relevant += 1
-                break
-        if relevant > 1:
-            return False
-    return True
+    return len(_relevant(f)[1]) <= 1
 
 
 def is_conjunction(f: BooleanFunction) -> bool:
     """True iff f is a constant or a conjunction of a subset of its inputs."""
-    n = f.arity
-    if all(b == f.bits[0] for b in f.bits):
-        return True
-    full = (1 << n) - 1
-    mask = 0
-    for b in range(n):
-        if f.bits[full ^ (1 << b)] == 0:
-            mask |= 1 << b
-    return all(f.bits[p] == (1 if p & mask == mask else 0) for p in range(1 << n))
+    table, masks = _relevant(f)
+    return not masks or table == reduce(and_, masks)
 
 
 def is_disjunction(f: BooleanFunction) -> bool:
-    """True iff f is a constant or a disjunction of a subset of its inputs:
-    the dual of a conjunction."""
-    return is_conjunction(dual(f))
+    """True iff f is a constant or a disjunction of a subset of its inputs."""
+    table, masks = _relevant(f)
+    return not masks or table == reduce(or_, masks)
 
 
 def is_projection_or_constant(f: BooleanFunction) -> bool:
-    n = f.arity
-    if all(b == f.bits[0] for b in f.bits):
-        return True
-    for b in range(n):
-        if all(f.bits[p] == (p >> b) & 1 for p in range(1 << n)):
-            return True
-    return False
+    table, masks = _relevant(f)
+    return not masks or masks == [table]
 
 
 def separating_degree(f: BooleanFunction, c: int):
@@ -193,18 +225,10 @@ def separating_degree(f: BooleanFunction, c: int):
     degree is s - 1.  Returns 0 when a single tuple already has no
     c-coordinate at all.
     """
-    n = f.arity
-    masks = set()
-    for p in range(1 << n):
-        if f.bits[p] == c:
-            m = 0
-            for b in range(n):
-                if (p >> b) & 1 == c:
-                    m |= 1 << b
-            masks.add(m)
+    full = (1 << f.arity) - 1
+    masks = {p if c else p ^ full for p, b in enumerate(f.bits) if b == c}
     if not masks:
         return INFINITE
-    full = (1 << n) - 1
     seen = {full}
     queue = deque([(full, 0)])
     while queue:
@@ -217,10 +241,6 @@ def separating_degree(f: BooleanFunction, c: int):
                 seen.add(nxt)
                 queue.append((nxt, used + 1))
     return INFINITE
-
-
-def is_c_separating(f: BooleanFunction, c: int) -> bool:
-    return separating_degree(f, c) == INFINITE
 
 
 def threshold(n: int) -> BooleanFunction:
@@ -242,13 +262,7 @@ def apply(f: BooleanFunction, gs) -> BooleanFunction:
     k = gs[0].arity
     if any(g.arity != k for g in gs):
         raise ArityError("composition arguments must share one arity")
-    bits = []
-    for p in range(1 << k):
-        idx = 0
-        for g in gs:
-            idx = (idx << 1) | g.bits[p]
-        bits.append(f.bits[idx])
-    return BooleanFunction(k, tuple(bits))
+    return _unpack(_compose(f, list(map(_pack, gs)), (1 << (1 << k)) - 1), k)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ from .boolfun import (
     INFINITE,
     ArityError,
     BooleanFunction,
+    _compose,
+    _pack,
+    _projection_mask,
+    _unpack,
+    _variant,
     dual,
     is_affine,
     is_c_reproducing,
@@ -52,10 +57,6 @@ from .formula import (
     Connective,
     Formula,
     Prop,
-    _compose,
-    _pack,
-    _projection_mask,
-    _unpack,
 )
 
 CLOSURE_ARITY_MAX = 4
@@ -503,11 +504,6 @@ def represent_variants(f: BooleanFunction, base: Base) -> dict[tuple[int, int], 
     negating x_{i+1}.  Variant (0, 0) is ``f`` itself, with the formula
     :func:`represent` finds; raises as :func:`represent` does."""
     return _represent(f, base, [(q, p) for q in (0, 1) for p in range(1 << f.arity)])
-
-
-def _variant(f: BooleanFunction, q: int, p: int) -> BooleanFunction:
-    flip = sum(1 << (f.arity - 1 - i) for i in range(f.arity) if p >> i & 1)
-    return BooleanFunction(f.arity, tuple(q ^ f.bits[r ^ flip] for r in range(1 << f.arity)))
 
 
 def _represent(f: BooleanFunction, base: Base,

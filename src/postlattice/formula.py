@@ -12,7 +12,8 @@ arity, computed once by its constructor from its arguments', so reading
 them takes no walk.  Size and leaf count are tree counts: a shared
 subtree counts once per occurrence.  A node's distinct connectives and
 propositions take one walk, the first time they are asked for, and are
-kept on the node.
+kept on the node.  Evaluation and truth tables read packed tables
+through :mod:`boolfun`, which owns their format and composition.
 
 Grammar (ASCII): identifiers ``[a-zA-Z_][a-zA-Z0-9_']*``, infix ``&``
 ``|`` ``^`` ``->`` ``<->`` ``-/>``, prefix ``!``, literals ``0`` ``1``,
@@ -30,7 +31,14 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import boolfun
-from .boolfun import ArityError, BooleanFunction, parse_function_literal
+from .boolfun import (
+    ArityError,
+    BooleanFunction,
+    _compose,
+    _projection_mask,
+    _unpack,
+    parse_function_literal,
+)
 from .errors import PostLatticeError
 
 EQUIVALENCE_CAP = 20
@@ -576,12 +584,6 @@ def substitute(phi: Formula, alpha: Formula, beta: Formula) -> Formula:
         else node if isinstance(node, Prop) else _rebuild(node, args)))
 
 
-def instantiate(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    """Simultaneously replace propositions by formulas."""
-    return _rewrite(phi, lambda node, args: (
-        mapping.get(node.name, node) if isinstance(node, Prop) else _rebuild(node, args)))
-
-
 def fold(phi: Formula) -> Formula:
     """Absorb the constants of ``phi``: :func:`_absorb` at every node,
     children first (``x & (1 & 1)`` is x, ``x & 0`` is 0).  Equivalence-
@@ -606,46 +608,6 @@ def constant_value(phi: Formula):
     if isinstance(phi, Apply) and phi.conn.arity == 0:
         return phi.conn.fn.bits[0]
     return None
-
-
-def _projection_mask(j: int, n: int) -> int:
-    """Packed table of the j-th of n variables: bit p is set iff row p
-    has that variable true.  Built by doubling one period (a run of
-    zeros, then a run of ones) up to all 2^n rows."""
-    run = 1 << (n - 1 - j)
-    mask = ((1 << run) - 1) << run
-    period = 2 * run
-    while period < 1 << n:
-        mask |= mask << period
-        period *= 2
-    return mask
-
-
-def _pack(f: BooleanFunction) -> int:
-    """The packed table of ``f``: bit p is set iff row p is true."""
-    return sum(1 << p for p, b in enumerate(f.bits) if b)
-
-
-def _unpack(table: int, n: int) -> BooleanFunction:
-    """The n-ary function whose packed table has bit p set for row p."""
-    return BooleanFunction(n, tuple((table >> p) & 1 for p in range(1 << n)))
-
-
-def _compose(fn: BooleanFunction, args: list, mask):
-    """The packed table of ``fn`` over packed argument tables (Python
-    ints, or numpy arrays that broadcast together) with every row of
-    ``mask`` set: an OR of the true rows' minterms, or the complement of
-    the false rows' when those are fewer."""
-    m = fn.arity
-    flip = 2 * sum(fn.bits) > len(fn.bits)
-    acc = 0
-    for v, bit in enumerate(fn.bits):
-        if bit != flip:
-            term = mask
-            for j, arg in enumerate(args):
-                term = term & (arg if (v >> (m - 1 - j)) & 1 else arg ^ mask)
-            acc = acc | term
-    return acc ^ mask if flip else acc
 
 
 @lru_cache(maxsize=4096)      # at most 3**arity constant patterns per function
@@ -680,13 +642,13 @@ def _absorb(node: Formula, args) -> Formula:
 
 
 def _eval_masks(roots, masks: Mapping[str, int] | None = None, nrows: int = 0) -> list[int]:
-    """The packed tables of ``roots`` over ``nrows`` rows, given the packed
-    column of each proposition (bits above the rows are ignored), in one
-    walk.  Without ``masks``, over the whole truth table of the roots'
-    propositions in order of first occurrence, or ``VariableCapError``
-    above ``EQUIVALENCE_CAP`` of them.  Each name's column is cut to the
-    rows once; above 2^10 rows a table is dropped once its last parent has
-    read it."""
+    """The packed tables (:mod:`boolfun`'s format) of ``roots`` over
+    ``nrows`` rows, given the packed column of each proposition (bits
+    above the rows are ignored), in one walk.  Without ``masks``, over the
+    whole truth table of the roots' propositions in order of first
+    occurrence, or ``VariableCapError`` above ``EQUIVALENCE_CAP`` of them.
+    Each name's column is cut to the rows once; above 2^10 rows a table is
+    dropped once its last parent has read it."""
     order = _postorder(*roots)
     names = dict.fromkeys(node.name for node in order if isinstance(node, Prop))
     if masks is None:

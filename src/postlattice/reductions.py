@@ -75,10 +75,10 @@ from .formula import (
     AND,
     FALSE,
     FALSE_F,
-    ID,
     IFF,
     NOT,
     OR,
+    STANDARD_BASE,
     TRUE,
     TRUE_F,
     XOR,
@@ -690,8 +690,6 @@ def theorem_reduce(phi: Formula, base: Base, target: Base) -> ReductionOutput:
 # canonical connective sets
 
 
-_STD_BY_NAME = {c.name: c for c in (AND, OR, NOT, XOR, IFF, FALSE, TRUE, ID)}
-
 _SIX_CANONICAL = {
     CloneName("BF"): ("and", "or", "not"),
     CloneName("M"): ("and", "or", "0", "1"),
@@ -710,7 +708,7 @@ class CanonicalResult:
 
     @property
     def canonical_base(self) -> Base:
-        return Base([_STD_BY_NAME[name] for name in self.connectives])
+        return Base([STANDARD_BASE.get(n) for n in self.connectives])
 
 
 def canonical_equivalent(base: Base) -> CanonicalResult:

@@ -94,10 +94,6 @@ class SplitChoice:
     node: Formula
 
 
-def max_connective_arity(phi: Formula) -> int:
-    return phi.max_arity
-
-
 def select_split(phi: Formula) -> SplitChoice:
     """Pick the split subformula: descend from the root into the child
     with the most leaves (the first on ties) until the leaf count is

@@ -1,12 +1,13 @@
 """Shared test helpers: seeded random generators, criterion 4's base
-pairs, deep chains, a lowered-recursion-limit fixture and the
-independent subset-enumeration oracle for separating degrees."""
+pairs, deep chains, a lowered-recursion-limit fixture, the independent
+subset-enumeration oracle for separating degrees and brute-force oracles
+for the other table predicates and composition."""
 
 from __future__ import annotations
 
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -162,6 +163,68 @@ def oracle_separating_degree(f: BooleanFunction, c: int):
             if not inter:
                 return s - 1
     raise AssertionError("empty total intersection but no empty subset")
+
+
+# Brute-force oracles, each written from its definition over the rows of
+# the table.  A row index p doubles as the set of true arguments, so
+# p <= q as sets is ``p | q == q``, negating every argument is
+# ``p ^ (rows - 1)``, and a subset S of the arguments is a row mask.
+
+
+def oracle_monotone(f: BooleanFunction) -> bool:
+    """p <= q implies f(p) <= f(q)."""
+    rows = range(1 << f.arity)
+    return all(f.bits[p] <= f.bits[q] for p in rows for q in rows if p | q == q)
+
+
+def oracle_self_dual(f: BooleanFunction) -> bool:
+    """f(not p) = not f(p)."""
+    full = (1 << f.arity) - 1
+    return all(f.bits[full ^ p] == 1 - f.bits[p] for p in range(full + 1))
+
+
+def oracle_affine(f: BooleanFunction) -> bool:
+    """Some c and S with f(p) = c xor parity(p and S)."""
+    rows = range(1 << f.arity)
+    return any(all(f.bits[p] == c ^ bin(p & s).count("1") % 2 for p in rows)
+               for c in (0, 1) for s in rows)
+
+
+def oracle_essentially_unary(f: BooleanFunction) -> bool:
+    """At most one argument whose flip changes some row."""
+    n, rows = f.arity, range(1 << f.arity)
+    relevant = [j for j in range(n)
+                if any(f.bits[p] != f.bits[p ^ (1 << j)] for p in rows)]
+    return len(relevant) <= 1
+
+
+def oracle_conjunction(f: BooleanFunction) -> bool:
+    """Constant, or the AND of the arguments of some S."""
+    rows = range(1 << f.arity)
+    return len(set(f.bits)) == 1 or any(
+        all(f.bits[p] == int(p & s == s) for p in rows) for s in rows)
+
+
+def oracle_disjunction(f: BooleanFunction) -> bool:
+    """Constant, or the OR of the arguments of some S."""
+    rows = range(1 << f.arity)
+    return len(set(f.bits)) == 1 or any(
+        all(f.bits[p] == int(p & s != 0) for p in rows) for s in rows)
+
+
+def oracle_projection_or_constant(f: BooleanFunction) -> bool:
+    """Constant, or equal to one argument on every row."""
+    rows = range(1 << f.arity)
+    return len(set(f.bits)) == 1 or any(
+        all(f.bits[p] == a[j] for p, a in zip(rows, product((0, 1), repeat=f.arity)))
+        for j in range(f.arity))
+
+
+def oracle_apply(f: BooleanFunction, gs) -> BooleanFunction:
+    """f(g1(x), ..., gm(x)) composed row by row; the gs share one arity."""
+    k = gs[0].arity
+    return BooleanFunction(k, tuple(f.value([g.bits[p] for g in gs])
+                                    for p in range(1 << k)))
 
 
 def all_functions(arity: int):

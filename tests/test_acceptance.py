@@ -37,7 +37,6 @@ from postlattice.restructure import (
     SIZE_FACTOR_FULL,
     SIZE_FACTOR_MONOTONE,
     depth_bound,
-    max_connective_arity,
     restructure_full,
     restructure_monotone_g,
     restructure_monotone_h,
@@ -106,7 +105,7 @@ def test_criterion_3_restructuring():
                 assert size(phi) <= 60
                 out = build(phi)
                 assert equivalent(phi, out), f"{mode} #{i}"
-                k = max_connective_arity(phi)
+                k = phi.max_arity
                 assert depth(out) <= depth_bound(mode, k, leaf_count(phi)), \
                     f"{mode} #{i} depth"
                 assert size(out) <= factor * size(phi) ** exponent, \

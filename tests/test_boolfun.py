@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from postlattice.boolfun import (
@@ -22,7 +24,6 @@ from postlattice.boolfun import (
     format_function_literal,
     is_affine,
     is_c_reproducing,
-    is_c_separating,
     is_conjunction,
     is_disjunction,
     is_essentially_unary,
@@ -34,7 +35,19 @@ from postlattice.boolfun import (
     threshold,
 )
 
-from conftest import all_functions, oracle_separating_degree
+from conftest import (
+    all_functions,
+    oracle_affine,
+    oracle_apply,
+    oracle_conjunction,
+    oracle_disjunction,
+    oracle_essentially_unary,
+    oracle_monotone,
+    oracle_projection_or_constant,
+    oracle_self_dual,
+    oracle_separating_degree,
+    random_function,
+)
 
 
 def test_literals():
@@ -106,8 +119,8 @@ def test_separating_degree_examples():
     assert separating_degree(MAJ3_FN, 1) == 2
     assert separating_degree(CONST0_FN, 1) == INFINITE  # empty preimage
     assert separating_degree(NOT_FN, 0) == 0
-    assert is_c_separating(IMP_FN, 0)
-    assert not is_c_separating(AND_FN, 0)
+    assert separating_degree(IMP_FN, 0) == INFINITE
+    assert separating_degree(AND_FN, 0) != INFINITE
 
 
 def test_separating_degree_against_oracle_arity_le_2():
@@ -164,7 +177,7 @@ def test_threshold_properties(n):
     assert is_c_reproducing(t, 1)
     if n >= 2:
         # n = 1 degenerates to the disjunction, which is 0-separating
-        assert not is_c_separating(t, 0)
+        assert separating_degree(t, 0) != INFINITE
     assert separating_degree(t, 1) == n
 
 
@@ -188,3 +201,46 @@ def test_nimp_is_and_not():
 def test_arity_cap():
     with pytest.raises(ArityError):
         BooleanFunction(7, tuple([0] * 128))
+
+
+#: each table predicate with its brute-force oracle
+_ORACLES = [(is_monotone, oracle_monotone), (is_self_dual, oracle_self_dual),
+            (is_affine, oracle_affine), (is_essentially_unary, oracle_essentially_unary),
+            (is_conjunction, oracle_conjunction), (is_disjunction, oracle_disjunction),
+            (is_projection_or_constant, oracle_projection_or_constant)]
+
+
+def _predicate_sample():
+    """Every function of arity 0-3; at arity 4-6 seeded random tables,
+    which almost never lie in a class, and seeded conjunctions,
+    disjunctions, affine and self-dual functions, which do."""
+    rng = random.Random(27)
+    sample = [f for n in range(4) for f in all_functions(n)]
+    for n in (4, 5, 6):
+        rows = range(1 << n)
+        for _ in range(20):
+            s, c = rng.getrandbits(n), rng.getrandbits(1)
+            half = [rng.getrandbits(1) for _ in range(1 << (n - 1))]
+            sample += [
+                random_function(rng, n),
+                BooleanFunction(n, tuple(int(p & s == s) for p in rows)),
+                BooleanFunction(n, tuple(int(p & s != 0) for p in rows)),
+                BooleanFunction(n, tuple(c ^ bin(p & s).count("1") % 2 for p in rows)),
+                BooleanFunction(n, tuple(half[p] if p < len(half) else 1 - half[rows[-1] ^ p]
+                                         for p in rows))]
+    return sample
+
+
+def test_predicates_against_oracles():
+    for f in _predicate_sample():
+        for predicate, oracle in _ORACLES:
+            assert predicate(f) == oracle(f), (predicate.__name__, f.arity, f.bitstring)
+
+
+def test_apply_against_row_by_row_composition():
+    rng = random.Random(28)
+    for _ in range(300):
+        m, k = rng.randint(0, 4), rng.randint(0, 6)
+        f = random_function(rng, m)
+        gs = [random_function(rng, k) for _ in range(m)]
+        assert apply(f, gs) == (oracle_apply(f, gs) if gs else f)

@@ -33,7 +33,6 @@ from postlattice.formula import (
     equivalent,
     evaluate,
     fold,
-    instantiate,
     leaf_count,
     metrics,
     parse,
@@ -45,7 +44,6 @@ from postlattice.formula import (
     vars_of,
 )
 from postlattice.restructure import (
-    max_connective_arity,
     restructure_full,
     restructure_monotone_g,
     select_split,
@@ -276,7 +274,7 @@ def test_truth_table_invariant_under_renaming():
     renamed = {"x": "u", "y": "v", "z": "w"}
     for _ in range(60):
         phi = random_formula(rng, FULL_POOL, names, rng.randint(1, 25))
-        psi = instantiate(phi, {k: Prop(v) for k, v in renamed.items()})
+        psi = _ref_instantiate(phi, {k: Prop(v) for k, v in renamed.items()})
         order = ["x", "y", "z"]
         assert truth_table(phi, order) == truth_table(
             psi, [renamed[n] for n in order])
@@ -349,7 +347,9 @@ def test_walkers_on_deep_chain(shallow_stack):
     assert evaluate(phi, dict.fromkeys(names, 1)) == 1
     assert evaluate(phi, {**dict.fromkeys(names, 1), "e": 0}) == 0
     for bit in (0, 1):
-        constants = instantiate(phi, {n: TRUE_F if bit else FALSE_F for n in names})
+        constants = phi
+        for n in names:
+            constants = substitute(constants, Prop(n), TRUE_F if bit else FALSE_F)
         assert leaf_count(constants) == 0
         assert fold(constants) == (TRUE_F if bit else FALSE_F)
     assert fold(phi) is phi      # nothing to fold
@@ -369,19 +369,19 @@ def test_counts_take_no_walk(shallow_stack, monkeypatch):
     names = ["a", "b", "c", "d", "e"]
     phi = chain([AND], DEEP, names)
     shared = restructure_monotone_g(chain([AND, OR], 256, names))
-    want = [(size(shared), depth(shared), leaf_count(shared), max_connective_arity(shared),
+    want = [(size(shared), depth(shared), leaf_count(shared), shared.max_arity,
              select_split(shared))]
 
     def no_walk(phi):
         raise AssertionError("walked")
 
     monkeypatch.setattr(formula, "_postorder", no_walk)
-    assert (size(phi), depth(phi), leaf_count(phi), max_connective_arity(phi)) == \
+    assert (size(phi), depth(phi), leaf_count(phi), phi.max_arity) == \
         (2 * DEEP - 1, DEEP - 1, DEEP, 2)
     choice = select_split(phi)
     assert DEEP / 3 < choice.chosen_leaves <= 2 * DEEP / 3
     assert want == [(size(shared), depth(shared), leaf_count(shared),
-                     max_connective_arity(shared), select_split(shared))]
+                     shared.max_arity, select_split(shared))]
 
 
 def test_apply_equality_and_hash_on_deep_chains(shallow_stack):
@@ -500,11 +500,6 @@ def _ref_instantiate(phi, mapping):
     return Apply(phi.conn, tuple(_ref_instantiate(a, mapping) for a in phi.args))
 
 
-#: what the instantiation check puts in for x and y: a negated
-#: conjunction and a formula with a constant
-_MAPPING = {"x": parse("!(!x | !y)"), "y": parse("(y | x) & 1")}
-
-
 def _ref_eval(phi, assignment):
     if isinstance(phi, Prop):
         return assignment[phi.name]
@@ -525,12 +520,9 @@ def test_walkers_agree_with_recursive_references():
         assert size(phi) == _ref_size(phi)
         assert depth(phi) == _ref_depth(phi)
         assert leaf_count(phi) == _ref_leaves(phi)
-        assert max_connective_arity(phi) == _ref_arity(phi)
+        assert phi.max_arity == _ref_arity(phi)
         assert fold(phi) == _ref_fold(phi)
         assert render(phi) == _ref_render(phi)[0]
-        replaced = instantiate(phi, _MAPPING)
-        assert replaced == _ref_instantiate(phi, _MAPPING)
-        assert render(replaced) == _ref_render(_ref_instantiate(phi, _MAPPING))[0]
         alpha = random_formula(rng, FULL_POOL, names, rng.randint(1, 4))
         for old in (alpha, Prop("x"), TRUE_F):
             assert substitute(phi, old, Prop("v")) == _ref_substitute(phi, old, Prop("v"))

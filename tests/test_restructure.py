@@ -38,7 +38,6 @@ from postlattice.restructure import (
     SIZE_FACTOR_FULL,
     SIZE_FACTOR_MONOTONE,
     depth_bound,
-    max_connective_arity,
     restructure_full,
     restructure_monotone_g,
     restructure_monotone_h,
@@ -76,7 +75,7 @@ def test_select_split_window_random():
         m = leaf_count(phi)
         if m < 2:
             continue
-        k = max_connective_arity(phi)
+        k = phi.max_arity
         choice = select_split(phi)
         assert m / (k + 1) < choice.chosen_leaves <= k * m / (k + 1)
 
@@ -194,7 +193,7 @@ def test_random_suite_all_modes():
             phi = random_formula(rng, pool, names, rng.randint(1, 50))
             out = build(phi)
             assert equivalent(phi, out)
-            k = max_connective_arity(phi)
+            k = phi.max_arity
             assert depth(out) <= depth_bound(mode, k, leaf_count(phi))
             assert size(out) <= factor * size(phi) ** exponent
 
