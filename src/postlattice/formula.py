@@ -150,18 +150,13 @@ class Base:
     """An ordered set of named Boolean functions."""
 
     def __init__(self, connectives: Iterable[Connective]):
-        out: list[Connective] = []
-        by_name: dict[str, Connective] = {}
+        by_name: dict[str, Connective] = {}     # in order of first occurrence
         for c in connectives:
-            prev = by_name.get(c.name)
-            if prev is None:
-                by_name[c.name] = c
-                out.append(c)
-            elif prev.fn != c.fn:
+            if by_name.setdefault(c.name, c).fn != c.fn:
                 raise BaseError(f"duplicate connective name {c.name!r}")
-        self.connectives = tuple(out)
+        self.connectives = tuple(by_name.values())
         self._by_name = by_name
-        self._tables = frozenset(c.fn for c in out)
+        self._tables = frozenset(c.fn for c in self.connectives)
         self._hash = hash(self.connectives)
 
     def get(self, name: str) -> Connective | None:
@@ -173,22 +168,13 @@ class Base:
     def extended(self, *extra: Connective) -> "Base":
         """This base plus the given connectives; an incoming name that
         clashes with a different function gets primes appended."""
-        out = list(self.connectives)
         by_name = dict(self._by_name)
         for c in extra:
-            if by_name.get(c.name, c).fn == c.fn:
-                if c.name not in by_name:
-                    out.append(c)
-                    by_name[c.name] = c
-                continue
             name = c.name
-            while name in by_name and by_name[name].fn != c.fn:
+            while by_name.get(name, c).fn != c.fn:
                 name += "'"
-            if name not in by_name:
-                renamed = Connective(name, c.fn)
-                out.append(renamed)
-                by_name[name] = renamed
-        return Base(out)
+            by_name.setdefault(name, c if name == c.name else Connective(name, c.fn))
+        return Base(by_name.values())
 
     @classmethod
     def from_text(cls, text: str) -> "Base":
@@ -361,10 +347,11 @@ def parse(text: str, base: Base | None = None) -> Formula:
 # split subformula in both case-split branches, so a tree of 300k nodes may
 # hold only a few thousand distinct node objects.  :func:`_postorder` is
 # the walk: each distinct node object once, children first, off an explicit
-# stack.  :func:`_rewrite` is the map built on it, memoised on ``id(node)``;
-# a node already in a caller's memo keeps its image and is not descended
-# into.  A memo lives for one call only, because an id can be reused once
-# its object is freed.  ``render`` and ``_same`` keep passes of their own.
+# stack; restructuring passes it the split subformula as ``known``, so the
+# walk skips it.  :func:`_rewrite` is the map built on it, memoised on
+# ``id(node)``.  A memo lives for one call only, because an id can be
+# reused once its object is freed.  ``render`` and ``_same`` keep passes
+# of their own.
 
 
 def _postorder(*roots: Formula, known=()) -> list[Formula]:
@@ -393,13 +380,12 @@ def _postorder(*roots: Formula, known=()) -> list[Formula]:
     return order
 
 
-def _rewrite(phi: Formula, at, memo: dict | None = None):
+def _rewrite(phi: Formula, at):
     """The image of ``phi`` under ``at``: each distinct node object maps,
     once and children first, to ``at(node, images of its arguments)``; a
-    leaf has no arguments.  A node whose id is a key of ``memo`` keeps
-    that image and is not descended into."""
-    memo = {} if memo is None else memo
-    for node in _postorder(phi, known=memo):
+    leaf has no arguments."""
+    memo = {}
+    for node in _postorder(phi):
         memo[id(node)] = at(node, [memo[id(a)] for a in node.args]
                             if isinstance(node, Apply) else ())
     return memo[id(phi)]

@@ -548,29 +548,23 @@ def _replace_and_eliminate(phi: Formula, shapes: list[Formula], target: Base,
     """The body every pipeline shares: replace the connectives of each
     candidate shape of phi (:func:`_replace`), eliminate its constants
     for the adjoined ``extra`` and keep the smallest output (the first
-    on a tie; a lone candidate is not sized).  A candidate whose
-    elimination raises gives way to the others; with none left, the
-    first error is raised.  A constant shape is written at phi's first
-    proposition (:func:`_constant_replacement`)."""
+    on a tie).  A candidate whose elimination raises gives way to the
+    others; with none left, the first error is raised.  A constant shape
+    is written at phi's first proposition (:func:`_constant_replacement`)."""
     outs, errors = [], []
     for shaped in shapes:
+        bit = constant_value(shaped)
         try:
-            outs.append(_eliminated(phi, shaped, target, extra))
+            out = (eliminate_constants(_replace(shaped, target)[0], target, extra) if bit is None
+                   else _constant_replacement(bit, target, props_in_order(phi)))
+            if out is None:
+                raise ConstantEliminationError(f"constant {bit} is not available in the target")
+            outs.append(out)
         except ConstantEliminationError as err:
             errors.append(err)
     if not outs:
         raise errors[0]
-    return outs[0] if len(outs) == 1 else min(outs, key=lambda out: out.size)
-
-
-def _eliminated(phi: Formula, shaped: Formula, target: Base, extra: str) -> Formula:
-    bit = constant_value(shaped)
-    if bit is None:
-        return eliminate_constants(_replace(shaped, target)[0], target, extra)
-    out = _constant_replacement(bit, target, props_in_order(phi))
-    if out is None:
-        raise ConstantEliminationError(f"constant {bit} is not available in the target")
-    return out
+    return min(outs, key=lambda out: out.size)
 
 
 def _pipeline(phi: Formula, base: Base, target: Base, pipeline: str,

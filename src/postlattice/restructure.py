@@ -5,13 +5,14 @@ child with the most proposition occurrences and take the first
 subformula on that path whose leaf count is at most k*m/(k+1), where m
 is the total leaf count and k the largest connective arity.  Both
 recursion branches then shrink by the factor k/(k+1), which gives depth
-O(k log m).  Each branch of a step is one pass over the formula that
-substitutes the split constant, absorbs constants, and interns every
-node in a table that lives for one restructuring call (hash-consing):
-structurally equal nodes become one object, so a pass finds the split
-subformula by identity and each distinct subformula is restructured
-once.  The split rule reads the leaf count and largest arity that every
-node carries, so choosing a split takes no walk.
+O(k log m).  One pass over the formula builds both branches of a step:
+it substitutes 0 and 1 for the split subformula without entering it,
+absorbs constants, and interns every node in a table that lives for one
+restructuring call (hash-consing): structurally equal nodes become one
+object, so a pass finds the split subformula by identity and each
+distinct subformula is restructured once.  The split rule reads the
+leaf count and largest arity that every node carries, so choosing a
+split takes no walk.
 
 The one simplification rule is the constant rule of ``formula.fold``
 (``formula._absorb``), applied to every node a pass or a builder
@@ -61,6 +62,7 @@ from .formula import (
     Prop,
     _absorb,
     _eval_masks,
+    _postorder,
     _rewrite,
     connectives_of,
     constant,
@@ -116,30 +118,6 @@ def _apply(conn, *args: Formula) -> Formula:
     return _absorb(Apply(conn, args), list(args))
 
 
-def _branch(phi: Formula, psi: Formula | None, bit: int, interned: set[int],
-            table: dict) -> Formula:
-    """One :func:`formula._rewrite` of ``phi`` that absorbs constants
-    (:func:`_absorb`) and then interns each image in ``table``, with the
-    subformula ``psi`` pre-seeded to the constant ``bit``, so nothing
-    below ``psi`` is visited.  ``psi=None`` only absorbs.
-
-    ``table`` and ``interned`` are shared by a whole restructuring call.
-    ``table`` keys a proposition by its name and an application by its
-    connective and the ids of its interned arguments, so structurally
-    equal nodes of a result are one object: once ``phi`` is a result,
-    every subformula equal to ``psi`` is ``psi`` itself.  ``interned``
-    holds the id of each table entry, which the table keeps alive."""
-    def absorb_intern(node: Formula, args) -> Formula:
-        out = _absorb(node, args)
-        if id(out) not in interned:
-            ident = out.name if isinstance(out, Prop) else (out.conn, *map(id, out.args))
-            out = table.setdefault(ident, out)
-            interned.add(id(out))
-        return out
-
-    return _rewrite(phi, absorb_intern, {} if psi is None else {id(psi): constant(bit)})
-
-
 def _order(phi: Formula, low: Formula, high: Formula) -> int | None:
     """How the branches low = phi[psi/0] and high = phi[psi/1] compare
     over the variables of ``phi``: None if equal, 1 if low <= high, -1 if
@@ -168,11 +146,24 @@ def _restructure(phi: Formula, build) -> Formula:
     ``build(low, high, part, order)`` around each split subformula psi:
     low and high restructure phi with psi set to 0 and to 1, part
     restructures psi and order is :func:`_order` of the two branches (a
-    split with equal branches is low alone).  Each distinct subformula is
+    split with equal branches is low alone).  One pass over phi builds
+    both branches and skips psi's subtree.  Each distinct subformula is
     restructured once per call."""
+    # ``table`` keys a proposition by its name and an application by its
+    # connective and the ids of its interned arguments, so equal nodes of a
+    # result are one object and every subformula equal to psi is psi itself;
+    # ``interned`` holds the id of each entry, which the table keeps alive
     interned: set[int] = set()
     table: dict = {}
     done: dict[int, Formula] = {}
+
+    def intern(node: Formula, args) -> Formula:
+        out = _absorb(node, args)
+        if id(out) not in interned:
+            ident = out.name if isinstance(out, Prop) else (out.conn, *map(id, out.args))
+            out = table.setdefault(ident, out)
+            interned.add(id(out))
+        return out
 
     def step(phi: Formula) -> Formula:
         if id(phi) in done:
@@ -191,14 +182,18 @@ def _restructure(phi: Formula, build) -> Formula:
                 psi = phi
                 while isinstance(psi, Apply):
                     psi = next(a for a in psi.args if a.leaf_count)
-            low = _branch(phi, psi, 0, interned, table)
-            high = _branch(phi, psi, 1, interned, table)
+            lows, highs = {id(psi): constant(0)}, {id(psi): constant(1)}
+            for node in _postorder(phi, known=lows):
+                args = node.args if isinstance(node, Apply) else ()
+                lows[id(node)] = intern(node, [lows[id(a)] for a in args])
+                highs[id(node)] = intern(node, [highs[id(a)] for a in args])
+            low, high = lows[id(phi)], highs[id(phi)]
             order = _order(phi, low, high)
             out = step(low) if order is None else build(step(low), step(high), step(psi), order)
         done[id(phi)] = out
         return out
 
-    return step(_branch(phi, None, 0, interned, table))
+    return step(_rewrite(phi, intern))
 
 
 def restructure_monotone_g(phi: Formula) -> Formula:

@@ -301,10 +301,6 @@ def test_rewrite_maps_each_distinct_node_once():
 
     assert formula._rewrite(nodes[-1], count_leaves) == 2 ** 40
     assert list(map(id, seen)) == list(map(id, nodes))
-    # a pre-seeded node keeps its image and is not descended into
-    seen.clear()
-    assert formula._rewrite(nodes[-1], count_leaves, {id(nodes[20]): 1}) == 2 ** 20
-    assert list(map(id, seen)) == list(map(id, nodes[21:]))
 
 
 def test_base_file_round_trip():
@@ -317,6 +313,20 @@ def test_base_file_round_trip():
     assert Base.from_text(text + "and/2:0001\n") == base
     with pytest.raises(formula.BaseError):
         Base.from_text(text + "and/2:0111\n")
+
+
+def test_base_extended_renames():
+    # an incoming name that holds a different function gets primes until
+    # it is free or holds the same function, which is then reused
+    xor_as_and = Connective("and", boolfun.XOR_FN)
+    base = Base([xor_as_and])
+    assert base.extended(AND) == Base([xor_as_and, Connective("and'", AND.fn)])
+    primed = Connective("and'", boolfun.OR_FN)
+    assert (Base([xor_as_and, primed]).extended(AND)
+            == Base([xor_as_and, primed, Connective("and''", AND.fn)]))
+    reused = Base([xor_as_and, Connective("and'", AND.fn)])
+    assert reused.extended(AND) == reused
+    assert Base([AND, OR]).extended(AND, OR) == Base([AND, OR])
 
 
 def test_arity_mismatch_apply():

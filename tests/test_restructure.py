@@ -371,3 +371,17 @@ def test_restructure_shares_equal_subformulas(build, pool, links):
     # the output are mostly one node object
     out = build(chain(links, 256, CHAIN_NAMES))
     assert len(_postorder(out)) <= 2 * _distinct_subformulas(out)
+
+
+@pytest.mark.parametrize("build,pool,links", RESTRUCTURERS, ids=["g", "h", "full"])
+def test_each_split_walks_its_formula_once(build, pool, links, monkeypatch):
+    # one walk of phi builds both branches of a split, which _order
+    # then compares once
+    calls = {"_postorder": 0, "_order": 0}
+    for name in calls:
+        def counted(*args, real=getattr(restructure, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(restructure, name, counted)
+    build(chain(links, 64, CHAIN_NAMES))
+    assert calls["_postorder"] == calls["_order"] > 0, calls
