@@ -10,8 +10,10 @@ tuple.  The canonical text form is ``name/arity:bitstring`` with position
 ``p`` of the bitstring holding row ``p``.
 
 This module owns the packed format, one integer whose bit ``p`` is row
-``p``: packing, projection masks, composition (on ints or numpy arrays)
-and variants.  ``formula`` and ``clones`` read tables through it.
+``p``: packing, projection masks, variants, and composition on ints or
+numpy arrays by one compiled bitwise kernel per function, whose argument
+tables must lie inside the row mask.  ``formula`` and ``clones`` read
+tables through it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, or_, xor
 
 from .errors import PostLatticeError
@@ -126,19 +128,41 @@ def _unpack(table: int, n: int) -> BooleanFunction:
 
 def _compose(fn: BooleanFunction, args: list, mask):
     """The packed table of ``fn`` over packed argument tables (Python
-    ints, or numpy arrays that broadcast together) with every row of
-    ``mask`` set: an OR of the true rows' minterms, or the complement of
-    the false rows' when those are fewer."""
-    m = fn.arity
-    flip = 2 * sum(fn.bits) > len(fn.bits)
-    acc = 0
-    for v, bit in enumerate(fn.bits):
-        if bit != flip:
-            term = mask
-            for j, arg in enumerate(args):
-                term = term & (arg if (v >> (m - 1 - j)) & 1 else arg ^ mask)
-            acc = acc | term
-    return acc ^ mask if flip else acc
+    ints, or unsigned numpy arrays that broadcast together), by ``fn``'s
+    compiled kernel.  Precondition: every argument lies inside ``mask``;
+    then so does the result, with every row of ``mask`` set."""
+    return _kernel(fn)(mask, *args)
+
+
+@lru_cache(maxsize=4096)
+def _kernel(fn: BooleanFunction):
+    """``fn`` compiled once: a straight-line bitwise expression over the
+    mask ``m`` and the arguments (argument j is ``a{n-1-j}``, its bit of
+    the row index), the Shannon expansion on the first argument a of the
+    tables lo (a = 0) and hi (a = 1), each the shorter of its expansion
+    and its negation's complemented.  ``~a`` appears only in ``E & ~a``
+    with E inside the mask.  The table never becomes source text."""
+    @lru_cache(maxsize=None)
+    def shortest(bits: tuple) -> str:
+        flipped = f"({expansion(tuple(1 - b for b in bits))} ^ m)"
+        return min(expansion(bits), flipped, key=len)
+
+    def expansion(bits: tuple) -> str:
+        if len(bits) == 1:
+            return "m" if bits[0] else "0"
+        half = len(bits) // 2
+        lo, hi, a = bits[:half], bits[half:], f"a{half.bit_length() - 1}"
+        e0, e1 = shortest(lo), shortest(hi)
+        return (e0 if e0 == e1
+                else (a if e1 == "m" else f"({a} & {e1})") if e0 == "0"
+                else f"({a} | {e0})" if e1 == "m"
+                else (f"({a} ^ m)" if e0 == "m" else f"({e0} & ~{a})") if e1 == "0"
+                else f"(({a} ^ m) | {e1})" if e0 == "m"
+                else f"({a} ^ {e0})" if lo == tuple(1 - b for b in hi)
+                else f"(({a} & {e1}) | ({e0} & ~{a}))")
+
+    params = "".join(f", a{j}" for j in reversed(range(fn.arity)))
+    return eval(f"lambda m{params}: {shortest(fn.bits)}", {"__builtins__": {}})
 
 
 def _variant(f: BooleanFunction, q: int, p: int) -> BooleanFunction:

@@ -2,12 +2,11 @@
 tests, bounded-arity closure with witness formulas, representation
 search, and the satisfiability dichotomy.
 
-Identification is one lookup: every catalog clone states its
-requirement as data, and the clone generated by a base is the
-inclusion-minimal catalog clone whose requirement the base's joint
-signature meets.  This is exact because the catalog is a complete
-enumeration of clones.  The compositional closure
-is kept alongside as an independent oracle.
+Identification is one lookup: the clone generated by a base is the
+catalog row whose base has the same joint signature.  This is exact:
+composition keeps every signature component, so B and the clone [B]
+share one, and the catalog lists every clone, so [B] is a row.  The
+compositional closure is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -271,19 +270,22 @@ def catalog_entry(name) -> CatalogEntry:
 
 
 def clone_of(base: Base) -> CloneName:
-    """The smallest clone containing every function of the base: the
-    minimal catalog row whose requirement the base's joint signature
-    meets."""
-    return _minimal_clone(_joint(base))
+    """The clone [B] generated by the base B: one lookup of the catalog
+    row whose base has B's joint signature, which is the signature of [B]."""
+    name = _clones_by_signature().get(_joint(base))
+    if name is None:
+        raise CloneError("no minimal catalog clone found; catalog inconsistent")
+    return name
 
 
-@lru_cache(maxsize=None)
-def _minimal_clone(sig: _Signature) -> CloneName:
-    candidates = [e for e in catalog() if _meets(sig, e.requirement)]
-    for entry in candidates:
-        if all(_entry_includes(other.name, entry.name) for other in candidates):
-            return entry.name
-    raise CloneError("no minimal catalog clone found; catalog inconsistent")
+@lru_cache(maxsize=1)
+def _clones_by_signature() -> dict[_Signature, CloneName]:
+    """Each row's name under its base's joint signature, built on the
+    first identification; the first row wins a shared signature."""
+    table: dict[_Signature, CloneName] = {}
+    for entry in catalog():
+        table.setdefault(_joint(entry.base), entry.name)
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,8 @@
 """Shared test helpers: seeded random generators, criterion 4's base
 pairs, deep chains, a lowered-recursion-limit fixture, the independent
 subset-enumeration oracle for separating degrees and brute-force oracles
-for the other table predicates and composition."""
+for the other table predicates, composition of functions and composition
+of packed tables."""
 
 from __future__ import annotations
 
@@ -225,6 +226,22 @@ def oracle_apply(f: BooleanFunction, gs) -> BooleanFunction:
     k = gs[0].arity
     return BooleanFunction(k, tuple(f.value([g.bits[p] for g in gs])
                                     for p in range(1 << k)))
+
+
+def oracle_compose(fn: BooleanFunction, args: list, mask):
+    """The packed table of ``fn`` over packed argument tables inside
+    ``mask`` (ints or numpy arrays): an OR of the true rows' minterms, or
+    the complement of the false rows' when those are fewer."""
+    m = fn.arity
+    flip = 2 * sum(fn.bits) > len(fn.bits)
+    acc = 0
+    for v, bit in enumerate(fn.bits):
+        if bit != flip:
+            term = mask
+            for j, arg in enumerate(args):
+                term = term & (arg if (v >> (m - 1 - j)) & 1 else arg ^ mask)
+            acc = acc | term
+    return acc ^ mask if flip else acc
 
 
 def all_functions(arity: int):

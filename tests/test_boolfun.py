@@ -19,6 +19,7 @@ from postlattice.boolfun import (
     NOT_FN,
     OR_FN,
     XOR_FN,
+    _compose,
     apply,
     dual,
     format_function_literal,
@@ -39,6 +40,7 @@ from conftest import (
     all_functions,
     oracle_affine,
     oracle_apply,
+    oracle_compose,
     oracle_conjunction,
     oracle_disjunction,
     oracle_essentially_unary,
@@ -244,3 +246,30 @@ def test_apply_against_row_by_row_composition():
         f = random_function(rng, m)
         gs = [random_function(rng, k) for _ in range(m)]
         assert apply(f, gs) == (oracle_apply(f, gs) if gs else f)
+
+
+def test_compose_against_minterm_oracle():
+    # every function of arity 0-3 and 300 seeded ones at each arity 4-6,
+    # over Python ints of 1, 8, 64 and 4,096 rows and over the broadcast
+    # numpy boxes the witness search composes; arguments lie inside the mask
+    import numpy as np
+    rng = random.Random(29)
+    sample = [f for n in range(4) for f in all_functions(n)]
+    sample += [random_function(rng, n) for n in (4, 5, 6) for _ in range(300)]
+    assert len(sample) == 1178
+    for f in sample:
+        for rows in (1, 8, 64, 4096):
+            mask = (1 << rows) - 1
+            args = [rng.getrandbits(rows) for _ in range(f.arity)]
+            assert _compose(f, args, mask) == oracle_compose(f, args, mask), (f, rows)
+        for dtype, full in ((np.uint8, 15), (np.uint8, 255), (np.uint16, 65535)):
+            m = f.arity
+            axes = [(1,) * i + (-1,) + (1,) * (m - 1 - i) for i in range(m)]
+            args = [np.array([rng.randint(0, full) for _ in range(rng.randint(1, 3))],
+                             dtype=dtype).reshape(ax) for ax in axes]
+            shape = tuple(a.size for a in args)
+            got = np.asarray(_compose(f, args, dtype(full)))
+            want = np.asarray(oracle_compose(f, args, dtype(full)))
+            assert got.dtype == want.dtype, (f, dtype, full)
+            assert np.array_equal(np.broadcast_to(got, shape),
+                                  np.broadcast_to(want, shape)), (f, dtype, full)

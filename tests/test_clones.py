@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import postlattice
-from postlattice import boolfun
+from postlattice import boolfun, clones
 from postlattice.boolfun import (
     AND_FN,
     BooleanFunction,
@@ -61,7 +61,7 @@ from postlattice.formula import (
     Prop,
 )
 
-from conftest import all_functions, random_base
+from conftest import all_functions, random_base, random_function
 
 
 def test_clone_of_examples():
@@ -88,16 +88,52 @@ def test_catalog_soundness_small_degrees():
         assert clone_of(entry.base) == entry.name
 
 
+def _assert_minimal(base):
+    """clone_of(base) contains the base and lies in every row that does."""
+    name = clone_of(base)
+    pred_holds = [e.name for e in catalog()
+                  if all(e.predicate(c.fn) for c in base)]
+    assert name in pred_holds
+    for other in pred_holds:
+        assert includes(other, name), (name, other)
+
+
 def test_clone_of_minimality():
     rng = random.Random(41)
     for i in range(60):
-        base = random_base(rng, f"m{i}")
-        name = clone_of(base)
-        pred_holds = [e.name for e in catalog()
-                      if all(e.predicate(c.fn) for c in base)]
-        assert name in pred_holds
-        for other in pred_holds:
-            assert includes(other, name), (name, other)
+        _assert_minimal(random_base(rng, f"m{i}"))
+
+
+def test_catalog_signatures_distinct():
+    rows = catalog()
+    assert len(rows) == len({clones._joint(e.base) for e in rows}) == 70
+    for entry in rows:
+        assert clone_of(entry.base) == entry.name
+
+
+def test_clone_of_minimality_with_wide_connectives():
+    # random connectives of arity 4-5 mixed with catalog connectives
+    rng = random.Random(29)
+    pool = list(dict.fromkeys(c for e in catalog() for c in e.base))
+    for i in range(100):
+        conns = [Connective(f"w{i}_{j}", random_function(rng, rng.choice((4, 5))))
+                 for j in range(rng.randint(0, 2))]
+        _assert_minimal(Base(conns + rng.sample(pool, rng.randint(0 if conns else 1, 3))))
+
+
+def test_identification_makes_no_inclusion_test(monkeypatch):
+    calls, entry_includes = [], clones._entry_includes
+
+    def counted(outer, inner):
+        calls.append((outer, inner))
+        return entry_includes(outer, inner)
+
+    clones._clones_by_signature.cache_clear()
+    clones._joint.cache_clear()
+    monkeypatch.setattr(clones, "_entry_includes", counted)
+    for entry in catalog():
+        assert clone_of(entry.base) == entry.name
+    assert calls == []
 
 
 def test_identification_pinned():
