@@ -10,10 +10,12 @@ tuple.  The canonical text form is ``name/arity:bitstring`` with position
 ``p`` of the bitstring holding row ``p``.
 
 This module owns the packed format, one integer whose bit ``p`` is row
-``p``: packing, projection masks, variants, and composition on ints or
-numpy arrays by one compiled bitwise kernel per function, whose argument
-tables must lie inside the row mask.  ``formula`` and ``clones`` read
-tables through it.
+``p``: packing, projection masks, variants, and composition by one
+compiled bitwise kernel per function, whose argument tables must lie
+inside the row mask.  The kernel works bit by bit, so one int may also
+hold many tables side by side in fixed-width lanes, with the mask full in
+every lane; the witness search composes them so.  ``formula`` and
+``clones`` read tables through it.
 """
 
 from __future__ import annotations
@@ -127,10 +129,10 @@ def _unpack(table: int, n: int) -> BooleanFunction:
 
 
 def _compose(fn: BooleanFunction, args: list, mask):
-    """The packed table of ``fn`` over packed argument tables (Python
-    ints, or unsigned numpy arrays that broadcast together), by ``fn``'s
-    compiled kernel.  Precondition: every argument lies inside ``mask``;
-    then so does the result, with every row of ``mask`` set."""
+    """The packed table of ``fn`` over packed argument tables, or over
+    lane-packed ints holding one table per lane, by ``fn``'s compiled
+    kernel.  Precondition: every argument lies inside ``mask``; then so
+    does the result, with every row of ``mask`` set."""
     return _kernel(fn)(mask, *args)
 
 
@@ -140,8 +142,9 @@ def _kernel(fn: BooleanFunction):
     mask ``m`` and the arguments (argument j is ``a{n-1-j}``, its bit of
     the row index), the Shannon expansion on the first argument a of the
     tables lo (a = 0) and hi (a = 1), each the shorter of its expansion
-    and its negation's complemented.  ``~a`` appears only in ``E & ~a``
-    with E inside the mask.  The table never becomes source text."""
+    and its negation's complemented.  Bits never mix, so every lane of a
+    lane-packed int composes alone; ``~a`` appears only in ``E & ~a`` with
+    E inside the mask.  The table never becomes source text."""
     @lru_cache(maxsize=None)
     def shortest(bits: tuple) -> str:
         flipped = f"({expansion(tuple(1 - b for b in bits))} ^ m)"

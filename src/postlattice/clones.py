@@ -7,14 +7,20 @@ catalog row whose base has the same joint signature.  This is exact:
 composition keeps every signature component, so B and the clone [B]
 share one, and the catalog lists every clone, so [B] is a row.  The
 compositional closure is kept alongside as an independent oracle.
+
+``closure`` and ``represent`` share one smallest-witness search in plain
+Python: it settles one witness size at a time and composes thousands of
+argument tuples per kernel call, one tuple per lane of an int.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
-from operator import ge
+from operator import ge, itemgetter
+from sys import byteorder
 from typing import NamedTuple
 
 from . import boolfun
@@ -22,7 +28,7 @@ from .boolfun import (
     INFINITE,
     ArityError,
     BooleanFunction,
-    _compose,
+    _kernel,
     _pack,
     _projection_mask,
     _unpack,
@@ -62,8 +68,7 @@ CLOSURE_ARITY_MAX = 4
 #: Argument tuples one closure or representation search may compose
 #: before it gives up with CloneError.
 CLOSURE_COMPOSITION_BUDGET = 100_000_000
-_CHUNK = 1 << 16            # argument tuples composed per numpy batch
-_NO_CANDIDATE = (1 << 63) - 1     # the int64 maximum
+_LANES = 1 << 16            # argument tuples composed per kernel call
 MAX_CATALOG_DEGREE = 5
 _DEGREES = range(2, MAX_CATALOG_DEGREE + 1)
 
@@ -341,134 +346,144 @@ class ClosureSet:
         return w
 
 
-def _boxes(spans: list[tuple[int, int]]):
-    """Split the box of argument tuples with ``spans[i][0] <= t[i] <
-    spans[i][1]`` into boxes of at most ``_CHUNK`` tuples."""
-    lengths = [hi - lo for lo, hi in spans]
-    total = prod(lengths)
-    if total <= _CHUNK:
-        yield spans
-        return
-    axis = next(i for i, n in enumerate(lengths) if n > 1)
-    step = max(1, _CHUNK // (total // lengths[axis]))
-    lo, hi = spans[axis]
-    for a in range(lo, hi, step):
-        yield from _boxes(spans[:axis] + [(a, min(a + step, hi))] + spans[axis + 1:])
-
-
 class _Search:
     """Smallest-witness-first search over the packed arity-k tables of
     the clone generated by a base: Dijkstra on witness node count, ties
     broken by connective declaration index, then by the tuple of argument
-    settle indices.  A candidate of size s is built from smaller
-    functions, so whole size layers settle at once, in the order a
-    one-at-a-time search would.  After each layer it composes every
-    argument tuple that uses a function of that layer and keeps the best
-    candidate per unsettled table.  It stops when every pending table
-    (the targets, or all) is settled or no candidate is left.  numpy is
-    imported by the methods, so only a search loads it."""
+    settle indices.
+
+    It settles one witness size at a time.  Every argument of a candidate
+    of size s is smaller, so it is settled before layer s starts, and
+    layer s composes, connective by connective in declaration order, every
+    tuple of settled tables whose sizes sum to s - 1, in lexicographic
+    order of settle indices.  So the first lane that yields an unsettled
+    table holds that table's least key, and the layer settles its tables
+    in the order they first appear: the order a one-at-a-time search
+    settles them in.  The tuples lie in lanes of one int per argument
+    position (8 bits a lane up to k = 3, 16 at k = 4), and one call of
+    the connective's compiled kernel composes up to ``_LANES`` of them.
+    The search stops when every pending table (the targets, or all) is
+    settled, or when the next size passes 1 + (largest arity) x (largest
+    settled size), which no tuple of settled tables reaches."""
 
     def __init__(self, base: Base, k: int, targets: tuple[int, ...] = ()):
-        import numpy as np
-        rows = 1 << k
-        self.full = (1 << rows) - 1
-        self.dtype = np.uint8 if rows <= 8 else np.uint16
+        full = (1 << (1 << k)) - 1
+        self.width = 1 if k <= 3 else 2           # bytes per lane
         self.conns = [c for c in base if c.arity >= 1]
-        width = 1 + max((c.arity for c in self.conns), default=0)
-        # per table: the best candidate's size (0 once settled) and key
-        # (connective index, then argument settle indices)
-        self.best = np.full(self.full + 1, _NO_CANDIDATE, dtype=np.int64)
-        self.best_key = np.zeros((self.full + 1, width), dtype=np.int64)
-        # per settle index: table, witness size and key; the projections
-        # and constants come first, with key -1
+        arity = max((c.arity for c in self.conns), default=0)
+        # per settle index: the table, and past the leaves (the projections
+        # and constants, which come first) the key (connective, *arguments)
         leaves: dict[int, Formula] = {_projection_mask(j, k): Prop(f"x{j + 1}")
                                       for j in range(k)}
         for c in base:
             if c.arity == 0:
-                leaves.setdefault(self.full if c.fn.bits[0] else 0, Apply(c))
+                leaves.setdefault(full if c.fn.bits[0] else 0, Apply(c))
         self.leaves = list(leaves.values())
-        self.tables = np.array(list(leaves), dtype=self.dtype)
-        self.sizes = np.ones(len(leaves), dtype=np.int64)
-        self.keys = np.full((len(leaves), width), -1, dtype=np.int64)
-        self.best[self.tables] = 0
-        self.pending = np.array(targets, dtype=np.int64) if targets else slice(None)
-        self.spent = start = 0
-        while self.best[self.pending].any():
-            count = len(self.tables)
+        self.tables = list(leaves)
+        self.lane_of = [t.to_bytes(self.width, byteorder) for t in self.tables]
+        self.keys: list[tuple[int, ...]] = []
+        self.layers = {1: range(len(leaves))}     # witness size -> settle indices
+        # counts[r][t]: the r-tuples of settled tables whose sizes sum to t
+        self.counts = [[1]] + [[0] for _ in range(arity)]
+        self.runs: dict = {}        # per block (r, t): its runs
+        self.blocks: dict = {}      # per whole block (r, t): its lanes
+        settled = set(self.tables)
+        ones, masks = full.to_bytes(self.width, byteorder), {}
+        self.spent, size, last = 0, 1, 1
+        while (size < 1 + arity * last and len(self.tables) <= full
+               and not (targets and settled.issuperset(targets))):
+            filled = [(i, len(ids)) for i, ids in self.layers.items() if ids]
+            for r, counts in enumerate(self.counts):
+                counts.append(sum(n * self.counts[r - 1][size - i] for i, n in filled)
+                              if r else 0)
+            if self.spent + sum(self.counts[c.arity][size] for c in self.conns) \
+                    > CLOSURE_COMPOSITION_BUDGET:
+                raise CloneError(f"closure search needs more than "
+                                 f"{CLOSURE_COMPOSITION_BUDGET:,} compositions")
+            start = len(self.tables)
             for cidx, conn in enumerate(self.conns):
-                for pos in range(conn.arity):
-                    spans = self._trim([(0, start)] * pos + [(start, count)]
-                                       + [(0, count)] * (conn.arity - 1 - pos))
-                    for box in _boxes(spans) if spans else ():
-                        self._offer(cidx, box)
-            layer = self.best[self.best > 0].min()
-            if layer == _NO_CANDIDATE:
-                return
-            members = np.flatnonzero(self.best == layer)
-            members = members[np.lexsort(self.best_key[members].T[::-1])]
-            self.best[members] = 0
-            self.tables = np.concatenate([self.tables, members.astype(self.dtype)])
-            self.sizes = np.concatenate([self.sizes, np.full(len(members), layer)])
-            self.keys = np.concatenate([self.keys, self.best_key[members]])
-            start = count
+                kernel, count = _kernel(conn.fn), self.counts[conn.arity][size]
+                self.spent += count
+                for lo in range(0, count, _LANES):
+                    n = min(_LANES, count - lo)
+                    mask = masks.get(n) or masks.setdefault(n, int.from_bytes(ones * n, byteorder))
+                    out = kernel(mask, *(int.from_bytes(column, byteorder) for column
+                                         in self._lanes(conn.arity, size, lo, lo + n))
+                                 ).to_bytes(n * self.width, byteorder)
+                    if self.width == 1:     # drop the settled tables in C
+                        values, fresh = out, out.translate(None, bytes(self.tables))
+                    else:                   # most batches hold no new table
+                        values = array("H", out)
+                        fresh = () if settled.issuperset(values) else values
+                    pos = 0
+                    for t in dict.fromkeys(fresh):      # in order of first lane
+                        if t not in settled:
+                            pos = values.index(t, pos)
+                            settled.add(t)
+                            self.tables.append(t)
+                            self.lane_of.append(t.to_bytes(self.width, byteorder))
+                            self.keys.append((cidx, *self._unravel(conn.arity, size, lo + pos)))
+            size += 1
+            self.layers[size] = range(start, len(self.tables))
+            if len(self.tables) > start:
+                last = size
 
-    def _trim(self, box: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-        """``box`` without the tuples larger than every pending table's best
-        candidate (each span keeps a prefix), or None if none is left."""
-        import numpy as np
-        if any(lo >= hi for lo, hi in box):
-            return None
-        limit = self.best[self.pending].max()
-        if limit == _NO_CANDIDATE:
-            return box
-        lows = self.sizes[[lo for lo, _ in box]]
-        slack = limit - 1 - lows.sum()
-        if slack < 0:
-            return None
-        ends = np.searchsorted(self.sizes, lows + slack, side="right")
-        return [(lo, min(hi, int(end))) for (lo, hi), end in zip(box, ends)]
+    def _runs(self, r: int, t: int) -> list[tuple[int, int, int, int, int]]:
+        """Block (r, t), the r-tuples of settled tables whose sizes sum to
+        t in lexicographic order of settle indices, is the concatenation
+        over layers i of L_i times block (r - 1, t - i).  Per run: its
+        first lane, L_i's first settle index and size, i, and the tuples
+        per first argument."""
+        if (r, t) not in self.runs:
+            self.runs[r, t] = runs = []
+            start = 0
+            for i, ids in self.layers.items():
+                m = self.counts[r - 1][t - i] if i <= t else 0
+                if ids and m:
+                    runs.append((start, ids.start, len(ids), i, m))
+                    start += len(ids) * m
+        return self.runs[r, t]
 
-    def _offer(self, cidx: int, box: list[tuple[int, int]]) -> None:
-        """Compose connective ``cidx`` over the argument tuples of the box
-        and keep each unsettled table's best candidate."""
-        import numpy as np
-        box = self._trim(box)
-        if box is None:
-            return
-        m = len(box)
-        shape = tuple(hi - lo for lo, hi in box)
-        self.spent += prod(shape)
-        if self.spent > CLOSURE_COMPOSITION_BUDGET:
-            raise CloneError(f"closure search needs more than "
-                             f"{CLOSURE_COMPOSITION_BUDGET:,} compositions")
-        axes = [(1,) * i + (-1,) + (1,) * (m - 1 - i) for i in range(m)]
-        out = _compose(self.conns[cidx].fn,
-                       [self.tables[lo:hi].reshape(ax) for (lo, hi), ax in zip(box, axes)],
-                       self.dtype(self.full))
-        size = 1 + sum(self.sizes[lo:hi].reshape(ax) for (lo, hi), ax in zip(box, axes))
-        table = np.broadcast_to(out, shape).ravel()
-        size = np.broadcast_to(size, shape).ravel()
-        flat = np.flatnonzero(size <= np.take(self.best, table))
-        if not flat.size:
-            return
-        table, size = table[flat], size[flat]
-        key = np.column_stack([np.full(len(flat), cidx), *np.unravel_index(flat, shape)])
-        key[:, 1:] += [lo for lo, _ in box]
-        # each table's best among its current best and the new candidates
-        size = np.concatenate([size, self.best[table]])
-        key = np.concatenate([key, self.best_key[table, :m + 1]])
-        table = np.concatenate([table, table])
-        order = np.lexsort((*key.T[::-1], size, table))
-        first = order[np.r_[True, table[order[1:]] != table[order[:-1]]]]
-        self.best[table[first]] = size[first]
-        self.best_key[table[first], :m + 1] = key[first]
+    def _lanes(self, r: int, t: int, lo: int, hi: int) -> list[bytes]:
+        """Lanes lo to hi of block (r, t), one string per argument
+        position: consecutive whole tails are one tail repeated, and a
+        whole block, at most ``_LANES`` lanes, is kept for the search."""
+        key = (r, t) if lo == 0 and hi == self.counts[r][t] else None
+        if key in self.blocks:
+            return self.blocks[key]
+        columns: list = [[] for _ in range(r)]
+        for start, first, n, i, m in self._runs(r, t):
+            a, b = max(lo - start, 0), min(hi - start, n * m)
+            while a < b:            # first argument q, its tail's lanes s to e
+                q, s = divmod(a, m)
+                e = m if s == 0 and b - a >= m else min(m, s + b - a)
+                reps = (b - a) // m if e - s == m else 1
+                columns[0] += [x * (e - s) for x in self.lane_of[first + q:first + q + reps]]
+                for column, tail in zip(columns[1:], self._lanes(r - 1, t - i, s, e)
+                                        if r > 1 else ()):
+                    column.append(tail * reps)
+                a += reps * (e - s)
+        columns = [b"".join(column) for column in columns]
+        if key:
+            self.blocks[key] = columns
+        return columns
+
+    def _unravel(self, r: int, t: int, lane: int) -> list[int]:
+        """The argument settle indices in ``lane`` of block (r, t)."""
+        args = []
+        for r in range(r, 0, -1):
+            runs = self._runs(r, t)
+            start, first, _, i, m = runs[bisect_right(runs, lane, key=itemgetter(0)) - 1]
+            q, lane = divmod(lane - start, m)
+            args.append(first + q)
+            t -= i
+        return args
 
     def formulas(self) -> list[Formula]:
         """The witness formula of every settled function, by settle index."""
         built = list(self.leaves)
-        for c, *args in self.keys[len(built):].tolist():
-            conn = self.conns[c]
-            built.append(Apply(conn, tuple(built[a] for a in args[:conn.arity])))
+        for c, *args in self.keys:
+            built.append(Apply(self.conns[c], tuple(built[a] for a in args)))
         return built
 
 
@@ -479,16 +494,15 @@ def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
     x1..xk (fewest nodes; ties by connective declaration order, then by
     the order in which the arguments were found).  ``witnesses=False``
     runs the same search and skips building the formulas.  Raises
-    :class:`CloneError` once the search has composed
+    :class:`CloneError` when the search would compose more than
     ``CLOSURE_COMPOSITION_BUDGET`` argument tuples (``closure`` of a
     functionally complete base at k = 4 does).
     """
     if not 0 <= k <= CLOSURE_ARITY_MAX:
         raise ArityError(f"closure arity {k} outside 0..{CLOSURE_ARITY_MAX}")
     search = _Search(base, k)
-    tables = search.tables.tolist()
-    built = search.formulas() if witnesses else [None] * len(tables)
-    return ClosureSet(k, base, {_unpack(t, k): w for t, w in zip(tables, built)})
+    built = search.formulas() if witnesses else [None] * len(search.tables)
+    return ClosureSet(k, base, {_unpack(t, k): w for t, w in zip(search.tables, built)})
 
 
 def represent(f: BooleanFunction, base: Base) -> Formula:
@@ -524,7 +538,7 @@ def _represent(f: BooleanFunction, base: Base,
             f"{f.bitstring} is not generated by {base!r} (clone {clone})")
     tables = {key: _pack(g) for key in keys if predicate(g := _variant(f, *key))}
     search = _Search(base, f.arity, tuple(sorted(set(tables.values()))))
-    found = {t: i for i, t in enumerate(search.tables.tolist())}
+    found = {t: i for i, t in enumerate(search.tables)}
     if tables[0, 0] not in found:
         # the clone predicate reads a constant of arity 0 like the unary
         # one, which needs no nullary connective; the nullary one does

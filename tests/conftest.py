@@ -230,8 +230,8 @@ def oracle_apply(f: BooleanFunction, gs) -> BooleanFunction:
 
 def oracle_compose(fn: BooleanFunction, args: list, mask):
     """The packed table of ``fn`` over packed argument tables inside
-    ``mask`` (ints or numpy arrays): an OR of the true rows' minterms, or
-    the complement of the false rows' when those are fewer."""
+    ``mask``: an OR of the true rows' minterms, or the complement of the
+    false rows' when those are fewer."""
     m = fn.arity
     flip = 2 * sum(fn.bits) > len(fn.bits)
     acc = 0

@@ -250,9 +250,10 @@ def test_apply_against_row_by_row_composition():
 
 def test_compose_against_minterm_oracle():
     # every function of arity 0-3 and 300 seeded ones at each arity 4-6,
-    # over Python ints of 1, 8, 64 and 4,096 rows and over the broadcast
-    # numpy boxes the witness search composes; arguments lie inside the mask
-    import numpy as np
+    # over Python ints of 1, 8, 64 and 4,096 rows, and over the lane-packed
+    # ints the witness search composes: several tables per int in 8- or
+    # 16-bit lanes, the mask full in every lane, and each lane's result the
+    # composition of that lane's tables; arguments lie inside the mask
     rng = random.Random(29)
     sample = [f for n in range(4) for f in all_functions(n)]
     sample += [random_function(rng, n) for n in (4, 5, 6) for _ in range(300)]
@@ -262,14 +263,12 @@ def test_compose_against_minterm_oracle():
             mask = (1 << rows) - 1
             args = [rng.getrandbits(rows) for _ in range(f.arity)]
             assert _compose(f, args, mask) == oracle_compose(f, args, mask), (f, rows)
-        for dtype, full in ((np.uint8, 15), (np.uint8, 255), (np.uint16, 65535)):
-            m = f.arity
-            axes = [(1,) * i + (-1,) + (1,) * (m - 1 - i) for i in range(m)]
-            args = [np.array([rng.randint(0, full) for _ in range(rng.randint(1, 3))],
-                             dtype=dtype).reshape(ax) for ax in axes]
-            shape = tuple(a.size for a in args)
-            got = np.asarray(_compose(f, args, dtype(full)))
-            want = np.asarray(oracle_compose(f, args, dtype(full)))
-            assert got.dtype == want.dtype, (f, dtype, full)
-            assert np.array_equal(np.broadcast_to(got, shape),
-                                  np.broadcast_to(want, shape)), (f, dtype, full)
+        for width, full in ((8, 15), (8, 255), (16, 65535)):
+            lanes = [[rng.randint(0, full) for _ in range(f.arity)]
+                     for _ in range(rng.randint(2, 6))]
+            packed = [sum(lane[j] << width * i for i, lane in enumerate(lanes))
+                      for j in range(f.arity)]
+            got = _compose(f, packed, sum(full << width * i for i in range(len(lanes))))
+            for i, lane in enumerate(lanes):
+                assert got >> width * i & (1 << width) - 1 == \
+                    oracle_compose(f, lane, full), (f, width, full, i)

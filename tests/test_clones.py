@@ -353,18 +353,20 @@ def test_lattice_dot_is_the_same_under_any_hash_seed():
     assert outputs[0] == outputs[1]
 
 
-def test_numpy_is_loaded_by_the_first_witness_search():
-    # a child process, because this one has numpy loaded already: every
-    # call that needs no witness search leaves numpy unimported, and the
-    # first reduction that looks a witness up imports it
+def test_witness_search_runs_without_numpy():
+    # a child process in which importing numpy fails: every command runs,
+    # the witness searches of closure, represent and theorem_reduce included
     code = textwrap.dedent("""
         import contextlib, io, sys
+        sys.modules["numpy"] = None
         from postlattice import (Base, Connective, catalog, classify_sat, clone_of,
                                  equivalent, member, parse, restructure_full,
                                  theorem_case, theorem_reduce)
-        from postlattice.boolfun import parse_function_literal
+        from postlattice.boolfun import parse_function_literal, threshold
         from postlattice.cli import main
-        from postlattice.formula import AND, NOT
+        from postlattice.clones import (CloneName, catalog_entry, closure,
+                                        represent_variants)
+        from postlattice.formula import AND, NOT, truth_table
         base = Base([AND, NOT])
         nand = Base([Connective(*parse_function_literal("nand/2:1110"))])
         phi = parse("!(x & y)")
@@ -379,10 +381,14 @@ def test_numpy_is_loaded_by_the_first_witness_search():
                      ["depth-reduce", "--formula", "x ^ y", "--mode", "full"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["--json", *argv]) == 0
-        assert "numpy" not in sys.modules
+        assert len(closure(base, 3)) == 256
+        assert len(closure(Base([AND]), 4, witnesses=False)) == 15
+        for f, clone in ((threshold(2), "D2"), (threshold(3), CloneName("S11", 3))):
+            found = represent_variants(f, catalog_entry(clone).base)
+            names = [f"x{j}" for j in range(1, f.arity + 1)]
+            assert truth_table(found[0, 0], names) == f
         out = theorem_reduce(phi, base, nand)
         assert out.certificate.equivalent is True and equivalent(out.formula, phi)
-        assert "numpy" in sys.modules
     """)
     src = str(Path(postlattice.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -451,6 +457,45 @@ def test_closure_witnesses_golden():
             digest.update(line.encode())
     assert (bases, functions) == (46, 1140)
     assert digest.hexdigest() == GOLDEN_CLOSURE3_SHA256
+
+
+# The degree-3 rows add a 4-ary threshold connective, which the golden above
+# skips; S0^3 and S1^3 compose argument tuples by the hundred thousand, so
+# this also pins tie-breaks across composition batches.
+GOLDEN_CLOSURE3_DEGREE3_SHA256 = \
+    "12b73d2c3aa23b96769b30ba89a1173267d9d324da0b5aa30b6a44c51b8c9f12"
+
+
+def test_closure_witnesses_golden_degree_3():
+    digest = hashlib.sha256()
+    functions = 0
+    for family in ("S0", "S1", "S00", "S01", "S02", "S10", "S11", "S12"):
+        entry = catalog_entry(CloneName(family, 3))
+        cs = closure(entry.base, 3)
+        for fn in cs.functions():
+            functions += 1
+            line = f"{entry.name}\t{fn.bitstring}\t{render(cs.witness(fn))}\n"
+            digest.update(line.encode())
+    assert functions == 156
+    assert digest.hexdigest() == GOLDEN_CLOSURE3_DEGREE3_SHA256
+
+
+# S0 and S1 at k = 4 first find some tables past the first 2^16 argument
+# tuples of a composition batch, which the k = 3 goldens never do.
+GOLDEN_CLOSURE4_S0_S1_SHA256 = \
+    "7b35b04fbe266c5472c1cd3e08062de9829c89fc01be879db86dd1660e459f52"
+
+
+def test_closure_witnesses_golden_arity_4():
+    digest = hashlib.sha256()
+    functions = 0
+    for name in ("S0", "S1"):
+        cs = closure(catalog_entry(name).base, 4)
+        for fn in cs.functions():
+            functions += 1
+            digest.update(f"{name}\t{fn.bitstring}\t{render(cs.witness(fn))}\n".encode())
+    assert functions == 1884
+    assert digest.hexdigest() == GOLDEN_CLOSURE4_S0_S1_SHA256
 
 
 GOLDEN_REPRESENT4 = [
