@@ -16,10 +16,9 @@ argument tuples per kernel call, one tuple per lane of an int.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import ge, itemgetter
+from operator import ge
 from sys import byteorder
 from typing import NamedTuple
 
@@ -362,35 +361,37 @@ class _Search:
     settles them in.  The tuples lie in lanes of one int per argument
     position (8 bits a lane up to k = 3, 16 at k = 4), and one call of
     the connective's compiled kernel composes up to ``_LANES`` of them.
-    The search stops when every pending table (the targets, or all) is
-    settled, or when the next size passes 1 + (largest arity) x (largest
-    settled size), which no tuple of settled tables reaches."""
+    A new table's key is read off its own lane: each argument position's
+    lane holds the argument's table, and ``index`` maps every settled
+    table to its settle index (in settle order).  The search stops when
+    every pending table (the targets, or all) is settled, or when the
+    next size passes 1 + (largest arity) x (largest settled size), which
+    no tuple of settled tables reaches."""
 
     def __init__(self, base: Base, k: int, targets: tuple[int, ...] = ()):
         full = (1 << (1 << k)) - 1
-        self.width = 1 if k <= 3 else 2           # bytes per lane
+        w = 1 if k <= 3 else 2                     # bytes per lane
         self.conns = [c for c in base if c.arity >= 1]
         arity = max((c.arity for c in self.conns), default=0)
-        # per settle index: the table, and past the leaves (the projections
-        # and constants, which come first) the key (connective, *arguments)
+        # per settle index, past the leaves (the projections and constants,
+        # which come first): the key (connective, *arguments)
         leaves: dict[int, Formula] = {_projection_mask(j, k): Prop(f"x{j + 1}")
                                       for j in range(k)}
         for c in base:
             if c.arity == 0:
                 leaves.setdefault(full if c.fn.bits[0] else 0, Apply(c))
         self.leaves = list(leaves.values())
-        self.tables = list(leaves)
-        self.lane_of = [t.to_bytes(self.width, byteorder) for t in self.tables]
+        self.index = {t: i for i, t in enumerate(leaves)}   # table -> settle index
+        self.lane_of = [t.to_bytes(w, byteorder) for t in leaves]
         self.keys: list[tuple[int, ...]] = []
         self.layers = {1: range(len(leaves))}     # witness size -> settle indices
         # counts[r][t]: the r-tuples of settled tables whose sizes sum to t
         self.counts = [[1]] + [[0] for _ in range(arity)]
-        self.runs: dict = {}        # per block (r, t): its runs
         self.blocks: dict = {}      # per whole block (r, t): its lanes
-        settled = set(self.tables)
-        ones, masks = full.to_bytes(self.width, byteorder), {}
+        settled = set(leaves)       # index's keys, as a set: fastest for issuperset
+        ones = full.to_bytes(w, byteorder)
         self.spent, size, last = 0, 1, 1
-        while (size < 1 + arity * last and len(self.tables) <= full
+        while (size < 1 + arity * last and len(self.index) <= full
                and not (targets and settled.issuperset(targets))):
             filled = [(i, len(ids)) for i, ids in self.layers.items() if ids]
             for r, counts in enumerate(self.counts):
@@ -400,18 +401,18 @@ class _Search:
                     > CLOSURE_COMPOSITION_BUDGET:
                 raise CloneError(f"closure search needs more than "
                                  f"{CLOSURE_COMPOSITION_BUDGET:,} compositions")
-            start = len(self.tables)
+            start = len(self.index)
             for cidx, conn in enumerate(self.conns):
                 kernel, count = _kernel(conn.fn), self.counts[conn.arity][size]
                 self.spent += count
                 for lo in range(0, count, _LANES):
                     n = min(_LANES, count - lo)
-                    mask = masks.get(n) or masks.setdefault(n, int.from_bytes(ones * n, byteorder))
-                    out = kernel(mask, *(int.from_bytes(column, byteorder) for column
-                                         in self._lanes(conn.arity, size, lo, lo + n))
-                                 ).to_bytes(n * self.width, byteorder)
-                    if self.width == 1:     # drop the settled tables in C
-                        values, fresh = out, out.translate(None, bytes(self.tables))
+                    columns = self._lanes(conn.arity, size, lo, lo + n)
+                    out = kernel(int.from_bytes(ones * n, byteorder),
+                                 *(int.from_bytes(column, byteorder) for column in columns)
+                                 ).to_bytes(n * w, byteorder)
+                    if w == 1:              # drop the settled tables in C
+                        values, fresh = out, out.translate(None, bytes(self.index))
                     else:                   # most batches hold no new table
                         values = array("H", out)
                         fresh = () if settled.issuperset(values) else values
@@ -420,64 +421,48 @@ class _Search:
                         if t not in settled:
                             pos = values.index(t, pos)
                             settled.add(t)
-                            self.tables.append(t)
-                            self.lane_of.append(t.to_bytes(self.width, byteorder))
-                            self.keys.append((cidx, *self._unravel(conn.arity, size, lo + pos)))
+                            lane = slice(pos * w, pos * w + w)
+                            self.keys.append((cidx, *(self.index[int.from_bytes(
+                                column[lane], byteorder)] for column in columns)))
+                            self.index[t] = len(self.index)
+                            self.lane_of.append(t.to_bytes(w, byteorder))
             size += 1
-            self.layers[size] = range(start, len(self.tables))
-            if len(self.tables) > start:
+            self.layers[size] = range(start, len(self.index))
+            if len(self.index) > start:
                 last = size
-
-    def _runs(self, r: int, t: int) -> list[tuple[int, int, int, int, int]]:
-        """Block (r, t), the r-tuples of settled tables whose sizes sum to
-        t in lexicographic order of settle indices, is the concatenation
-        over layers i of L_i times block (r - 1, t - i).  Per run: its
-        first lane, L_i's first settle index and size, i, and the tuples
-        per first argument."""
-        if (r, t) not in self.runs:
-            self.runs[r, t] = runs = []
-            start = 0
-            for i, ids in self.layers.items():
-                m = self.counts[r - 1][t - i] if i <= t else 0
-                if ids and m:
-                    runs.append((start, ids.start, len(ids), i, m))
-                    start += len(ids) * m
-        return self.runs[r, t]
 
     def _lanes(self, r: int, t: int, lo: int, hi: int) -> list[bytes]:
         """Lanes lo to hi of block (r, t), one string per argument
-        position: consecutive whole tails are one tail repeated, and a
-        whole block, at most ``_LANES`` lanes, is kept for the search."""
+        position.  Block (r, t), the r-tuples of settled tables whose sizes
+        sum to t in lexicographic order of settle indices, is the
+        concatenation over layers i of L_i times block (r - 1, t - i):
+        consecutive whole tails are one tail repeated, and a whole block,
+        at most ``_LANES`` lanes, is kept for the search."""
         key = (r, t) if lo == 0 and hi == self.counts[r][t] else None
         if key in self.blocks:
             return self.blocks[key]
         columns: list = [[] for _ in range(r)]
-        for start, first, n, i, m in self._runs(r, t):
-            a, b = max(lo - start, 0), min(hi - start, n * m)
+        start = 0
+        for i, ids in self.layers.items():
+            if i > t or start >= hi:
+                break
+            m = self.counts[r - 1][t - i]       # tuples per first argument
+            a, b = max(lo - start, 0), min(hi - start, len(ids) * m)
             while a < b:            # first argument q, its tail's lanes s to e
                 q, s = divmod(a, m)
                 e = m if s == 0 and b - a >= m else min(m, s + b - a)
                 reps = (b - a) // m if e - s == m else 1
-                columns[0] += [x * (e - s) for x in self.lane_of[first + q:first + q + reps]]
+                first = ids.start + q
+                columns[0] += [x * (e - s) for x in self.lane_of[first:first + reps]]
                 for column, tail in zip(columns[1:], self._lanes(r - 1, t - i, s, e)
                                         if r > 1 else ()):
                     column.append(tail * reps)
                 a += reps * (e - s)
+            start += len(ids) * m
         columns = [b"".join(column) for column in columns]
         if key:
             self.blocks[key] = columns
         return columns
-
-    def _unravel(self, r: int, t: int, lane: int) -> list[int]:
-        """The argument settle indices in ``lane`` of block (r, t)."""
-        args = []
-        for r in range(r, 0, -1):
-            runs = self._runs(r, t)
-            start, first, _, i, m = runs[bisect_right(runs, lane, key=itemgetter(0)) - 1]
-            q, lane = divmod(lane - start, m)
-            args.append(first + q)
-            t -= i
-        return args
 
     def formulas(self) -> list[Formula]:
         """The witness formula of every settled function, by settle index."""
@@ -501,8 +486,8 @@ def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
     if not 0 <= k <= CLOSURE_ARITY_MAX:
         raise ArityError(f"closure arity {k} outside 0..{CLOSURE_ARITY_MAX}")
     search = _Search(base, k)
-    built = search.formulas() if witnesses else [None] * len(search.tables)
-    return ClosureSet(k, base, {_unpack(t, k): w for t, w in zip(search.tables, built)})
+    built = search.formulas() if witnesses else [None] * len(search.index)
+    return ClosureSet(k, base, {_unpack(t, k): w for t, w in zip(search.index, built)})
 
 
 def represent(f: BooleanFunction, base: Base) -> Formula:
@@ -538,8 +523,7 @@ def _represent(f: BooleanFunction, base: Base,
             f"{f.bitstring} is not generated by {base!r} (clone {clone})")
     tables = {key: _pack(g) for key in keys if predicate(g := _variant(f, *key))}
     search = _Search(base, f.arity, tuple(sorted(set(tables.values()))))
-    found = {t: i for i, t in enumerate(search.tables)}
-    if tables[0, 0] not in found:
+    if tables[0, 0] not in search.index:
         # the clone predicate reads a constant of arity 0 like the unary
         # one, which needs no nullary connective; the nullary one does
         if f.arity == 0:
@@ -547,7 +531,7 @@ def _represent(f: BooleanFunction, base: Base,
                 f"{f.bitstring} is not generated by {base!r} without a variable")
         raise CloneError("representation search failed on a member function")
     built = search.formulas()
-    return {key: built[found[t]] for key, t in tables.items() if t in found}
+    return {key: built[search.index[t]] for key, t in tables.items() if t in search.index}
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,10 @@ def test_literals():
         parse_function_literal("and/2:001")
     with pytest.raises(FunctionLiteralError):
         parse_function_literal("and:0001")
+    with pytest.raises(FunctionLiteralError):
+        BooleanFunction(1, (0, 2))
+    with pytest.raises(FunctionLiteralError):
+        BooleanFunction.from_bitstring(1, "0a")
 
 
 def test_value_row_order():
@@ -67,6 +71,8 @@ def test_value_row_order():
     assert IMP_FN.value((1, 0)) == 0
     assert IMP_FN.value((0, 1)) == 1
     assert IMP_FN.bitstring == "1101"
+    with pytest.raises(ArityError):
+        IMP_FN.value((1,))
 
 
 def test_dual():
@@ -203,6 +209,8 @@ def test_nimp_is_and_not():
 def test_arity_cap():
     with pytest.raises(ArityError):
         BooleanFunction(7, tuple([0] * 128))
+    with pytest.raises(ArityError):
+        BooleanFunction(2, (0, 1))
 
 
 #: each table predicate with its brute-force oracle

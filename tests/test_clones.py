@@ -14,6 +14,7 @@ import postlattice
 from postlattice import boolfun, clones
 from postlattice.boolfun import (
     AND_FN,
+    ArityError,
     BooleanFunction,
     CONST0_1_FN,
     CONST0_FN,
@@ -77,6 +78,10 @@ def test_clone_of_parameterized():
     assert clone_of(entry.base) == CloneName("S00", 2)
     entry = catalog_entry(CloneName("S11", 3))
     assert clone_of(entry.base) == CloneName("S11", 3)
+    with pytest.raises(CloneError, match="bad clone name"):
+        CloneName.parse("S0^x")
+    with pytest.raises(CloneError, match="unknown clone Q"):
+        catalog_entry("Q")
 
 
 def test_catalog_soundness_small_degrees():
@@ -204,6 +209,8 @@ def test_closure_set_only_matches_witnessed():
         with_w = closure(base, 2)
         without = closure(base, 2, witnesses=False)
         assert set(with_w.entries) == set(without.entries)
+    with pytest.raises(CloneError, match="no witness recorded"):
+        without.witness(next(iter(without.entries)))
 
 
 def test_closure_oracle_agreement_sample():
@@ -222,6 +229,8 @@ def test_represent():
     assert truth_table(neg, ["x1"]) == NOT_FN
     with pytest.raises(NotInCloneError):
         represent(NIMP_FN, Base([AND, OR]))
+    with pytest.raises(ArityError):
+        represent(threshold(4), Base([AND, NOT]))     # 5-ary, past the cap
 
 
 def test_represent_variants():
@@ -324,6 +333,8 @@ def test_lattice_dot():
              if line.endswith('";') and "->" not in line]
     assert len(nodes) == 46
     assert '"I2";' in dot
+    with pytest.raises(CloneError, match="max degree"):
+        lattice_dot(5)
 
 
 def test_lattice_dot_covers_are_minimal():
@@ -531,6 +542,21 @@ def test_closure_s1_3_witnesses_match_predicate():
     assert set(cs.entries) == {f for f in all_functions(3) if entry.predicate(f)}
     for fn, w in cs.entries.items():
         assert truth_table(w, ["x1", "x2", "x3"]) == fn
+
+
+def test_witnesses_do_not_depend_on_the_batch_size(monkeypatch):
+    # at 7 lanes a kernel call almost never holds a whole block, so lanes
+    # are cut mid-run and new tables turn up past many batch boundaries
+    def searches():
+        found = [render(w) for name in ("BF", "S12", "D")
+                 for w in closure(catalog_entry(name).base, 3).entries.values()]
+        base = catalog_entry("D").base
+        fn = truth_table(parse("sd(x1, sd(x2, x3, x4), x4)", base), ["x1", "x2", "x3", "x4"])
+        variants = represent_variants(fn, base)
+        return found + [(key, render(w)) for key, w in variants.items()]
+    default = searches()
+    monkeypatch.setattr(clones, "_LANES", 7)
+    assert searches() == default
 
 
 @pytest.mark.parametrize("witnesses", [False, True])

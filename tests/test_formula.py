@@ -58,6 +58,8 @@ def test_parse_infix():
     # a leading "__" is an ordinary identifier
     assert parse("__t0") == Prop("__t0")
     assert render(parse("__t0 & x")) == "__t0 & x"
+    # trailing spaces are skipped like any other
+    assert parse("x & y  ") == Apply(AND, (Prop("x"), Prop("y")))
 
 
 def test_parse_prefix_call():
@@ -194,6 +196,9 @@ def test_nimp_agrees_with_and_not():
 def test_truth_table():
     assert truth_table(parse("x & y"), ["x", "y"]).bitstring == "0001"
     assert truth_table(parse("x"), ["x", "y"]).bitstring == "0011"
+    # without an order, the variables are taken in sorted order
+    assert truth_table(parse("y & x")).bitstring == "0001"
+    assert truth_table(parse("y -> x")).bitstring == "1011"
     phi = parse("(x&y)|(x&z)|(y&z)")
     assert truth_table(phi, ["x", "y", "z"]).bitstring == "00010111"
     with pytest.raises(EvaluationError):

@@ -174,6 +174,13 @@ def test_eliminate_constants_impossible():
     phi = parse("maj3(x, y, 1)", Base([MAJ3]))
     with pytest.raises(ConstantEliminationError):
         eliminate_constants(phi, base, "and")
+    # big-and elimination needs the formula to be 1 at all-ones, and
+    # x -> 0 is 0 there; a formula without a proposition has nothing to
+    # build the 0 from
+    for text, message in (("x -> 0", "big-and elimination is unsound here"),
+                          ("0", "proposition-free")):
+        with pytest.raises(ConstantEliminationError, match=message):
+            eliminate_constants(parse(text), Base([IMP]), "and")
 
 
 def test_reduce_S00():
@@ -617,6 +624,10 @@ def test_self_dual_connective_above_arity_cap():
     out = theorem_reduce(parse("maj5(a, b, !c, d, !a)", source), source, Base([SD]))
     assert render(out.formula) == "sd(a, a, sd(c, b, d))"
     assert out.certificate.equivalent is True
+    # over five variables the whole-formula fallback has no witness to look up
+    source = Base([maj5])
+    with pytest.raises(ReductionError, match=r"capped at 4 variables \(5 present\)"):
+        theorem_reduce(parse("maj5(a, b, c, d, e)", source), source, target)
 
 
 def test_read_once_chain_is_replaced_in_place(shallow_stack):
