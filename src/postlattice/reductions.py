@@ -24,8 +24,11 @@ it, and a node that replacing leaves unchanged is kept.  Replacement
 itself or as its negation, from the witness of a variant
 q xor f(y xor p) of its connective, whichever gives the smaller tree.
 Over ``{nand}`` the negated conjunction is then one node, not ``and``
-under ``not``, each of which repeats its arguments.  The pipelines
-differ in the shape:
+under ``not``, each of which repeats its arguments.  A node over at most
+three propositions may instead be written whole from one cached table of
+smallest witnesses per target (:func:`_cuts`; cut rewriting as in
+Mishchenko, Chatterjee and Brayton, DAC 2006): ``g(x, y, y)`` into
+``{and, or}`` is ``x | y``.  The pipelines differ in the shape:
 
 * ``reduce_EVL`` - cases (a)-(c), [B] inside V, L or E: the disjunctive,
   affine or conjunctive normal form, probed in one bit-parallel pass
@@ -54,16 +57,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import boolfun
-from .boolfun import BooleanFunction
+from .boolfun import BooleanFunction, _kernel
 from .clones import (
     CLOSURE_ARITY_MAX,
     XNOR3,
     XOR3,
     CloneName,
     NotInCloneError,
+    _Search,
     clone_of,
     includes,
     member,
@@ -319,18 +323,32 @@ def _affine_shape(c: int, chosen: tuple[str, ...]) -> Formula:
 # constant elimination
 
 
+def _steps(w: Formula) -> tuple:
+    """The witness ``w`` over x1, x2, ... compiled to build steps
+    (:func:`_build`): a step is an argument's position (x1 is 0), a
+    proposition-free node kept as it is, or a connective over earlier
+    steps."""
+    order = _postorder(w)
+    index = {id(node): j for j, node in enumerate(order)}
+    return tuple(int(node.name[1:]) - 1 if isinstance(node, Prop)
+                 else (node.conn, tuple(index[id(a)] for a in node.args))
+                 if node.leaf_count else node for node in order)
+
+
 @lru_cache(maxsize=1024)
-def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
+def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple, bool]:
     """The one witness lookup over a target, cached: per output polarity
     q, the variants q xor fn(y xor p) of a connective the target
     generates as (p, witness, its non-variable nodes, (argument,
     occurrences) of each argument it reads, its build steps
-    (:func:`_build`)), identity first.  A connective the target does not
-    generate has one variant, itself, over the target with constants
-    (removed by :func:`eliminate_constants`).  A constant the target
+    (:func:`_steps`)), identity first; then whether the target generates
+    it.  A connective the target does not generate has one variant,
+    itself, over the target with constants (removed by
+    :func:`eliminate_constants`).  A constant the target
     builds only at a variable has no variant, so that refusal is cached
     too; otherwise raises as ``represent`` does."""
-    if member(fn, target):
+    generated = member(fn, target)
+    if generated:
         try:
             found = represent_variants(fn, target)
         except NotInCloneError:
@@ -342,17 +360,47 @@ def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
         # occurrences, not distinct nodes: a shared subtree counts once per parent
         reads = _rewrite(w, lambda node, args: (
             Counter([node.name]) if isinstance(node, Prop) else sum(args, Counter())))
-        # a step is an argument's position, a proposition-free node kept as
-        # it is, or a connective over earlier steps
-        order = _postorder(w)
-        index = {id(node): j for j, node in enumerate(order)}
-        steps = tuple(int(node.name[1:]) - 1 if isinstance(node, Prop)
-                      else (node.conn, tuple(index[id(a)] for a in node.args))
-                      if node.leaf_count else node for node in order)
         out[q].append((p, w, w.size - w.leaf_count,
                        tuple((i, n) for i in range(fn.arity) if (n := reads[f"x{i + 1}"])),
-                       steps))
-    return tuple(out[0]), tuple(out[1])
+                       _steps(w)))
+    return tuple(out[0]), tuple(out[1]), generated
+
+
+@lru_cache(maxsize=1024)
+def _cuts(target: Base) -> dict[int, tuple[int, Formula]]:
+    """Per packed table over three propositions, the size of a smallest
+    witness over the target's connectives of arity 1 to 3, and the
+    witness, cached: wider ones would slow the search, and a nullary one
+    could bring a constant.  A function of fewer propositions is a table
+    that ignores the last ones, and its witness is no larger than over
+    those alone.  Targets with the same such connectives share a search."""
+    return _closure3(Base([c for c in target if 1 <= c.arity <= 3]))
+
+
+@lru_cache(maxsize=1024)
+def _closure3(base: Base) -> dict[int, tuple[int, Formula]]:
+    """``closure(base, 3)`` as :func:`_cuts` reads it."""
+    search = _Search(base, 3)
+    return {t: (w.size, w) for t, w in zip(search.index, search.formulas())}
+
+
+@lru_cache(maxsize=4096)
+def _cut_steps(target: Base, table: int) -> tuple:
+    """The build steps of the witness ``_cuts(target)[table]``, compiled
+    when first built."""
+    return _steps(_cuts(target)[table][1])
+
+
+@lru_cache(maxsize=4096)
+def _lift(table: int, sub: int, support: int) -> int:
+    """A packed table over three slots, the propositions of mask ``sub``
+    (lowest bit first) in the first ones, as one with the propositions of
+    ``support``, which holds them, in the first ones: row by row, with
+    no kernel to compile."""
+    bits = [b for b in range(support.bit_length()) if support >> b & 1]
+    slots = [j for j, b in enumerate(bits) if sub >> b & 1]
+    return sum(1 << row for row in range(8)
+               if table >> sum((row >> 2 - j & 1) << 2 - i for i, j in enumerate(slots)) & 1)
 
 
 def _build(steps: tuple, args) -> Formula:
@@ -368,6 +416,7 @@ def _build(steps: tuple, args) -> Formula:
 
 
 _NEVER = (float("inf"), 0, None, ())
+_SELF = (1, 0, None, ())
 
 
 @lru_cache(maxsize=1024)
@@ -380,51 +429,86 @@ def _negation(target: Base) -> tuple:
     return nodes + n, 0, steps, ()
 
 
-def _replace(shape: Formula, target: Base) -> tuple[Formula, int]:
+def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[Formula, int]:
     """``shape`` with every connective replaced by a witness over the
     target, and the size of the result.  Each distinct node may be built
     at polarity 0 (itself) or 1 (its negation): a k-ary node at polarity
     q is a variant q xor f(y xor p) of its connective over its
     arguments at polarities p (:func:`_variants`), and a proposition at
     polarity 1 is the target's ``not`` witness over it; a constant keeps
-    its polarity, so the output holds no constant that replacing every
-    node by itself would not.  One postorder pass finds the
-    smallest tree size of every (node, polarity), a variant costing its
-    witness's non-variable nodes plus each argument's size times its
-    occurrences; the root is positive, and only the pairs it needs are
-    built, each from its witness's compiled steps (:func:`_build`); a
-    node built as itself is kept.  Ties go to the identity variant, then
-    to the smaller p."""
-    negation = _negation(target)
+    its polarity.  A node over a connective the target generates, whose
+    support (its propositions, in order of first occurrence in ``names``
+    or else in the shape) has 1 to 3 members, may instead be a smallest
+    witness of its function or, at polarity 1, of its negation over the
+    support (:func:`_cuts`), when that is strictly smaller; its packed
+    table is composed from its arguments'.  So the output holds no
+    constant that replacing every node by itself would not.  One
+    postorder pass finds the smallest tree size of every (node,
+    polarity), a variant costing its witness's non-variable nodes plus
+    each argument's size times its occurrences; the root is positive,
+    and only the pairs it needs are built, each from its witness's
+    compiled steps (:func:`_build`); a node built as itself is kept.
+    Ties go to the identity variant, then to the smaller p."""
+    negation, cuts = _negation(target), _cuts(target)
     order = _postorder(shape)
-    best: dict[tuple[int, int], tuple] = {}    # (size, p, build steps, reads)
+    rank = {name: 1 << i for i, name in enumerate(
+        names or dict.fromkeys(node.name for node in order if isinstance(node, Prop)))}
+    # per node: its option at polarity 0 and 1, each (size, p, build steps,
+    # reads), its support mask, and its table over 3 slots when the mask
+    # has at most 3 bits
+    best: dict[int, list] = {}
+    conns: dict[int, tuple] = {}    # per connective: its variants, its kernel if generated
     for node in order:
         key = id(node)
         if isinstance(node, Prop):
-            best[key, 0], best[key, 1] = (1, 0, None, ()), negation
-        elif not node.args:
-            best[key, 0], best[key, 1] = (1, 0, None, ()), _NEVER
-        else:
-            args = [id(a) for a in node.args]
-            for q, options in enumerate(_variants(node.conn.fn, target)):
-                best[key, q] = min(
-                    ((nonvar + sum(n * best[args[i], p >> i & 1][0] for i, n in reads),
-                      p, steps, reads) for p, _, nonvar, reads, steps in options),
-                    key=lambda option: option[0], default=_NEVER)
+            best[key] = [_SELF, negation, rank[node.name], 0xF0]   # x1 over 3 slots
+            continue
+        if not node.args:
+            best[key] = [_SELF, _NEVER, 0, 255 * node.conn.fn.bits[0]]
+            continue
+        entry = conns.get(id(node.conn))
+        if entry is None:
+            *variants, generated = _variants(node.conn.fn, target)
+            entry = conns[id(node.conn)] = variants, generated and _kernel(node.conn.fn)
+        variants, kernel = entry
+        below = [best[id(a)] for a in node.args]
+        support = 0 if kernel else 15   # an ungenerated connective counts as 4 propositions
+        for arg in below:
+            support |= arg[2]
+        options = best[key] = [_NEVER, _NEVER, support, 0]
+        for q in (0, 1):
+            for p, _, size, reads, steps in variants[q]:
+                for i, n in reads:
+                    size += n * below[i][p >> i & 1][0]
+                if size < options[q][0]:
+                    options[q] = size, p, steps, reads
+        if support.bit_count() > 3:
+            continue
+        options[3] = table = kernel(255, *[
+            arg[3] if arg[2] == support else _lift(arg[3], arg[2], support) for arg in below])
+        for q in (0, 1) if support else ():
+            want = table ^ 255 if q else table
+            found = cuts.get(want)
+            if found and found[0] < options[q][0]:
+                # the support's propositions, padded to 3 slots the witness ignores
+                props = [Prop(n) for n, bit in rank.items() if bit & support]
+                options[q] = (found[0], tuple(props * 3)[:3], want, ())
     needed = {(id(shape), 0)}
     for node in reversed(order):
         for q in (0, 1):
             if (id(node), q) in needed:
-                _, p, _, reads = best[id(node), q]
+                _, p, _, reads = best[id(node)][q]
                 needed.update((id(node.args[i]), p >> i & 1) for i, _ in reads)
     built: dict[tuple[int, int], Formula] = {}
     for node in order:
         for q in (0, 1):
             if (id(node), q) not in needed:
                 continue
-            _, p, steps, reads = best[id(node), q]
+            _, p, steps, reads = best[id(node)][q]
             if steps is None:
                 out = node
+            elif p.__class__ is tuple:      # a smallest witness over the support
+                out = _build(_cut_steps(target, steps), p)
             elif isinstance(node, Prop):
                 out = _build(steps, (node,))
             else:
@@ -433,7 +517,7 @@ def _replace(shape: Formula, target: Base) -> tuple[Formula, int]:
                 if out.__class__ is Apply and out.conn == node.conn:
                     out = _rebuild(node, out.args)  # node itself: an unchanged shape is its output
             built[id(node), q] = out
-    return built[id(shape), 0], best[id(shape), 0][0]
+    return built[id(shape), 0], best[id(shape)][0][0]
 
 
 def _constant_replacement(bit: int, target: Base, props: list[str]) -> Formula | None:
@@ -551,12 +635,12 @@ def _replace_and_eliminate(phi: Formula, shapes: list[Formula], target: Base,
     on a tie).  A candidate whose elimination raises gives way to the
     others; with none left, the first error is raised.  A constant shape
     is written at phi's first proposition (:func:`_constant_replacement`)."""
-    outs, errors = [], []
+    outs, errors, props = [], [], props_in_order(phi)
     for shaped in shapes:
         bit = constant_value(shaped)
         try:
-            out = (eliminate_constants(_replace(shaped, target)[0], target, extra) if bit is None
-                   else _constant_replacement(bit, target, props_in_order(phi)))
+            out = (_constant_replacement(bit, target, props) if bit is not None
+                   else eliminate_constants(_replace(shaped, target, props)[0], target, extra))
             if out is None:
                 raise ConstantEliminationError(f"constant {bit} is not available in the target")
             outs.append(out)

@@ -72,9 +72,9 @@ GOLDEN_DUAL = [
     pytest.param(
         ["--json", "reduce", "--formula", "hn(x,x,y)",
          "--from-fn", "hn/3:00001011", "--to-fn", "hn/3:00001011"],
-        '{"formula": "hn(x, x, y)", "target": ["hn/3:00001011", "or/2:0111"], '
-        '"extra": "or", "depth_in": 1, "depth_out": 1, '
-        '"size_in": 4, "size_out": 4, "equivalent": true}',
+        '{"formula": "x", "target": ["hn/3:00001011", "or/2:0111"], '
+        '"extra": "or", "depth_in": 1, "depth_out": 0, '
+        '"size_in": 4, "size_out": 1, "equivalent": true}',
         id="reduce-S12"),
     pytest.param(
         ["--json", "depth-reduce", "--formula", "(x | y) & (z | w)", "--mode", "h"],
@@ -91,6 +91,18 @@ GOLDEN_DUAL = [
         '"depth_in": 1, "depth_out": 1, "size_in": 4, '
         '"size_out": 4, "equivalent": true}',
         id="reduce-renamed-extra"),
+]
+
+
+#: A subformula over at most three propositions written whole, by the
+#: smallest witness of its function over the target.
+GOLDEN_RESYNTHESIS = [
+    pytest.param(
+        ["--json", "reduce", "--formula", "g(x,y,y)", "--from-fn", "g/3:00011111",
+         "--to-fn", "and/2:0001", "--to-fn", "or/2:0111"],
+        '{"formula": "x | y", "target": ["and/2:0001", "or/2:0111"], "extra": "and", '
+        '"depth_in": 1, "depth_out": 1, "size_in": 4, "size_out": 3, "equivalent": true}',
+        id="reduce-resynthesis"),
 ]
 
 
@@ -123,7 +135,7 @@ GOLDEN_TEXT = [
 @pytest.mark.parametrize(
     "argv,expected",
     [pytest.param(argv, expected, id=argv[1]) for argv, expected in GOLDEN]
-    + GOLDEN_DUAL)
+    + GOLDEN_DUAL + GOLDEN_RESYNTHESIS)
 def test_golden_json(argv, expected, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out

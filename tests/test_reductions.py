@@ -15,9 +15,11 @@ from postlattice.clones import (
     SD1,
     XNOR3,
     CloneName,
+    _Search,
     catalog,
     catalog_entry,
     clone_of,
+    closure,
     includes,
     represent,
 )
@@ -508,7 +510,7 @@ def test_outputs_pinned():
                 phi = random_formula(rng, list(source), names, rng.randint(1, 25))
             out = reduce(phi, source, target)
             digest.update(f"{render(phi)} => {render(out.formula)}\n".encode())
-    assert digest.hexdigest()[:16] == "26ce661c0fcafddd"
+    assert digest.hexdigest()[:16] == "db24ff202e4512a3"
 
 
 def test_route_keeps_its_bound(monkeypatch):
@@ -574,23 +576,70 @@ def test_single_occurrence_is_restructured():
     assert out.certificate.equivalent is True
 
 
-def test_read_once_input_is_not_simplified():
+def test_read_once_route_resynthesises_small_supports():
     # g's witness over {g, 1} and over {g} is read-once, so the folded
-    # input is replaced as it is although the restructurer, which also
-    # splits cases, would simplify it to x (1 node): the read-once route
-    # is bounded by size(phi) times the witness size, not by the
-    # restructured shape.  Folding absorbs g(y, 1, 1) to 1 (4 nodes);
-    # g(x, y, x) has no constant and stays as it is (4 nodes)
-    for text, conns, kept in (("g(x, g(y, 1, 1), x)", [G, TRUE], "g(x, 1, x)"),
-                              ("g(x, y, x)", [G], "g(x, y, x)")):
+    # input alone is replaced, not the restructured shape (x): the
+    # read-once route is bounded by size(phi) times the witness size.
+    # Replacing it still finds x, as the smallest witness of the folded
+    # g(x, 1, x) and of g(x, y, x) over their supports
+    for text, conns, folded in (("g(x, g(y, 1, 1), x)", [G, TRUE], "g(x, 1, x)"),
+                                ("g(x, y, x)", [G], "g(x, y, x)")):
         base = Base(conns)
         phi = parse(text, base)
-        restructured = restructure_monotone_g(phi)
-        assert render(restructured) == "x"
-        assert size(_replace(restructured, base)[0]) == 1
+        shapes = _candidates(phi, base, restructure_monotone_g)
+        assert [render(s) for s in shapes] == [folded]
+        assert render(restructure_monotone_g(phi)) == "x"
+        assert render(_replace(shapes[0], base)[0]) == "x"
         out = theorem_reduce(phi, base, base)
-        assert render(out.formula) == kept
+        assert render(out.formula) == "x"
         assert out.certificate.equivalent is True
+
+
+def test_small_support_is_resynthesised():
+    # g(x, y, y) is x | y & y replaced node by node into {and, or}, and
+    # x | y as the smallest witness of its function over its support
+    source, target = Base([G]), Base([AND, OR])
+    out = theorem_reduce(parse("g(x, y, y)", source), source, target)
+    assert render(out.formula) == "x | y"
+    assert out.certificate.size_out == 3 and out.certificate.equivalent is True
+
+
+def test_outputs_within_small_closure_witnesses():
+    # an input over at most three propositions reduces to no more nodes
+    # than the smallest witness of its function over the target's
+    # connectives of arity at most 3, wherever that closure has one
+    checked = 0
+    for _, source, target, phi in _corpus(0xC075):
+        names = props_in_order(phi)
+        if not 1 <= len(names) <= 3:
+            continue
+        small = Base([c for c in target if c.arity <= 3])
+        witness = closure(small, len(names)).entries.get(formula.truth_table(phi, names))
+        if witness is not None:
+            assert theorem_reduce(phi, source, target).certificate.size_out <= size(witness)
+            checked += 1
+    assert checked >= 400
+
+
+@pytest.mark.parametrize("clone", [CloneName("S0", 5), CloneName("S02", 5)])
+def test_small_closure_skips_wide_connectives(monkeypatch, clone):
+    # the whole-subformula table of a target with a 6-ary connective is
+    # searched over its connectives of arity at most 3 only: the search
+    # over all of them is slow or runs out of its budget
+    seen = []
+    class Spy(_Search):
+        def __init__(self, base, k, targets=()):
+            seen.append(max(c.arity for c in base))
+            super().__init__(base, k, targets)
+    monkeypatch.setattr(reductions, "_Search", Spy)
+    reductions._cuts.cache_clear()
+    reductions._closure3.cache_clear()
+    base = catalog_entry(clone).base
+    rng = random.Random(0x5C)
+    for _ in range(6):
+        phi = random_formula(rng, list(base), ["a", "b", "c", "d"], 12)
+        assert theorem_reduce(phi, base, base).certificate.equivalent is True
+    assert seen and max(seen) <= 3
 
 
 @pytest.mark.parametrize("clone,text", [
