@@ -128,23 +128,16 @@ def _unpack(table: int, n: int) -> BooleanFunction:
     return BooleanFunction(n, tuple((table >> p) & 1 for p in range(1 << n)))
 
 
-def _compose(fn: BooleanFunction, args: list, mask):
-    """The packed table of ``fn`` over packed argument tables, or over
-    lane-packed ints holding one table per lane, by ``fn``'s compiled
-    kernel.  Precondition: every argument lies inside ``mask``; then so
-    does the result, with every row of ``mask`` set."""
-    return _kernel(fn)(mask, *args)
-
-
 @lru_cache(maxsize=4096)
 def _kernel(fn: BooleanFunction):
-    """``fn`` compiled once: a straight-line bitwise expression over the
-    mask ``m`` and the arguments (argument j is ``a{n-1-j}``, its bit of
-    the row index), the Shannon expansion on the first argument a of the
-    tables lo (a = 0) and hi (a = 1), each the shorter of its expansion
-    and its negation's complemented.  Bits never mix, so every lane of a
-    lane-packed int composes alone; ``~a`` appears only in ``E & ~a`` with
-    E inside the mask.  The table never becomes source text."""
+    """``fn`` compiled once, the one composition: a straight-line bitwise
+    expression over the mask ``m`` and packed tables inside it (argument
+    j is ``a{n-1-j}``, its bit of the row index), the Shannon expansion
+    on the first argument a of the tables lo (a = 0) and hi (a = 1), each
+    the shorter of its expansion and its negation's complemented.  Bits
+    never mix, so every lane of a lane-packed int composes alone; ``~a``
+    appears only in ``E & ~a`` with E inside the mask.  The table never
+    becomes source text."""
     @lru_cache(maxsize=None)
     def shortest(bits: tuple) -> str:
         flipped = f"({expansion(tuple(1 - b for b in bits))} ^ m)"
@@ -289,7 +282,7 @@ def apply(f: BooleanFunction, gs) -> BooleanFunction:
     k = gs[0].arity
     if any(g.arity != k for g in gs):
         raise ArityError("composition arguments must share one arity")
-    return _unpack(_compose(f, list(map(_pack, gs)), (1 << (1 << k)) - 1), k)
+    return _unpack(_kernel(f)((1 << (1 << k)) - 1, *map(_pack, gs)), k)
 
 
 # ---------------------------------------------------------------------------

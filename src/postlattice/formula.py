@@ -34,7 +34,7 @@ from . import boolfun
 from .boolfun import (
     ArityError,
     BooleanFunction,
-    _compose,
+    _kernel,
     _projection_mask,
     _unpack,
     parse_function_literal,
@@ -604,8 +604,8 @@ def _restriction(fn: BooleanFunction, pattern: tuple) -> Formula | int | None:
     free = [i for i, v in enumerate(pattern) if v is None]
     full = (1 << (1 << len(free))) - 1
     columns = {i: _projection_mask(j, len(free)) for j, i in enumerate(free)}
-    table = _compose(fn, [columns[i] if v is None else full * v
-                          for i, v in enumerate(pattern)], full)
+    table = _kernel(fn)(full, *[columns[i] if v is None else full * v
+                                for i, v in enumerate(pattern)])
     if table in (0, full):
         return constant(table == full)
     return next((i for i, column in columns.items() if column == table), None)
@@ -655,7 +655,7 @@ def _eval_masks(roots, masks: Mapping[str, int] | None = None, nrows: int = 0) -
     memo = {id(node): columns[node.name] for node in order if isinstance(node, Prop)}
     for node in order:
         if isinstance(node, Apply):
-            memo[id(node)] = _compose(node.conn.fn, [memo[id(a)] for a in node.args], full)
+            memo[id(node)] = _kernel(node.conn.fn)(full, *[memo[id(a)] for a in node.args])
             for a in node.args if readers else ():
                 readers[id(a)] -= 1
                 if not readers[id(a)]:

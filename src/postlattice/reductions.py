@@ -387,7 +387,7 @@ def _closure3(base: Base) -> dict[int, tuple[int, Formula]]:
 @lru_cache(maxsize=4096)
 def _cut_steps(target: Base, table: int) -> tuple:
     """The build steps of the witness ``_cuts(target)[table]``, compiled
-    when first built."""
+    when an option first takes it."""
     return _steps(_cuts(target)[table][1])
 
 
@@ -415,53 +415,50 @@ def _build(steps: tuple, args) -> Formula:
     return built[-1]
 
 
-_NEVER = (float("inf"), 0, None, ())
-_SELF = (1, 0, None, ())
-
-
-@lru_cache(maxsize=1024)
-def _negation(target: Base) -> tuple:
-    """:func:`_replace`'s option for a proposition at polarity 1: the
-    target's ``not`` witness over it, or none."""
-    if not member(NOT.fn, target):
-        return _NEVER
-    _, _, nodes, ((_, n),), steps = _variants(NOT.fn, target)[0][0]
-    return nodes + n, 0, steps, ()
+_NEVER = (float("inf"), 0, None, (), ())
+_SELF = (1, 0, None, (), ())
 
 
 def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[Formula, int]:
     """``shape`` with every connective replaced by a witness over the
     target, and the size of the result.  Each distinct node may be built
-    at polarity 0 (itself) or 1 (its negation): a k-ary node at polarity
-    q is a variant q xor f(y xor p) of its connective over its
-    arguments at polarities p (:func:`_variants`), and a proposition at
-    polarity 1 is the target's ``not`` witness over it; a constant keeps
-    its polarity.  A node over a connective the target generates, whose
-    support (its propositions, in order of first occurrence in ``names``
-    or else in the shape) has 1 to 3 members, may instead be a smallest
-    witness of its function or, at polarity 1, of its negation over the
-    support (:func:`_cuts`), when that is strictly smaller; its packed
-    table is composed from its arguments'.  So the output holds no
-    constant that replacing every node by itself would not.  One
-    postorder pass finds the smallest tree size of every (node,
-    polarity), a variant costing its witness's non-variable nodes plus
-    each argument's size times its occurrences; the root is positive,
-    and only the pairs it needs are built, each from its witness's
-    compiled steps (:func:`_build`); a node built as itself is kept.
-    Ties go to the identity variant, then to the smaller p."""
-    negation, cuts = _negation(target), _cuts(target)
+    at polarity 0 (itself) or 1 (its negation), and each option for a
+    (node, polarity) is one record: size, the polarities p of its
+    arguments, build steps (None: the node itself), the (argument,
+    occurrences) it reads, and the arguments.  A k-ary node at polarity q
+    may be a variant q xor f(y xor p) of its connective over its own
+    arguments (:func:`_variants`), a proposition at polarity 1 the
+    target's ``not`` witness over it; a constant keeps its polarity.  A
+    node over a connective the target generates, whose support (its
+    propositions, in order of first occurrence in ``names`` or else in
+    the shape) has 1 to 3 members, may instead be a smallest witness of
+    its function or, at polarity 1, of its negation over the support
+    padded to three (:func:`_cuts`), when that is strictly smaller; its
+    packed table is composed from its arguments'.  A cut witness holds no
+    constant; a variant or ``not`` witness may hold the target's own
+    nullary connectives.  One postorder pass finds the smallest tree size
+    of every (node, polarity), a variant costing its witness's
+    non-variable nodes plus each argument's size times its occurrences;
+    the root is positive, and only the pairs it needs are built, each by
+    its steps over its arguments at their polarities (:func:`_build`); a
+    node built as itself is kept.  Ties go to the identity variant, then
+    to the smaller p."""
+    cuts = _cuts(target)
+    negation = _NEVER[:4]       # a proposition's option at polarity 1, but its argument
+    if member(NOT.fn, target):
+        _, _, nodes, ((_, n),), steps = _variants(NOT.fn, target)[0][0]
+        negation = nodes + n, 0, steps, ()
     order = _postorder(shape)
     rank = {name: 1 << i for i, name in enumerate(
         names or dict.fromkeys(node.name for node in order if isinstance(node, Prop)))}
-    # per node: its option at polarity 0 and 1, each (size, p, build steps,
-    # reads), its support mask, and its table over 3 slots when the mask
-    # has at most 3 bits
+    # per node: its option at polarity 0 and 1, its support mask, and its
+    # table over 3 slots when the mask has at most 3 bits
     best: dict[int, list] = {}
     conns: dict[int, tuple] = {}    # per connective: its variants, its kernel if generated
     for node in order:
         key = id(node)
         if isinstance(node, Prop):
-            best[key] = [_SELF, negation, rank[node.name], 0xF0]   # x1 over 3 slots
+            best[key] = [_SELF, (*negation, (node,)), rank[node.name], 0xF0]   # x1 over 3 slots
             continue
         if not node.args:
             best[key] = [_SELF, _NEVER, 0, 255 * node.conn.fn.bits[0]]
@@ -481,7 +478,7 @@ def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[F
                 for i, n in reads:
                     size += n * below[i][p >> i & 1][0]
                 if size < options[q][0]:
-                    options[q] = size, p, steps, reads
+                    options[q] = size, p, steps, reads, node.args
         if support.bit_count() > 3:
             continue
         options[3] = table = kernel(255, *[
@@ -490,32 +487,24 @@ def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[F
             want = table ^ 255 if q else table
             found = cuts.get(want)
             if found and found[0] < options[q][0]:
-                # the support's propositions, padded to 3 slots the witness ignores
-                props = [Prop(n) for n, bit in rank.items() if bit & support]
-                options[q] = (found[0], tuple(props * 3)[:3], want, ())
+                props = tuple(Prop(n) for n, bit in rank.items() if bit & support)
+                options[q] = found[0], 0, _cut_steps(target, want), (), (props * 3)[:3]
     needed = {(id(shape), 0)}
     for node in reversed(order):
         for q in (0, 1):
             if (id(node), q) in needed:
-                _, p, _, reads = best[id(node)][q]
-                needed.update((id(node.args[i]), p >> i & 1) for i, _ in reads)
+                _, p, _, reads, args = best[id(node)][q]
+                needed.update((id(args[i]), p >> i & 1) for i, _ in reads)
     built: dict[tuple[int, int], Formula] = {}
     for node in order:
         for q in (0, 1):
             if (id(node), q) not in needed:
                 continue
-            _, p, steps, reads = best[id(node)][q]
-            if steps is None:
-                out = node
-            elif p.__class__ is tuple:      # a smallest witness over the support
-                out = _build(_cut_steps(target, steps), p)
-            elif isinstance(node, Prop):
-                out = _build(steps, (node,))
-            else:
-                out = _build(steps, [built.get((id(a), p >> i & 1))
-                                     for i, a in enumerate(node.args)])
-                if out.__class__ is Apply and out.conn == node.conn:
-                    out = _rebuild(node, out.args)  # node itself: an unchanged shape is its output
+            _, p, steps, _, args = best[id(node)][q]
+            out = node if steps is None else _build(
+                steps, [built.get((id(a), p >> i & 1), a) for i, a in enumerate(args)])
+            if out.__class__ is Apply and node.__class__ is Apply and out.conn == node.conn:
+                out = _rebuild(node, out.args)  # node itself: an unchanged shape is its output
             built[id(node), q] = out
     return built[id(shape), 0], best[id(shape)][0][0]
 

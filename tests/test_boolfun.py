@@ -19,7 +19,7 @@ from postlattice.boolfun import (
     NOT_FN,
     OR_FN,
     XOR_FN,
-    _compose,
+    _kernel,
     apply,
     dual,
     format_function_literal,
@@ -270,13 +270,13 @@ def test_compose_against_minterm_oracle():
         for rows in (1, 8, 64, 4096):
             mask = (1 << rows) - 1
             args = [rng.getrandbits(rows) for _ in range(f.arity)]
-            assert _compose(f, args, mask) == oracle_compose(f, args, mask), (f, rows)
+            assert _kernel(f)(mask, *args) == oracle_compose(f, args, mask), (f, rows)
         for width, full in ((8, 15), (8, 255), (16, 65535)):
             lanes = [[rng.randint(0, full) for _ in range(f.arity)]
                      for _ in range(rng.randint(2, 6))]
             packed = [sum(lane[j] << width * i for i, lane in enumerate(lanes))
                       for j in range(f.arity)]
-            got = _compose(f, packed, sum(full << width * i for i in range(len(lanes))))
+            got = _kernel(f)(sum(full << width * i for i in range(len(lanes))), *packed)
             for i, lane in enumerate(lanes):
                 assert got >> width * i & (1 << width) - 1 == \
                     oracle_compose(f, lane, full), (f, width, full, i)

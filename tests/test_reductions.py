@@ -604,6 +604,17 @@ def test_small_support_is_resynthesised():
     assert out.certificate.size_out == 3 and out.certificate.equivalent is True
 
 
+def test_negated_proposition_takes_the_not_witness():
+    # the target's not needs its nullary f1, which no cut witness holds:
+    # !c is f0(c, c, f1()), and without that option the output has 13 nodes
+    source = catalog_entry(CloneName("R1")).base
+    target = Base([Connective(*boolfun.parse_function_literal(text))
+                   for text in ("f0/3:01011100", "f1/0:1")])
+    out = theorem_reduce(parse("c | (a <-> b)", source), source, target)
+    assert render(out.formula) == "f0(f0(c, c, f1()), f0(a, b, b), f1())"
+    assert out.certificate.size_out == 10 and out.certificate.equivalent is True
+
+
 def test_outputs_within_small_closure_witnesses():
     # an input over at most three propositions reduces to no more nodes
     # than the smallest witness of its function over the target's
@@ -768,8 +779,12 @@ def test_plans_raise_the_same_refusal_every_time():
 
 
 def test_cold_and_warm_calls_agree():
-    # with the plans and the witnesses dropped, each criterion-4 pair
-    # renders and certifies exactly as when they are cached
+    # with every cache of the module dropped (plans, witnesses, cut
+    # tables and their steps and lifts), each criterion-4 pair renders and
+    # certifies exactly as when they are cached
+    caches = [f for f in vars(reductions).values()
+              if hasattr(f, "cache_clear") and f.__module__ == reductions.__name__]
+    assert {reductions._plan, reductions._variants, reductions._cuts} <= set(caches)
     rng = random.Random(0xC01D)
     for case, pairs in theorem_pairs().items():
         for source, target in pairs:
@@ -778,7 +793,7 @@ def test_cold_and_warm_calls_agree():
             results = []
             for cold in (True, False):
                 if cold:
-                    for cache in (reductions._plan, reductions._variants, reductions._negation):
+                    for cache in caches:
                         cache.cache_clear()
                 out = theorem_reduce(parse(text, source), source, target)
                 results.append((render(out.formula), out.certificate, out.extra,
