@@ -167,14 +167,19 @@ def _variant(f: BooleanFunction, q: int, p: int) -> BooleanFunction:
     return BooleanFunction(f.arity, tuple(q ^ f.bits[r ^ flip] for r in range(1 << f.arity)))
 
 
+def _depends(table: int, n: int, masks) -> list[int]:
+    """The cofactor test: the inputs j of ``masks``, the first projection
+    masks over n, that the packed table depends on, where on the rows
+    with x_j = 0 it differs from itself shifted down by x_j's run."""
+    return [j for j, m in enumerate(masks) if (table ^ table >> (1 << (n - 1 - j))) & ~m]
+
+
 def _relevant(f: BooleanFunction) -> tuple[int, list[int]]:
     """The packed table of ``f`` and the projection masks of the inputs it
-    depends on: input j is relevant when, on the rows where x_j = 0, the
-    table differs from itself shifted down by that input's run."""
+    depends on (:func:`_depends`)."""
     n, table = f.arity, _pack(f)
-    masks = (_projection_mask(j, n) for j in range(n))
-    return table, [m for j, m in enumerate(masks)
-                   if (table ^ table >> (1 << (n - 1 - j))) & ~m]
+    masks = [_projection_mask(j, n) for j in range(n)]
+    return table, [masks[j] for j in _depends(table, n, masks)]
 
 
 # ---------------------------------------------------------------------------

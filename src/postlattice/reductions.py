@@ -368,20 +368,22 @@ def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple, bool]:
 
 @lru_cache(maxsize=1024)
 def _cuts(target: Base) -> dict[int, tuple[int, Formula]]:
-    """Per packed table over three propositions, the size of a smallest
-    witness over the target's connectives of arity 1 to 3, and the
-    witness, cached: wider ones would slow the search, and a nullary one
-    could bring a constant.  A function of fewer propositions is a table
-    that ignores the last ones, and its witness is no larger than over
-    those alone.  Targets with the same such connectives share a search."""
+    """Per table over six slots that ignores the last three, the size of a
+    smallest witness over the target's connectives of arity 1 to 3, and
+    the witness, cached: wider ones would slow the search, and a nullary
+    one could bring a constant.  A function of fewer propositions ignores
+    more slots, and its witness is no larger than over those alone.
+    Targets with the same such connectives share a search."""
     return _closure3(Base([c for c in target if 1 <= c.arity <= 3]))
 
 
 @lru_cache(maxsize=1024)
 def _closure3(base: Base) -> dict[int, tuple[int, Formula]]:
-    """``closure(base, 3)`` as :func:`_cuts` reads it."""
+    """``closure(base, 3)`` as :func:`_cuts` reads it, row r of each
+    table spread over the rows 8r to 8r + 7 of six slots."""
     search = _Search(base, 3)
-    return {t: (w.size, w) for t, w in zip(search.index, search.formulas())}
+    return {sum(0xFF << 8 * r for r in range(8) if t >> r & 1): (w.size, w)
+            for t, w in zip(search.index, search.formulas())}
 
 
 @lru_cache(maxsize=4096)
@@ -391,16 +393,29 @@ def _cut_steps(target: Base, table: int) -> tuple:
     return _steps(_cuts(target)[table][1])
 
 
+#: The projection masks of six slots, and the table true on every row.
+_SLOTS = tuple(boolfun._projection_mask(j, 6) for j in range(6))
+_FULL = (1 << 64) - 1
+
+
 @lru_cache(maxsize=4096)
-def _lift(table: int, sub: int, support: int) -> int:
-    """A packed table over three slots, the propositions of mask ``sub``
-    (lowest bit first) in the first ones, as one with the propositions of
-    ``support``, which holds them, in the first ones: row by row, with
-    no kernel to compile."""
+def _moves(sub: int, support: int) -> tuple[tuple[int, int], ...]:
+    """The delta swaps (rows, shift) that lift a table over the
+    propositions of mask ``sub`` (lowest bit first) in the first slots to
+    one over ``support``'s, which holds them: the last first, each into a
+    slot the table ignores.  Applied in reverse, they project it back."""
     bits = [b for b in range(support.bit_length()) if support >> b & 1]
     slots = [j for j, b in enumerate(bits) if sub >> b & 1]
-    return sum(1 << row for row in range(8)
-               if table >> sum((row >> 2 - j & 1) << 2 - i for i, j in enumerate(slots)) & 1)
+    return tuple((_SLOTS[j] & ~_SLOTS[i], (1 << 5 - i) - (1 << 5 - j))
+                 for i, j in reversed(list(enumerate(slots))) if i != j)
+
+
+def _swapped(table: int, moves) -> int:
+    """``table`` with the two slots of each delta swap exchanged."""
+    for rows, shift in moves:
+        flip = (table ^ table >> shift) & rows
+        table ^= flip ^ flip << shift
+    return table
 
 
 def _build(steps: tuple, args) -> Formula:
@@ -429,20 +444,24 @@ def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[F
     may be a variant q xor f(y xor p) of its connective over its own
     arguments (:func:`_variants`), a proposition at polarity 1 the
     target's ``not`` witness over it; a constant keeps its polarity.  A
-    node over a connective the target generates, whose support (its
+    node over connectives the target generates carries its support (its
     propositions, in order of first occurrence in ``names`` or else in
-    the shape) has 1 to 3 members, may instead be a smallest witness of
-    its function or, at polarity 1, of its negation over the support
-    padded to three (:func:`_cuts`), when that is strictly smaller; its
-    packed table is composed from its arguments'.  A cut witness holds no
-    constant; a variant or ``not`` witness may hold the target's own
-    nullary connectives.  One postorder pass finds the smallest tree size
-    of every (node, polarity), a variant costing its witness's
-    non-variable nodes plus each argument's size times its occurrences;
-    the root is positive, and only the pairs it needs are built, each by
-    its steps over its arguments at their polarities (:func:`_build`); a
-    node built as itself is kept.  Ties go to the identity variant, then
-    to the smaller p."""
+    the shape) and, while that has at most six members, its packed table
+    over six slots, composed from its arguments' (:func:`_moves`).  Over
+    more than three, the support keeps only the propositions the cofactor
+    test (:func:`boolfun._depends`) finds the table depends on, and a
+    constant its first one.  A node whose support has 1 to 3 members may
+    instead be a smallest witness of its function or, at polarity 1, of
+    its negation over the support padded to three (:func:`_cuts`), when
+    that is strictly smaller.  A cut witness holds no constant; a variant
+    or ``not`` witness may hold the target's own nullary connectives.
+    One postorder pass finds the smallest tree size of every (node,
+    polarity), a variant costing its witness's non-variable nodes plus
+    each argument's size times its occurrences; the root is positive,
+    and only the pairs it needs are built, each by its steps over its
+    arguments at their polarities (:func:`_build`); a node built as
+    itself is kept.  Ties go to the identity variant, then to the
+    smaller p."""
     cuts = _cuts(target)
     negation = _NEVER[:4]       # a proposition's option at polarity 1, but its argument
     if member(NOT.fn, target):
@@ -451,17 +470,17 @@ def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[F
     order = _postorder(shape)
     rank = {name: 1 << i for i, name in enumerate(
         names or dict.fromkeys(node.name for node in order if isinstance(node, Prop)))}
-    # per node: its option at polarity 0 and 1, its support mask, and its
-    # table over 3 slots when the mask has at most 3 bits
+    # per node: its option at polarity 0 and 1, its support mask (-1, every
+    # proposition, where its table is not known) and its table
     best: dict[int, list] = {}
     conns: dict[int, tuple] = {}    # per connective: its variants, its kernel if generated
     for node in order:
         key = id(node)
         if isinstance(node, Prop):
-            best[key] = [_SELF, (*negation, (node,)), rank[node.name], 0xF0]   # x1 over 3 slots
+            best[key] = [_SELF, (*negation, (node,)), rank[node.name], _SLOTS[0]]
             continue
         if not node.args:
-            best[key] = [_SELF, _NEVER, 0, 255 * node.conn.fn.bits[0]]
+            best[key] = [_SELF, _NEVER, 0, _FULL * node.conn.fn.bits[0]]
             continue
         entry = conns.get(id(node.conn))
         if entry is None:
@@ -469,22 +488,32 @@ def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[F
             entry = conns[id(node.conn)] = variants, generated and _kernel(node.conn.fn)
         variants, kernel = entry
         below = [best[id(a)] for a in node.args]
-        support = 0 if kernel else 15   # an ungenerated connective counts as 4 propositions
-        for arg in below:
-            support |= arg[2]
-        options = best[key] = [_NEVER, _NEVER, support, 0]
+        options = best[key] = [_NEVER, _NEVER, -1, 0]
         for q in (0, 1):
             for p, _, size, reads, steps in variants[q]:
                 for i, n in reads:
                     size += n * below[i][p >> i & 1][0]
                 if size < options[q][0]:
                     options[q] = size, p, steps, reads, node.args
-        if support.bit_count() > 3:
+        support = 0 if kernel else -1
+        for arg in below:
+            support |= arg[2]
+        width = support.bit_count()
+        if support < 0 or width > 6:
             continue
-        options[3] = table = kernel(255, *[
-            arg[3] if arg[2] == support else _lift(arg[3], arg[2], support) for arg in below])
-        for q in (0, 1) if support else ():
-            want = table ^ 255 if q else table
+        table = kernel(_FULL, *[arg[3] if arg[2] == support
+                                else _swapped(arg[3], _moves(arg[2], support)) for arg in below])
+        if width > 3:
+            slots = boolfun._depends(table, 6, _SLOTS[:width])
+            if len(slots) < width:      # a constant keeps its first proposition
+                bits = [bit for bit in rank.values() if bit & support]
+                kept = sum(bits[j] for j in slots) or bits[0]
+                table, support = _swapped(table, reversed(_moves(kept, support))), kept
+        options[2:] = support, table
+        if not 1 <= support.bit_count() <= 3:
+            continue
+        for q in (0, 1):
+            want = table ^ _FULL if q else table
             found = cuts.get(want)
             if found and found[0] < options[q][0]:
                 props = tuple(Prop(n) for n, bit in rank.items() if bit & support)

@@ -191,12 +191,15 @@ def oracle_affine(f: BooleanFunction) -> bool:
                for c in (0, 1) for s in rows)
 
 
+def oracle_relevant(f: BooleanFunction) -> list[int]:
+    """The positions j of the arguments whose flip changes some row."""
+    n, rows = f.arity, range(1 << f.arity)
+    return [j for j in range(n) if any(f.bits[p] != f.bits[p ^ (1 << n - 1 - j)] for p in rows)]
+
+
 def oracle_essentially_unary(f: BooleanFunction) -> bool:
     """At most one argument whose flip changes some row."""
-    n, rows = f.arity, range(1 << f.arity)
-    relevant = [j for j in range(n)
-                if any(f.bits[p] != f.bits[p ^ (1 << j)] for p in rows)]
-    return len(relevant) <= 1
+    return len(oracle_relevant(f)) <= 1
 
 
 def oracle_conjunction(f: BooleanFunction) -> bool:
@@ -242,6 +245,35 @@ def oracle_compose(fn: BooleanFunction, args: list, mask):
                 term = term & (arg if (v >> (m - 1 - j)) & 1 else arg ^ mask)
             acc = acc | term
     return acc ^ mask if flip else acc
+
+
+# Tables over six slots, as replacement carries them: slot j is bit 5 - j
+# of the row index, and a table over the propositions of a mask (lowest
+# bit first) has them in its first slots.
+
+
+def _slot_positions(sub: int, support: int) -> list[int]:
+    """The slot of each proposition of ``sub`` among those of ``support``."""
+    bits = [b for b in range(support.bit_length()) if support >> b & 1]
+    return [j for j, b in enumerate(bits) if sub >> b & 1]
+
+
+def oracle_lift(table: int, sub: int, support: int) -> int:
+    """``table`` over ``sub``'s propositions re-indexed row by row to one
+    over ``support``'s: row r reads the row whose slot i is r's slot of
+    the i-th proposition of ``sub``, its other slots 0."""
+    slots = _slot_positions(sub, support)
+    return sum(1 << r for r in range(64)
+               if table >> sum((r >> 5 - j & 1) << 5 - i for i, j in enumerate(slots)) & 1)
+
+
+def oracle_project(table: int, sub: int, support: int) -> int:
+    """The inverse of :func:`oracle_lift` on a table over ``support``'s
+    propositions that depends on ``sub``'s only: row r reads the row
+    whose slot of the i-th proposition of ``sub`` is r's slot i."""
+    slots = _slot_positions(sub, support)
+    return sum(1 << r for r in range(64)
+               if table >> sum((r >> 5 - i & 1) << 5 - j for i, j in enumerate(slots)) & 1)
 
 
 def all_functions(arity: int):

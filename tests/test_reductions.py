@@ -75,7 +75,7 @@ from postlattice.reductions import (
 
 from postlattice.restructure import restructure_full, restructure_monotone_g
 
-from conftest import random_formula, theorem_pairs
+from conftest import oracle_lift, oracle_project, oracle_relevant, random_formula, theorem_pairs
 
 
 def _over(result, base):
@@ -510,7 +510,7 @@ def test_outputs_pinned():
                 phi = random_formula(rng, list(source), names, rng.randint(1, 25))
             out = reduce(phi, source, target)
             digest.update(f"{render(phi)} => {render(out.formula)}\n".encode())
-    assert digest.hexdigest()[:16] == "db24ff202e4512a3"
+    assert digest.hexdigest()[:16] == "cee873ecbafce4a7"
 
 
 def test_route_keeps_its_bound(monkeypatch):
@@ -630,6 +630,94 @@ def test_outputs_within_small_closure_witnesses():
             assert theorem_reduce(phi, source, target).certificate.size_out <= size(witness)
             checked += 1
     assert checked >= 400
+
+
+def test_functional_support_within_small_closure_witnesses():
+    # an input that mentions four to six propositions but whose function
+    # depends on one to three reduces to no more nodes than the smallest
+    # witness of its function over those, projected, over the target's
+    # connectives of arity at most 3, wherever that closure has one
+    checked = 0
+    for _, source, target, phi in _corpus(0xC075):
+        names = props_in_order(phi)
+        f = formula.truth_table(phi, names)
+        kept, n = oracle_relevant(f), len(names)
+        if n < 4 or not 1 <= len(kept) <= 3:
+            continue
+        projected = boolfun.BooleanFunction(len(kept), tuple(
+            f.bits[sum((r >> len(kept) - 1 - i & 1) << n - 1 - j for i, j in enumerate(kept))]
+            for r in range(1 << len(kept))))
+        small = Base([c for c in target if c.arity <= 3])
+        witness = closure(small, len(kept)).entries.get(projected)
+        if witness is not None:
+            assert theorem_reduce(phi, source, target).certificate.size_out <= size(witness)
+            checked += 1
+    assert checked >= 80
+    # sd(x1, x3, x3) is !x3 and sd(x4, x2, x2) is !x2, so the root is x3;
+    # gn(x2, x2, y) is x2 whatever y is
+    for text, clone, want in (("sd(x3, sd(x1, x3, x3), sd(x4, x2, x2))", "D", "x3"),
+                              ("gn(x2, x2, gn(x6, x4, x5))", "S02", "x2")):
+        base = catalog_entry(CloneName(clone)).base
+        out = theorem_reduce(parse(text, base), base, base)
+        assert render(out.formula) == want
+        assert out.certificate.equivalent is True
+
+
+def test_slot_moves_against_row_oracle():
+    # every pair of masks sub <= support of at most six propositions out
+    # of seven: a seeded table over sub's propositions, lifted to
+    # support's slots by delta swaps and projected back by the same swaps
+    # in reverse, against the row-by-row re-indexing
+    rng = random.Random(0x5107)
+    pairs = 0
+    for support in range(1 << 7):
+        if support.bit_count() > 6:
+            continue
+        sub = support
+        while True:
+            k = sub.bit_count()
+            small = rng.getrandbits(1 << k)
+            table = sum(1 << r for r in range(64) if small >> (r >> 6 - k) & 1)
+            moves = reductions._moves(sub, support)
+            lifted = reductions._swapped(table, moves)
+            assert lifted == oracle_lift(table, sub, support), (sub, support)
+            assert reductions._swapped(lifted, reversed(moves)) == table
+            assert oracle_project(lifted, sub, support) == table
+            pairs += 1
+            if not sub:
+                break
+            sub = (sub - 1) & support
+    assert pairs == 3 ** 7 - 2 ** 7
+
+
+def test_cofactor_test_against_row_oracle():
+    # seeded functions of one to six arguments, each ignoring a seeded set
+    # of them: the cofactor test over all of an arity's projection masks or
+    # only the first ones, and _relevant, find the arguments whose flip
+    # changes some row
+    rng = random.Random(0xC0F)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        ignored = sum(1 << n - 1 - j for j in range(n) if rng.random() < 0.4)
+        bits = [rng.getrandbits(1) for _ in range(1 << n)]
+        f = boolfun.BooleanFunction(n, tuple(bits[p & ~ignored] for p in range(1 << n)))
+        table, masks = boolfun._pack(f), [boolfun._projection_mask(j, n) for j in range(n)]
+        want = oracle_relevant(f)
+        for k in range(n + 1):
+            assert boolfun._depends(table, n, masks[:k]) == [j for j in want if j < k]
+        assert boolfun._relevant(f) == (table, [masks[j] for j in want])
+
+
+def test_constant_function_keeps_one_slot():
+    # a constant table depends on no slot, and a node whose function is
+    # constant over four propositions keeps the first one: its cut witness
+    # is written there, where over no proposition it would have none and
+    # the replaced shape would have 25 nodes
+    for table in (0, reductions._FULL):
+        assert boolfun._depends(table, 6, reductions._SLOTS) == []
+    nand = Base([Connective("nand", boolfun.apply(NOT_FN, [AND_FN]))])
+    out, n = _replace(parse("!((a & !a) & (b & (c & d)))"), nand)
+    assert render(out) == "nand(a, nand(a, a))" and n == 5
 
 
 @pytest.mark.parametrize("clone", [CloneName("S0", 5), CloneName("S02", 5)])
@@ -780,7 +868,7 @@ def test_plans_raise_the_same_refusal_every_time():
 
 def test_cold_and_warm_calls_agree():
     # with every cache of the module dropped (plans, witnesses, cut
-    # tables and their steps and lifts), each criterion-4 pair renders and
+    # tables and their steps and moves), each criterion-4 pair renders and
     # certifies exactly as when they are cached
     caches = [f for f in vars(reductions).values()
               if hasattr(f, "cache_clear") and f.__module__ == reductions.__name__]
