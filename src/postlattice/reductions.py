@@ -7,42 +7,41 @@ the connective ``and`` or ``or`` adjoined where the lattice position of
 an exhaustive equivalence check when the variable count permits).
 
 The theorem's case analysis is written once, as two tables.  ``_CASES``
-holds per case the window of [B] and the pipeline for a monotone [B]
-and for any other; ``_PIPELINES`` holds per restructuring pipeline the
-clone [B] must contain, the one it must lie inside and the adjoined
-connective (``and`` for S0 clones, ``or`` for their S1 duals).  What a
-reduction reads off them is planned once per pair (B, B') (:func:`_plan`).
+holds per case the window of [B], the pipeline for a monotone [B] and
+for any other, and the adjoined connective; ``_PIPELINES`` holds per
+restructuring pipeline the clone [B] must contain and the one it must
+lie inside.  What a reduction reads off them is planned once per pair
+(B, B') (:func:`_plan`).
 
-Every pipeline brings the formula into a shape whose connectives B'
-can define, then runs one shared body (:func:`_replace_and_eliminate`):
-replace every connective of the shape by a target witness, eliminate
-the constants.  Every witness over a target comes from one cached
-lookup, compiled once into build steps (:func:`_variants`,
-:func:`_build`), so replacing a node builds its witness without walking
-it, and a node that replacing leaves unchanged is kept.  Replacement
-(:func:`_replace`) knows two polarities: each node may be built as
-itself or as its negation, from the witness of a variant
-q xor f(y xor p) of its connective, whichever gives the smaller tree.
-Over ``{nand}`` the negated conjunction is then one node, not ``and``
-under ``not``, each of which repeats its arguments.  A node over at most
-three propositions may instead be written whole from one cached table of
-smallest witnesses per target (:func:`_cuts`; cut rewriting as in
-Mishchenko, Chatterjee and Brayton, DAC 2006): ``g(x, y, y)`` into
+Every pipeline runs one body (:func:`_pipeline`): bring the formula
+into the shapes of its case, replace every connective of each by a
+target witness, eliminate the constants and keep the smallest output;
+where no shape survives, the formula's truth table is replaced as one
+node (:func:`_replace_and_eliminate`).  Every witness over a target
+comes from one cached lookup, compiled once into build steps
+(:func:`_variants`, :func:`_build`), so replacing a node builds its
+witness without walking it, and a node that replacing leaves unchanged
+is kept.  Replacement (:func:`_replace`) knows two polarities: each
+node may be built as itself or as its negation, from the witness of a
+variant q xor f(y xor p) of its connective, whichever gives the smaller
+tree.  Over ``{nand}`` the negated conjunction is then one node, not
+``and`` under ``not``, each of which repeats its arguments.  A node over
+at most three propositions may instead be written whole from one cached
+table of smallest witnesses per target (:func:`_cuts`; cut rewriting as
+in Mishchenko, Chatterjee and Brayton, DAC 2006): ``g(x, y, y)`` into
 ``{and, or}`` is ``x | y``.  The pipelines differ in the shape:
 
 * ``reduce_EVL`` - cases (a)-(c), [B] inside V, L or E: the disjunctive,
   affine or conjunctive normal form, probed in one bit-parallel pass
-  and rebuilt balanced.
+  and rebuilt balanced (``_NORMAL_FORMS``).
 * ``reduce_S00/S10``, ``reduce_S02/S12`` and ``reduce_D`` - the folded
   input itself or the formula restructured to logarithmic depth
   (:func:`_candidates`): restructuring pays only where a witness repeats
   a variable, and there both shapes are replaced and eliminated, and
-  the smaller output is kept.  One rule picks the restructurer: ``g``
-  for a monotone [B] with ``and`` adjoined, ``h`` with ``or``, the full
-  form for any other [B].  The theorem bounds output size, not depth,
+  the smaller output is kept.  One rule picks the restructurer: ``h``
+  for a monotone [B] with ``or`` adjoined, ``g`` for any other monotone
+  [B], the full form otherwise.  The theorem bounds output size, not depth,
   so an output may be deeper than the restructured shape would be.
-  Where no shape survives constant elimination, ``reduce_D`` replaces
-  the formula's truth table as one node.
 * ``theorem_reduce`` - the dispatcher: the pipeline of the case's row.
 
 Constants follow one rule (:func:`_constant_replacement`): a constant
@@ -169,32 +168,32 @@ def _require(cond: bool, message: str) -> None:
 #: The theorem's seven cases, tried in order, with their windows read off
 #: Post's lattice (Böhler, Creignou, Reith and Vollmer, "Playing with
 #: Boolean blocks, Part I", 2003): the clone [B] must contain, the one it
-#: must lie inside (the bottom I2 and the top BF bound nothing), and the
-#: pipeline for a monotone [B] and for any other.
+#: must lie inside (the bottom I2 and the top BF bound nothing), the
+#: pipeline for a monotone [B] and for any other, and the connective the
+#: output adjoins (in case (g) M2 <= [B] <= [B'], so B' has and and or).
 _CASES = {
-    "a": ("I2", "V", "reduce_EVL", "reduce_EVL"),
-    "b": ("I2", "L", "reduce_EVL", "reduce_EVL"),
-    "c": ("I2", "E", "reduce_EVL", "reduce_EVL"),
-    "d": ("S00", CloneName("S0", 2), "reduce_S00", "reduce_S02"),
-    "e": ("S10", CloneName("S1", 2), "reduce_S10", "reduce_S12"),
-    "f": ("D2", "D", "reduce_D", "reduce_D"),
-    "g": ("M2", "BF", "reduce_S00", "reduce_S02"),
+    "a": ("I2", "V", "reduce_EVL", "reduce_EVL", "none"),
+    "b": ("I2", "L", "reduce_EVL", "reduce_EVL", "none"),
+    "c": ("I2", "E", "reduce_EVL", "reduce_EVL", "none"),
+    "d": ("S00", CloneName("S0", 2), "reduce_S00", "reduce_S02", "and"),
+    "e": ("S10", CloneName("S1", 2), "reduce_S10", "reduce_S12", "or"),
+    "f": ("D2", "D", "reduce_D", "reduce_D", "and"),
+    "g": ("M2", "BF", "reduce_S00", "reduce_S02", "none"),
 }
 
-#: Per restructuring pipeline: the clone [B] must contain, the one it must
-#: lie inside with the refusal when it does not, and the adjoined connective.
+#: Per restructuring pipeline: the clone [B] must contain, and the one it
+#: must lie inside with the refusal when it does not.
 _PIPELINES = {
-    "reduce_S00": ("S00", "M", "B must be monotone", "and"),
-    "reduce_S10": ("S10", "M", "B must be monotone", "or"),
-    "reduce_S02": ("S02", "BF", None, "and"),
-    "reduce_S12": ("S12", "BF", None, "or"),
-    "reduce_D": ("D2", "D", "B must be self-dual", "and"),
+    "reduce_S00": ("S00", "M", "B must be monotone"),
+    "reduce_S10": ("S10", "M", "B must be monotone"),
+    "reduce_S02": ("S02", "BF", None),
+    "reduce_S12": ("S12", "BF", None),
+    "reduce_D": ("D2", "D", "B must be self-dual"),
 }
 
 
 class _Plan(NamedTuple):
-    clone: CloneName                    # [B]
-    case: str                           # its theorem case
+    case: str                           # the theorem case of [B]
     route: str                          # the pipeline theorem_reduce calls
     monotone: bool                      # [B] is inside M
     refusals: dict[str, str | None]     # per pipeline, its first failing bound, or None
@@ -216,22 +215,11 @@ def _plan(base: Base, target: Base) -> _Plan:
                     for c in base if not member(c.fn, target)), None)
     refusals = {pipeline: f"the clone of B must contain {lower}" if not includes(x, lower)
                 else refusal if not includes(upper, x) else missing
-                for pipeline, (lower, upper, refusal, _) in _PIPELINES.items()}
+                for pipeline, (lower, upper, refusal) in _PIPELINES.items()}
     refusals["reduce_EVL"] = missing if route == "reduce_EVL" else (
         missing or "the clone of B is not inside E, V or L")
-    return _Plan(x, case, route, monotone, refusals, clone_of(target) == CloneName("BF"),
+    return _Plan(case, route, monotone, refusals, clone_of(target) == CloneName("BF"),
                  {"none": target, "and": target.extended(AND), "or": target.extended(OR)})
-
-
-def _preconditions(phi: Formula, base: Base, target: Base, pipeline: str) -> _Plan:
-    """Check that phi is over B, then the pipeline's bounds on [B] and
-    that B is generated by B' (:func:`_plan`).  Returns the plan."""
-    for c in connectives_of(phi):
-        _require(base.contains_function(c.fn),
-                 f"formula connective {c.name!r} is not in the source base")
-    plan = _plan(base, target)
-    _require(plan.refusals[pipeline] is None, plan.refusals[pipeline])
-    return plan
 
 
 def _balanced(items: list[Formula], conn: Connective) -> Formula:
@@ -317,6 +305,15 @@ def _affine_shape(c: int, chosen: tuple[str, ...]) -> Formula:
     for i in range(1, len(chain), 2):
         out = Apply(XOR3, (out, chain[i], chain[i + 1]))
     return Apply(XNOR3, (leaves[0], leaves[1], out)) if c else out
+
+
+#: The shape of cases (a)-(c): the disjunctive, affine or conjunctive
+#: normal form, balanced.
+_NORMAL_FORMS = {
+    "a": lambda phi: normalize_V(phi)[2],
+    "b": lambda phi: _affine_shape(*normalize_L(phi)[:2]),
+    "c": lambda phi: normalize_E(phi)[2],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -638,21 +635,16 @@ def _candidates(phi: Formula, target: Base, restructurer) -> list[Formula]:
 # pipelines
 
 
-def _pipeline_output(inp: Formula, out: Formula, plan: _Plan,
-                     extra: str) -> ReductionOutput:
-    """The checked result over B' plus the adjoined ``extra`` connective."""
-    return _check_target(ReductionOutput(out, plan.outputs[extra], extra,
-                                         _certificate(inp, out)))
-
-
 def _replace_and_eliminate(phi: Formula, shapes: list[Formula], target: Base,
                            extra: str) -> Formula:
-    """The body every pipeline shares: replace the connectives of each
-    candidate shape of phi (:func:`_replace`), eliminate its constants
-    for the adjoined ``extra`` and keep the smallest output (the first
-    on a tie).  A candidate whose elimination raises gives way to the
-    others; with none left, the first error is raised.  A constant shape
-    is written at phi's first proposition (:func:`_constant_replacement`)."""
+    """Replace the connectives of each shape of phi (:func:`_replace`),
+    eliminate its constants for the adjoined ``extra`` and keep the
+    smallest output (the first on a tie); a constant shape is written at
+    phi's first proposition (:func:`_constant_replacement`).  A shape
+    whose elimination raises gives way to the others.  With none left,
+    phi's truth table over its propositions is replaced as one node,
+    capped at the representation arity; without a proposition there is
+    no such node, and the first error is raised."""
     outs, errors, props = [], [], props_in_order(phi)
     for shaped in shapes:
         bit = constant_value(shaped)
@@ -664,43 +656,59 @@ def _replace_and_eliminate(phi: Formula, shapes: list[Formula], target: Base,
             outs.append(out)
         except ConstantEliminationError as err:
             errors.append(err)
-    if not outs:
+    if outs:
+        return min(outs, key=lambda out: out.size)
+    if not props:
         raise errors[0]
-    return min(outs, key=lambda out: out.size)
+    if len(props) > CLOSURE_ARITY_MAX:
+        raise ReductionError(f"no shape survives constant elimination, and the whole-formula "
+                             f"fallback is capped at {CLOSURE_ARITY_MAX} variables "
+                             f"({len(props)} present)")
+    whole = Connective("phi", truth_table(phi, props))
+    return _replace(Apply(whole, tuple(map(Prop, props))), target)[0]
 
 
 def _pipeline(phi: Formula, base: Base, target: Base, pipeline: str,
               extra: str | None = None) -> ReductionOutput:
-    """The restructuring pipelines' body: check the preconditions, then
-    replace the candidate shapes (:func:`_candidates`), eliminate and
-    keep the smaller output.  ``extra`` defaults to the pipeline's
-    adjoined connective; a monotone [B] is restructured by g when it is
-    ``and`` and by h when it is ``or``, any other [B] by the full form."""
-    plan = _preconditions(phi, base, target, pipeline)
-    extra = extra or _PIPELINES[pipeline][3]
-    restructurer = (restructure_full if not plan.monotone
-                    else restructure_monotone_g if extra == "and" else restructure_monotone_h)
-    out = _replace_and_eliminate(phi, _candidates(phi, target, restructurer), target, extra)
-    return _pipeline_output(phi, out, plan, extra)
+    """The body of every pipeline: check that phi is over B, then the
+    pipeline's bounds on [B] and that B is generated by B' (:func:`_plan`).
+    Replace and eliminate the shapes of phi (:func:`_replace_and_eliminate`)
+    for the adjoined ``extra``, by default the case's, and return the
+    checked output over B' plus it.  In cases (a)-(c) the shape is the
+    normal form (``_NORMAL_FORMS``); otherwise the shapes are
+    :func:`_candidates`: a monotone [B] is restructured by h when ``or``
+    is adjoined and by g otherwise, any other [B] by the full form."""
+    for c in connectives_of(phi):
+        _require(base.contains_function(c.fn),
+                 f"formula connective {c.name!r} is not in the source base")
+    plan = _plan(base, target)
+    _require(plan.refusals[pipeline] is None, plan.refusals[pipeline])
+    extra = extra or _CASES[plan.case][4]
+    normal = _NORMAL_FORMS.get(plan.case)
+    shapes = [normal(phi)] if normal else _candidates(phi, target, (
+        restructure_full if not plan.monotone
+        else restructure_monotone_h if extra == "or" else restructure_monotone_g))
+    out = _replace_and_eliminate(phi, shapes, target, extra)
+    return _check_target(ReductionOutput(out, plan.outputs[extra], extra, _certificate(phi, out)))
 
 
 def reduce_S00(phi: Formula, base: Base, target: Base) -> ReductionOutput:
-    """Monotone pipeline for S00 <= [B] <= M; output over B' + {and}."""
+    """Monotone pipeline for S00 <= [B] <= M; adjoins and, nothing in case (g)."""
     return _pipeline(phi, base, target, "reduce_S00")
 
 
 def reduce_S10(phi: Formula, base: Base, target: Base) -> ReductionOutput:
-    """Dual monotone pipeline for S10 <= [B] <= M; output over B' + {or}."""
+    """Dual monotone pipeline for S10 <= [B] <= M; adjoins or, nothing in case (g)."""
     return _pipeline(phi, base, target, "reduce_S10")
 
 
 def reduce_S02(phi: Formula, base: Base, target: Base) -> ReductionOutput:
-    """Pipeline for S02 <= [B]; output over B' + {and}."""
+    """Pipeline for S02 <= [B]; adjoins and, nothing in case (g)."""
     return _pipeline(phi, base, target, "reduce_S02")
 
 
 def reduce_S12(phi: Formula, base: Base, target: Base) -> ReductionOutput:
-    """Dual pipeline for S12 <= [B]; output over B' + {or}."""
+    """Dual pipeline for S12 <= [B]; adjoins or, nothing in case (g)."""
     return _pipeline(phi, base, target, "reduce_S12")
 
 
@@ -708,46 +716,22 @@ def reduce_D(phi: Formula, base: Base, target: Base, want: str = "and") -> Reduc
     """Pipeline for the self-dual window D2 <= [B] <= D; ``want`` picks
     the adjoined connective ("and" or "or").  Above D2 with a
     functionally complete target nothing is adjoined: that target has
-    both constants at an existing proposition.  The shape is the folded
-    input or the restructured formula, whichever gives the smaller
-    output (:func:`_candidates`).  The folded input of a self-dual base
-    has no constants, so only the restructured shape can fail constant
-    elimination (self-dual targets lack both constants) and then gives
-    way to the folded one.  When it is the only candidate, the shape is
-    the formula's truth table over its propositions as one node, and
-    :func:`_replace` writes it from the witnesses of its variants; that
-    fallback is capped at the representation arity."""
+    both constants at an existing proposition.  Self-dual targets lack
+    both, but only the restructured shape can hold one; where it is the
+    only shape, the whole-formula fallback writes the output
+    (:func:`_replace_and_eliminate`)."""
     if want not in ("and", "or"):
         raise ReductionError(f"want must be 'and' or 'or', not {want!r}")
     plan = _plan(base, target)
-    extra = "none" if plan.complete and not plan.monotone else want
-    try:
-        return _pipeline(phi, base, target, "reduce_D", extra)
-    except ConstantEliminationError:
-        order = props_in_order(phi)
-        if len(order) > CLOSURE_ARITY_MAX:
-            raise ReductionError(
-                f"self-dual target requires the whole-formula fallback, which is "
-                f"capped at {CLOSURE_ARITY_MAX} variables ({len(order)} present)")
-        whole = Connective("phi", truth_table(phi, order))
-        out = _replace(Apply(whole, tuple(map(Prop, order))), target)[0]
-    return _pipeline_output(phi, out, plan, extra)
+    return _pipeline(phi, base, target, "reduce_D",
+                     "none" if plan.complete and not plan.monotone else want)
 
 
 def reduce_EVL(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Pipeline for [B] inside E, V or L: the shape is the normal form
     (:func:`normalize_V`, :func:`_affine_shape` of :func:`normalize_L`,
-    :func:`normalize_E`), balanced; then the shared replace-and-eliminate
-    body.  Output over B' exactly."""
-    plan = _preconditions(phi, base, target, "reduce_EVL")
-    if plan.case == "a":
-        shaped = normalize_V(phi)[2]
-    elif plan.case == "b":
-        shaped = _affine_shape(*normalize_L(phi)[:2])
-    else:
-        shaped = normalize_E(phi)[2]
-    out = _replace_and_eliminate(phi, [shaped], target, "none")
-    return _pipeline_output(phi, out, plan, "none")
+    :func:`normalize_E`), balanced.  Output over B' exactly."""
+    return _pipeline(phi, base, target, "reduce_EVL")
 
 
 # ---------------------------------------------------------------------------
@@ -768,18 +752,14 @@ def theorem_reduce(phi: Formula, base: Base, target: Base) -> ReductionOutput:
     """Dispatch to the reduction the lattice position of [B] supports.
 
     Cases (a)-(c) and (g) land in the target base exactly; case (d)
-    adjoins ``and``, case (e) adjoins ``or``, and case (f) adjoins the
-    default ``and`` (or nothing over a functionally complete target).
-    Every pipeline checks that B is generated by B' itself.  The case
-    and the pipeline are planned once per pair (:func:`_plan`).
+    adjoins ``and`` and case (e) ``or``.  Case (f) adjoins ``and``,
+    except that above D2 nothing is adjoined into a functionally
+    complete target (:func:`reduce_D`).  Every pipeline checks that B is
+    generated by B' itself.  The case and the pipeline are planned once
+    per pair (:func:`_plan`).
     """
-    plan = _plan(base, target)
-    out = globals()[plan.route](phi, base, target)    # looked up now: it may be wrapped
-    if plan.case != "g":
-        return out
-    # case (g): M2 <= [B] <= [B'] (checked by the pipeline), so the target
-    # generates both and/or and nothing is adjoined
-    return _check_target(ReductionOutput(out.formula, target, "none", out.certificate))
+    pipeline = globals()[_plan(base, target).route]     # looked up now: it may be wrapped
+    return pipeline(phi, base, target)
 
 
 # ---------------------------------------------------------------------------

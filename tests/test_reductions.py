@@ -233,6 +233,23 @@ def test_reduce_S12():
     assert out.certificate.equivalent is True
 
 
+@pytest.mark.parametrize("reduce,clone,text", [
+    (reduce_S00, "M2", "x & (y | z)"),
+    (reduce_S10, "M2", "x & (y | z)"),
+    (reduce_S02, "BF", "!c & !!!(a & a)"),
+    (reduce_S12, "BF", "!c & !!!(a & a)"),
+], ids=["S00", "S10", "S02", "S12"])
+def test_case_g_pipelines_adjoin_nothing(reduce, clone, text):
+    # in case (g) M2 <= [B] <= [B'], so B' has both and and or: called
+    # directly, every S pipeline lands in B' itself, as theorem_reduce does
+    base = catalog_entry(clone).base
+    phi = parse(text, base)
+    out = reduce(phi, base, base)
+    assert out.extra == "none" and out.target == base
+    assert render(out.formula) == render(theorem_reduce(phi, base, base).formula)
+    assert out.certificate.equivalent is True
+
+
 def test_reduce_D_monotone():
     base = Base([MAJ3])
     phi = parse("maj3(x, maj3(y, z, x), z)", base)
