@@ -51,6 +51,8 @@ class BooleanFunction:
     bits: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.bits, tuple):    # a list would compare and hash apart
+            raise FunctionLiteralError("the table must be a tuple of 0s and 1s")
         if not 0 <= self.arity <= ARITY_CAP:
             raise ArityError(f"arity {self.arity} outside supported range 0..{ARITY_CAP}")
         if len(self.bits) != 1 << self.arity:

@@ -86,7 +86,7 @@ class Prop:
     size, depth, leaf_count, max_arity = 1, 0, 1, 0
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Apply:
     """A connective applied to its arguments.  The constructor computes
     the node's counts from its arguments': ``size`` (nodes), ``depth``,
@@ -119,6 +119,9 @@ class Apply:
     def __hash__(self):
         return _rewrite(self, lambda node, args: hash(
             node.name if isinstance(node, Prop) else (node.conn, tuple(args))))
+
+    def __repr__(self):
+        return f"Apply({render(self)!r})"
 
 
 Formula = Union[Prop, Apply]

@@ -26,10 +26,11 @@ node may be built as itself or as its negation, from the witness of a
 variant q xor f(y xor p) of its connective, whichever gives the smaller
 tree.  Over ``{nand}`` the negated conjunction is then one node, not
 ``and`` under ``not``, each of which repeats its arguments.  A node over
-at most three propositions may instead be written whole from one cached
-table of smallest witnesses per target (:func:`_cuts`; cut rewriting as
-in Mishchenko, Chatterjee and Brayton, DAC 2006): ``g(x, y, y)`` into
-``{and, or}`` is ``x | y``.  The pipelines differ in the shape:
+at most six propositions whose function depends on at most three may
+instead be written whole from one cached table of smallest witnesses per
+target (:func:`_cuts`; cut rewriting, Mishchenko, Chatterjee and
+Brayton, DAC 2006): ``g(x, y, y)`` into ``{and, or}`` is ``x | y``.  The
+pipelines differ in the shape:
 
 * ``reduce_EVL`` - cases (a)-(c), [B] inside V, L or E: the disjunctive,
   affine or conjunctive normal form, probed in one bit-parallel pass
@@ -102,7 +103,6 @@ from .formula import (
     evaluate,
     fold,
     props_in_order,
-    substitute,
     truth_table,
 )
 from .restructure import (
@@ -333,19 +333,16 @@ def _steps(w: Formula) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple, bool]:
-    """The one witness lookup over a target, cached: per output polarity
-    q, the variants q xor fn(y xor p) of a connective the target
-    generates as (p, witness, its non-variable nodes, (argument,
-    occurrences) of each argument it reads, its build steps
-    (:func:`_steps`)), identity first; then whether the target generates
-    it.  A connective the target does not generate has one variant,
-    itself, over the target with constants (removed by
-    :func:`eliminate_constants`).  A constant the target
-    builds only at a variable has no variant, so that refusal is cached
-    too; otherwise raises as ``represent`` does."""
-    generated = member(fn, target)
-    if generated:
+def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple]:
+    """The one witness lookup over a target, cached: per output polarity q,
+    the variants q xor fn(y xor p) of a connective the target generates as
+    (p, witness, its non-variable nodes, (argument, occurrences) of each
+    argument it reads, its build steps (:func:`_steps`)), identity first.  A
+    connective the target does not generate has one variant, itself, over
+    the target with constants (removed by :func:`eliminate_constants`).  A
+    constant the target builds only at a variable has no variant, so that
+    refusal is cached too; otherwise raises as ``represent`` does."""
+    if member(fn, target):
         try:
             found = represent_variants(fn, target)
         except NotInCloneError:
@@ -360,7 +357,7 @@ def _variants(fn: BooleanFunction, target: Base) -> tuple[tuple, tuple, bool]:
         out[q].append((p, w, w.size - w.leaf_count,
                        tuple((i, n) for i in range(fn.arity) if (n := reads[f"x{i + 1}"])),
                        _steps(w)))
-    return tuple(out[0]), tuple(out[1]), generated
+    return tuple(out[0]), tuple(out[1])
 
 
 @lru_cache(maxsize=1024)
@@ -440,11 +437,11 @@ def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[F
     occurrences) it reads, and the arguments.  A k-ary node at polarity q
     may be a variant q xor f(y xor p) of its connective over its own
     arguments (:func:`_variants`), a proposition at polarity 1 the
-    target's ``not`` witness over it; a constant keeps its polarity.  A
-    node over connectives the target generates carries its support (its
-    propositions, in order of first occurrence in ``names`` or else in
-    the shape) and, while that has at most six members, its packed table
-    over six slots, composed from its arguments' (:func:`_moves`).  Over
+    target's ``not`` witness over it; a constant keeps its polarity.
+    Every node carries its support (its propositions, in order of first
+    occurrence in ``names`` or else in the shape) and, while that has at
+    most six members, its packed table over six slots, composed by its
+    connective's kernel from its arguments' (:func:`_moves`).  Over
     more than three, the support keeps only the propositions the cofactor
     test (:func:`boolfun._depends`) finds the table depends on, and a
     constant its first one.  A node whose support has 1 to 3 members may
@@ -467,10 +464,9 @@ def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[F
     order = _postorder(shape)
     rank = {name: 1 << i for i, name in enumerate(
         names or dict.fromkeys(node.name for node in order if isinstance(node, Prop)))}
-    # per node: its option at polarity 0 and 1, its support mask (-1, every
-    # proposition, where its table is not known) and its table
+    # per node: its options at polarity 0 and 1, support mask and table (0 above six)
     best: dict[int, list] = {}
-    conns: dict[int, tuple] = {}    # per connective: its variants, its kernel if generated
+    conns: dict[int, tuple] = {}    # per connective: its variants and its kernel
     for node in order:
         key = id(node)
         if isinstance(node, Prop):
@@ -481,22 +477,21 @@ def _replace(shape: Formula, target: Base, names: Sequence[str] = ()) -> tuple[F
             continue
         entry = conns.get(id(node.conn))
         if entry is None:
-            *variants, generated = _variants(node.conn.fn, target)
-            entry = conns[id(node.conn)] = variants, generated and _kernel(node.conn.fn)
+            entry = conns[id(node.conn)] = _variants(node.conn.fn, target), _kernel(node.conn.fn)
         variants, kernel = entry
         below = [best[id(a)] for a in node.args]
-        options = best[key] = [_NEVER, _NEVER, -1, 0]
+        support = 0
+        for arg in below:
+            support |= arg[2]
+        options = best[key] = [_NEVER, _NEVER, support, 0]
         for q in (0, 1):
             for p, _, size, reads, steps in variants[q]:
                 for i, n in reads:
                     size += n * below[i][p >> i & 1][0]
                 if size < options[q][0]:
                     options[q] = size, p, steps, reads, node.args
-        support = 0 if kernel else -1
-        for arg in below:
-            support |= arg[2]
         width = support.bit_count()
-        if support < 0 or width > 6:
+        if width > 6:
             continue
         table = kernel(_FULL, *[arg[3] if arg[2] == support
                                 else _swapped(arg[3], _moves(arg[2], support)) for arg in below])
@@ -578,12 +573,13 @@ def eliminate_constants(phi: Formula, target: Base, extra: str) -> Formula:
 
     A constant the target clone makes available is rebuilt at an existing
     proposition; any other becomes a big fold of the propositions
-    (:func:`_big_fold`).  No proposition is added.  Raises
+    (:func:`_big_fold`).  One rewrite puts them in: a replacement holds a
+    constant only as the target's own, which replaces itself.  Raises
     :class:`ConstantEliminationError` when no sound replacement exists.
     """
     if extra not in ("and", "or", "none"):
         raise ReductionError(f"unknown adjoined connective {extra!r}")
-    phi = fold(phi)     # every nullary connective is now 0 or 1
+    phi = fold(phi)     # every nullary node is now the constant 0 or 1
     present = {c.fn.bits[0] for c in connectives_of(phi) if c.arity == 0}
     if not present:
         return phi
@@ -591,11 +587,8 @@ def eliminate_constants(phi: Formula, target: Base, extra: str) -> Formula:
     replacements = {bit: _constant_replacement(bit, target, props)
                     or _big_fold(phi, bit, target, extra, props)
                     for bit in sorted(present, reverse=True)}
-    out = phi
-    for bit, repl in replacements.items():
-        if repl != constant(bit):
-            out = substitute(out, constant(bit), repl)
-    return out
+    return _rewrite(phi, lambda node, args: node if isinstance(node, Prop) else
+                    _rebuild(node, args) if args else replacements[node.conn.fn.bits[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,13 @@ def test_arity_cap():
         BooleanFunction(2, (0, 1))
 
 
+def test_table_must_be_a_tuple():
+    # a list table would compare unequal to the same tuple and could not be
+    # hashed into a base, so it is refused where it is built
+    with pytest.raises(FunctionLiteralError, match="must be a tuple"):
+        BooleanFunction(2, [1, 1, 1, 0])
+
+
 #: each table predicate with its brute-force oracle
 _ORACLES = [(is_monotone, oracle_monotone), (is_self_dual, oracle_self_dual),
             (is_affine, oracle_affine), (is_essentially_unary, oracle_essentially_unary),

@@ -413,6 +413,13 @@ def test_apply_equality_and_hash_on_deep_chains(shallow_stack):
     assert phi != Prop("a") and Prop("a") != phi
 
 
+def test_repr_and_str_of_deep_chain(shallow_stack):
+    # both print through the iterative render, not one frame per node
+    phi = chain([IMP], 5000, ["a", "b"])
+    assert repr(phi) == str(phi) == f"Apply({render(phi)!r})"
+    assert repr(parse("a -> b & !c")) == "Apply('a -> b & !c')"
+
+
 def test_walkers_on_shared_dag():
     # d_{i+1} = d_i & d_i: 2^64 leaf occurrences but only 65 distinct nodes
     d = Prop("x")

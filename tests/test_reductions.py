@@ -621,6 +621,22 @@ def test_small_support_is_resynthesised():
     assert out.certificate.size_out == 3 and out.certificate.equivalent is True
 
 
+@pytest.mark.parametrize("source,target,text,want", [
+    (CloneName("S0", 4), CloneName("S0", 4), "t45d(c, a, b, b, b)", "(c -> a -> b) -> b"),
+    (CloneName("S12", 4), CloneName("S1", 4), "t45(c, a, c, c, d)", "c -/> (c -/> a) -/> d"),
+])
+def test_ungenerated_connective_is_resynthesised(source, target, text, want):
+    # the 5-ary connective is restructured into and and or, and the target
+    # generates only one of them; the other still carries a table, so the
+    # root, over three propositions, is a cut witness: 7 nodes, not the 47
+    # and 39 of replacing the shape node by node over the target with
+    # constants
+    source, target = catalog_entry(source).base, catalog_entry(target).base
+    out = theorem_reduce(parse(text, source), source, target)
+    assert render(out.formula) == want
+    assert out.certificate.size_out == 7 and out.certificate.equivalent is True
+
+
 def test_negated_proposition_takes_the_not_witness():
     # the target's not needs its nullary f1, which no cut witness holds:
     # !c is f0(c, c, f1()), and without that option the output has 13 nodes
@@ -775,19 +791,24 @@ def test_connective_above_arity_cap_is_restructured(clone, text):
 
 
 def test_self_dual_connective_above_arity_cap():
-    # case (f): a 5-ary self-dual connective over three variables takes the
-    # restructured route and then the whole-formula fallback
+    # case (f): a 5-ary self-dual connective takes the restructured route.
+    # Over three variables its function is a cut witness of the
+    # restructured shape; over four it has none, and the self-dual target
+    # lacks the constants of that shape, so the whole-formula fallback
+    # writes the output
     maj5 = Connective("maj5", boolfun.BooleanFunction(
         5, tuple(int(bin(p).count("1") >= 3) for p in range(32))))
     source, target = Base([maj5]), Base([MAJ3])
-    out = theorem_reduce(parse("maj5(a, a, b, b, c)", source), source, target)
-    assert render(out.formula) == "maj3(a, b, c)"
-    assert out.certificate.equivalent is True
-    # a target with not, where the truth-table node may also be built from
-    # a variant with negated arguments
+    for text, want in (("maj5(a, a, b, b, c)", "maj3(a, b, c)"),
+                       ("maj5(a, b, c, d, d)", "maj3(a, d, maj3(b, c, d))")):
+        out = theorem_reduce(parse(text, source), source, target)
+        assert render(out.formula) == want
+        assert out.certificate.equivalent is True
+    # a target with not: a cut witness over the three variables the
+    # function depends on, not the inessential a
     source = Base([maj5, NOT])
     out = theorem_reduce(parse("maj5(a, b, !c, d, !a)", source), source, Base([SD]))
-    assert render(out.formula) == "sd(a, a, sd(c, b, d))"
+    assert render(out.formula) == "sd(b, b, sd(c, b, d))"
     assert out.certificate.equivalent is True
     # over five variables the whole-formula fallback has no witness to look up
     source = Base([maj5])
