@@ -165,6 +165,8 @@ def _kernel(fn: BooleanFunction):
 
 def _variant(f: BooleanFunction, q: int, p: int) -> BooleanFunction:
     """q xor f(x1 xor p_1, ..., xn xor p_n); bit i of p negates x_{i+1}."""
+    if not q | p:
+        return f
     flip = sum(1 << (f.arity - 1 - i) for i in range(f.arity) if p >> i & 1)
     return BooleanFunction(f.arity, tuple(q ^ f.bits[r ^ flip] for r in range(1 << f.arity)))
 

@@ -30,7 +30,6 @@ from .boolfun import (
     _kernel,
     _pack,
     _projection_mask,
-    _unpack,
     _variant,
     dual,
     is_affine,
@@ -345,6 +344,26 @@ class ClosureSet:
         return w
 
 
+#: The function of a packed table a search settles, interned: all 278 of
+#: arity at most 3, and a bounded share of those of arity 4.
+_function = lru_cache(maxsize=4096)(boolfun._unpack)
+
+
+@lru_cache(maxsize=1024)
+def _start(base: Base, k: int) -> tuple:
+    """The fixed start of every search over the base at arity k: its
+    connectives of arity at least 1, their kernels and arities, and the
+    leaves (projections, then constants) as formulas, tables and lanes."""
+    full = (1 << (1 << k)) - 1
+    conns = tuple(c for c in base if c.arity >= 1)
+    leaves: dict[int, Formula] = {_projection_mask(j, k): Prop(f"x{j + 1}") for j in range(k)}
+    for c in base:
+        if c.arity == 0:
+            leaves.setdefault(full if c.fn.bits[0] else 0, Apply(c))
+    return (conns, tuple((_kernel(c.fn), c.arity) for c in conns), tuple(leaves.values()),
+            tuple(leaves), tuple(t.to_bytes(1 if k <= 3 else 2, byteorder) for t in leaves))
+
+
 class _Search:
     """Smallest-witness-first search over the packed arity-k tables of
     the clone generated by a base: Dijkstra on witness node count, ties
@@ -366,53 +385,49 @@ class _Search:
     table to its settle index (in settle order).  The search stops when
     every pending table (the targets, or all) is settled, or when the
     next size passes 1 + (largest arity) x (largest settled size), which
-    no tuple of settled tables reaches."""
+    no tuple of settled tables reaches.  Its start is :func:`_start`'s,
+    cached per (base, k); it visits only the filled layers, and pays only
+    for the tuples it composes."""
 
     def __init__(self, base: Base, k: int, targets: tuple[int, ...] = ()):
         full = (1 << (1 << k)) - 1
         w = 1 if k <= 3 else 2                     # bytes per lane
-        self.conns = [c for c in base if c.arity >= 1]
-        arity = max((c.arity for c in self.conns), default=0)
-        # per settle index, past the leaves (the projections and constants,
-        # which come first): the key (connective, *arguments)
-        leaves: dict[int, Formula] = {_projection_mask(j, k): Prop(f"x{j + 1}")
-                                      for j in range(k)}
-        for c in base:
-            if c.arity == 0:
-                leaves.setdefault(full if c.fn.bits[0] else 0, Apply(c))
-        self.leaves = list(leaves.values())
-        self.index = {t: i for i, t in enumerate(leaves)}   # table -> settle index
-        self.lane_of = [t.to_bytes(w, byteorder) for t in leaves]
+        self.conns, kernels, self.leaves, tables, lanes = _start(base, k)
+        arity = max((r for _, r in kernels), default=0)
+        # per settle index, past the leaves: the key (connective, *arguments)
+        self.index = {t: i for i, t in enumerate(tables)}   # table -> settle index
+        self.lane_of = list(lanes)
         self.keys: list[tuple[int, ...]] = []
-        self.layers = {1: range(len(leaves))}     # witness size -> settle indices
+        self.layers = [(1, range(len(tables)))]     # filled: (size, settle indices)
         # counts[r][t]: the r-tuples of settled tables whose sizes sum to t
         self.counts = [[1]] + [[0] for _ in range(arity)]
         self.blocks: dict = {}      # per whole block (r, t): its lanes
-        settled = set(leaves)       # index's keys, as a set: fastest for issuperset
+        settled = set(tables)       # index's keys, as a set: fastest for issuperset
         ones = full.to_bytes(w, byteorder)
-        self.spent, size, last = 0, 1, 1
-        while (size < 1 + arity * last and len(self.index) <= full
+        self.spent, size = 0, 1
+        while (size < 1 + arity * self.layers[-1][0] and len(self.index) <= full
                and not (targets and settled.issuperset(targets))):
-            filled = [(i, len(ids)) for i, ids in self.layers.items() if ids]
             for r, counts in enumerate(self.counts):
-                counts.append(sum(n * self.counts[r - 1][size - i] for i, n in filled)
-                              if r else 0)
-            if self.spent + sum(self.counts[c.arity][size] for c in self.conns) \
+                counts.append(sum(len(ids) * self.counts[r - 1][size - i]
+                                  for i, ids in self.layers) if r else 0)
+            if self.spent + sum(self.counts[r][size] for _, r in kernels) \
                     > CLOSURE_COMPOSITION_BUDGET:
                 raise CloneError(f"closure search needs more than "
                                  f"{CLOSURE_COMPOSITION_BUDGET:,} compositions")
             start = len(self.index)
-            for cidx, conn in enumerate(self.conns):
-                kernel, count = _kernel(conn.fn), self.counts[conn.arity][size]
+            # the tables settled before this size; later ones are left to `settled`
+            drop = bytes(self.index) if w == 1 else b""
+            for cidx, (kernel, r) in enumerate(kernels):
+                count = self.counts[r][size]
                 self.spent += count
                 for lo in range(0, count, _LANES):
                     n = min(_LANES, count - lo)
-                    columns = self._lanes(conn.arity, size, lo, lo + n)
+                    columns = self._lanes(r, size, lo, lo + n)
                     out = kernel(int.from_bytes(ones * n, byteorder),
                                  *(int.from_bytes(column, byteorder) for column in columns)
                                  ).to_bytes(n * w, byteorder)
                     if w == 1:              # drop the settled tables in C
-                        values, fresh = out, out.translate(None, bytes(self.index))
+                        values, fresh = out, out.translate(None, drop)
                     else:                   # most batches hold no new table
                         values = array("H", out)
                         fresh = () if settled.issuperset(values) else values
@@ -427,9 +442,8 @@ class _Search:
                             self.index[t] = len(self.index)
                             self.lane_of.append(t.to_bytes(w, byteorder))
             size += 1
-            self.layers[size] = range(start, len(self.index))
             if len(self.index) > start:
-                last = size
+                self.layers.append((size, range(start, len(self.index))))
 
     def _lanes(self, r: int, t: int, lo: int, hi: int) -> list[bytes]:
         """Lanes lo to hi of block (r, t), one string per argument
@@ -443,7 +457,7 @@ class _Search:
             return self.blocks[key]
         columns: list = [[] for _ in range(r)]
         start = 0
-        for i, ids in self.layers.items():
+        for i, ids in self.layers:
             if i > t or start >= hi:
                 break
             m = self.counts[r - 1][t - i]       # tuples per first argument
@@ -454,7 +468,8 @@ class _Search:
                 reps = (b - a) // m if e - s == m else 1
                 first = ids.start + q
                 columns[0] += [x * (e - s) for x in self.lane_of[first:first + reps]]
-                for column, tail in zip(columns[1:], self._lanes(r - 1, t - i, s, e)
+                whole = self.blocks.get((r - 1, t - i)) if e - s == m else None
+                for column, tail in zip(columns[1:], whole or self._lanes(r - 1, t - i, s, e)
                                         if r > 1 else ()):
                     column.append(tail * reps)
                 a += reps * (e - s)
@@ -487,7 +502,7 @@ def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
         raise ArityError(f"closure arity {k} outside 0..{CLOSURE_ARITY_MAX}")
     search = _Search(base, k)
     built = search.formulas() if witnesses else [None] * len(search.index)
-    return ClosureSet(k, base, {_unpack(t, k): w for t, w in zip(search.index, built)})
+    return ClosureSet(k, base, {_function(t, k): w for t, w in zip(search.index, built)})
 
 
 def represent(f: BooleanFunction, base: Base) -> Formula:

@@ -567,3 +567,67 @@ def test_closure_budget_raises_clone_error(witnesses):
     with pytest.raises(CloneError, match="compositions"):
         closure(catalog_entry("BF").base, 4, witnesses=witnesses)
     assert time.perf_counter() - start < 30
+
+
+# The work of a search over each catalog base of the clone-search
+# benchmark at k = 3: (tables settled, argument tuples composed).  Equal
+# code settles and composes the same, so these move only when what a
+# search composes, or where it stops, changes.
+SEARCH_WORK = {
+    "BF": (256, 53_112), "R0": (128, 32_768), "R1": (128, 32_768), "R2": (64, 266_240),
+    "M": (20, 800), "M1": (19, 722), "M2": (18, 648), "S0": (38, 1_444),
+    "S1": (38, 1_444), "S02": (19, 6_859), "S00": (10, 1_000), "S12": (19, 6_859),
+    "S10": (10, 1_000), "D": (16, 4_096), "D1": (8, 512), "D2": (4, 64),
+    "L": (16, 256), "L0": (8, 64), "L2": (4, 64), "L3": (8, 512), "E": (9, 81),
+    "E2": (7, 49), "V": (9, 81), "V2": (7, 49), "N": (8, 8), "N2": (6, 6),
+    "I": (5, 5), "I2": (3, 3), "S0^2": (40, 65_600), "S1^3": (38, 2_086_580),
+}
+
+
+def test_search_compositions_pinned():
+    for name, work in SEARCH_WORK.items():
+        search = clones._Search(catalog_entry(name).base, 3)
+        assert (len(search.index), search.spent) == work, name
+    # the search behind the arity-4 S0 closure golden
+    search = clones._Search(catalog_entry("S0").base, 4)
+    assert (len(search.index), search.spent) == (942, 887_364)
+
+
+GOLDEN_CLOSURE3_BF_SHA256 = \
+    "3da7963dcce526e50b8de977713136aa8e3f36d1be46be165eca0d96c80f98f0"
+
+
+def test_cached_searches_leak_nothing():
+    # a search's start is cached per base and arity, and the functions it
+    # settles are interned: a caller that empties what it got back, or a
+    # base with the same connective names over other functions, must not
+    # change a later result
+    def bf_witnesses():
+        cs = closure(catalog_entry("BF").base, 3)
+        digest = hashlib.sha256()
+        for fn in cs.functions():
+            digest.update(f"{fn.bitstring}\t{render(cs.witness(fn))}\n".encode())
+        found = len(cs), digest.hexdigest()
+        cs.entries.clear()
+        return found
+
+    assert bf_witnesses() == bf_witnesses() == (256, GOLDEN_CLOSURE3_BF_SHA256)
+
+    clone, source, expected = GOLDEN_REPRESENT4[3]
+    base = catalog_entry(clone).base
+    fn = truth_table(parse(source, base), ["x1", "x2", "x3", "x4"])
+    first = represent_variants(fn, base)
+    rendered = {key: render(w) for key, w in first.items()}
+    assert rendered[0, 0] == expected
+    first.clear()
+    assert {key: render(w) for key, w in represent_variants(fn, base).items()} == rendered
+    assert render(represent(fn, base)) == expected
+
+    for fn, family in ((AND_FN, "E2"), (OR_FN, "V2")):
+        cs = closure(Base([Connective("f", fn)]), 3)
+        assert set(cs.entries) == {g for g in all_functions(3)
+                                   if catalog_entry(family).predicate(g)}
+        for g, w in cs.entries.items():
+            assert truth_table(w, ["x1", "x2", "x3"]) == g
+
+    assert boolfun._variant(AND_FN, 0, 0) is AND_FN
