@@ -60,6 +60,11 @@ class BooleanFunction:
                 f"table length {len(self.bits)} does not match arity {self.arity}")
         if any(b not in (0, 1) for b in self.bits):
             raise FunctionLiteralError("table entries must be 0 or 1")
+        # every cache keyed by a function hashes it; ints hash alike in every process
+        object.__setattr__(self, "_hash", hash((self.arity, self.bits)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_bitstring(cls, arity: int, text: str) -> "BooleanFunction":
@@ -107,10 +112,13 @@ def format_function_literal(name: str, fn: BooleanFunction) -> str:
 # the packed format
 
 
+@lru_cache(maxsize=256)
 def _projection_mask(j: int, n: int) -> int:
     """Packed table of the j-th of n variables: bit p is set iff row p
     has that variable true.  Built by doubling one period (a run of
-    zeros, then a run of ones) up to all 2^n rows."""
+    zeros, then a run of ones) up to all 2^n rows, once per (j, n) among
+    the 256 most recently used: the 210 pairs with n up to
+    ``formula.EQUIVALENCE_CAP`` (20) all fit, in about 5 MB."""
     run = 1 << (n - 1 - j)
     mask = ((1 << run) - 1) << run
     period = 2 * run

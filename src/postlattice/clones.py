@@ -479,11 +479,22 @@ class _Search:
             self.blocks[key] = columns
         return columns
 
-    def formulas(self) -> list[Formula]:
-        """The witness formula of every settled function, by settle index."""
+    def formulas(self, wanted=None) -> list[Formula | None]:
+        """The witness formula of every settled function, by settle index,
+        or with ``wanted`` only those of the wanted settle indices and of
+        the arguments they are built from (None elsewhere)."""
+        lo = len(self.leaves)
+        need = [wanted is None] * len(self.index)
+        for i in wanted or ():
+            need[i] = True
+        for i in reversed(range(lo, len(need))) if wanted else ():
+            if need[i]:     # its arguments settled before it
+                for a in self.keys[i - lo][1:]:
+                    need[a] = True
         built = list(self.leaves)
         for c, *args in self.keys:
-            built.append(Apply(self.conns[c], tuple(built[a] for a in args)))
+            built.append(Apply(self.conns[c], tuple(built[a] for a in args))
+                         if need[len(built)] else None)
         return built
 
 
@@ -545,8 +556,9 @@ def _represent(f: BooleanFunction, base: Base,
             raise NotInCloneError(
                 f"{f.bitstring} is not generated by {base!r} without a variable")
         raise CloneError("representation search failed on a member function")
-    built = search.formulas()
-    return {key: built[search.index[t]] for key, t in tables.items() if t in search.index}
+    found = {key: search.index[t] for key, t in tables.items() if t in search.index}
+    built = search.formulas(found.values())
+    return {key: built[i] for key, i in found.items()}
 
 
 # ---------------------------------------------------------------------------

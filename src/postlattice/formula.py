@@ -6,7 +6,9 @@ nodes; constants are connectives of arity 0.  All values are immutable,
 so every operation here is a pure function, and a subtree may be shared
 by several parents in memory.  Parsing and every walk over a formula are
 iterative (explicit stacks, so no nesting depth exhausts the Python
-stack), and a walk handles each distinct node object once within a call.
+stack), and a walk visits each distinct node object once within a call.
+Within one call, ``parse`` gives one leaf object per proposition name,
+so walks and evaluation handle each proposition once.
 Every node carries its size, depth, leaf count and largest connective
 arity, computed once by its constructor from its arguments', so reading
 them takes no walk.  Size and leaf count are tree counts: a shared
@@ -28,6 +30,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import is_
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import boolfun
@@ -275,6 +278,7 @@ def parse(text: str, base: Base | None = None) -> Formula:
     # the finished arguments of open calls.
     frames: list[tuple] = []
     operands: list[Formula] = []
+    leaves: dict[str, Prop] = {}    # one leaf object per name, in this call only
     while True:
         # an operand is due: prefixes open frames, an atom ends the operand
         if i == n:
@@ -299,7 +303,9 @@ def parse(text: str, base: Base | None = None) -> Formula:
             i += 1
             node = _call(conn, value, at, [])
         elif kind == "name":
-            node = Prop(value)
+            node = leaves.get(value)
+            if node is None:
+                node = leaves[value] = Prop(value)
         else:
             raise ParseError(f"unexpected {value!r}", at)
         # ``node`` is a finished operand: an infix operator or a closing
@@ -360,26 +366,26 @@ def parse(text: str, base: Base | None = None) -> Formula:
 def _postorder(*roots: Formula, known=()) -> list[Formula]:
     """The distinct node objects of ``roots``, each once, children before
     parents and left to right.  A node whose id is in ``known`` is neither
-    listed nor descended into."""
+    listed nor descended into.  One depth-first pass: a node is marked
+    when first met, a leaf is listed at once, and an application is
+    listed when the iterator over its arguments, kept on the stack, runs
+    out.  The projection columns that evaluation puts at the leaves come
+    from ``boolfun._projection_mask``, cached for at most 256 (j, n)
+    pairs."""
     order: list[Formula] = []
-    seen: set[int] = set(known)     # expanded
-    done: set[int] = set(known)     # in ``order``
-    stack = list(roots)
-    stack.reverse()
+    seen: set[int] = set(known)
+    stack = [(None, iter(roots))]
     while stack:
-        node = stack.pop()
-        key = id(node)
-        if key not in seen:
-            seen.add(key)
-            if isinstance(node, Apply):
-                # emitted when popped again, after its arguments
-                stack.append(node)
-                stack.extend(reversed(node.args))
-                continue
-        elif key in done:
-            continue
-        done.add(key)
-        order.append(node)
+        for node in stack[-1][1]:
+            if id(node) not in seen:
+                seen.add(id(node))
+                if node.__class__ is Apply and node.args:
+                    stack.append((node, iter(node.args)))
+                    break
+                order.append(node)
+        else:
+            order.append(stack.pop()[0])
+    order.pop()     # the None that stood for the roots
     return order
 
 
@@ -415,7 +421,7 @@ def _same(a: Formula, b: Formula) -> bool:
 def _rebuild(node: Apply, args: list[Formula]) -> Apply:
     """``node`` with the given arguments; ``node`` itself when every
     argument is unchanged."""
-    if all(a is b for a, b in zip(args, node.args)):
+    if all(map(is_, args, node.args)):
         return node
     return Apply(node.conn, tuple(args))
 
@@ -594,7 +600,7 @@ def fold(phi: Formula) -> Formula:
 
 def constant_value(phi: Formula):
     """The bit a constant formula denotes, or None."""
-    if isinstance(phi, Apply) and phi.conn.arity == 0:
+    if phi.__class__ is Apply and not phi.args:
         return phi.conn.fn.bits[0]
     return None
 
@@ -620,7 +626,7 @@ def _absorb(node: Formula, args) -> Formula:
     constants fixed, else ``node`` rebuilt over ``args``; a proposition
     is itself.  The package's one constant rule, read by :func:`fold` and
     by restructuring; with every argument constant it evaluates the node."""
-    if isinstance(node, Prop):
+    if node.__class__ is Prop:
         return node
     pattern = tuple(map(constant_value, args))
     if not args or pattern.count(None) < len(args):
@@ -655,14 +661,16 @@ def _eval_masks(roots, masks: Mapping[str, int] | None = None, nrows: int = 0) -
         columns = {name: masks[name] & full for name in names}
     except KeyError as missing:
         raise EvaluationError(f"unbound proposition {missing.args[0]!r}") from None
-    memo = {id(node): columns[node.name] for node in order if isinstance(node, Prop)}
+    memo = {}
     for node in order:
-        if isinstance(node, Apply):
-            memo[id(node)] = _kernel(node.conn.fn)(full, *[memo[id(a)] for a in node.args])
-            for a in node.args if readers else ():
-                readers[id(a)] -= 1
-                if not readers[id(a)]:
-                    del memo[id(a)]
+        if node.__class__ is Prop:
+            memo[id(node)] = columns[node.name]
+            continue
+        memo[id(node)] = _kernel(node.conn.fn)(full, *[memo[id(a)] for a in node.args])
+        for a in node.args if readers else ():
+            readers[id(a)] -= 1
+            if not readers[id(a)]:
+                del memo[id(a)]
     return [memo[id(root)] for root in roots]
 
 

@@ -1,7 +1,13 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from postlattice import boolfun
 from postlattice.boolfun import (
     AND_FN,
     ArityError,
@@ -218,6 +224,27 @@ def test_table_must_be_a_tuple():
     # hashed into a base, so it is refused where it is built
     with pytest.raises(FunctionLiteralError, match="must be a tuple"):
         BooleanFunction(2, [1, 1, 1, 0])
+
+
+def test_function_hash_is_cached():
+    f, g = BooleanFunction(2, (0, 1, 1, 0)), BooleanFunction(2, (0, 1, 1, 0))
+    assert f == g and hash(f) == hash(g) == hash((2, (0, 1, 1, 0)))
+    assert hash(MAJ3_FN) == hash((3, MAJ3_FN.bits))
+    # the cached hash is the same in every process: a function pickled
+    # under one hash seed is a dict key under another
+    src = str(Path(boolfun.__file__).resolve().parents[1])
+    dump = "import pickle, sys; from postlattice.boolfun import XOR_FN; " \
+           "sys.stdout.buffer.write(pickle.dumps({XOR_FN: 'xor'}))"
+    load = "import pickle, sys; from postlattice.boolfun import XOR_FN; " \
+           "d = pickle.loads(sys.stdin.buffer.read()); " \
+           "k, = d; assert d[XOR_FN] == 'xor' and {k: 1}[XOR_FN] == 1 and hash(k) == hash(XOR_FN)"
+    data = None
+    for seed, code in (("0", dump), ("1", load)):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        data = subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                              capture_output=True, check=True, timeout=120).stdout
+    assert pickle.loads(pickle.dumps(f)) == f and hash(pickle.loads(pickle.dumps(f))) == hash(f)
 
 
 #: each table predicate with its brute-force oracle

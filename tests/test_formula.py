@@ -528,16 +528,79 @@ def _ref_eval(phi, assignment):
     return phi.conn.fn.value([_ref_eval(a, assignment) for a in phi.args])
 
 
-def test_walkers_agree_with_recursive_references():
+_SAMPLE_NAMES = ["x", "y", "z", "w"]
+
+
+def _walker_sample():
+    """A seeded generator and random formulas with their restructured
+    forms, which share subtrees in memory."""
     rng = random.Random(41)
-    names = ["x", "y", "z", "w"]
     sample = []
     for pool, restructure in ((FULL_POOL, restructure_full),
                               (MONOTONE_POOL, restructure_monotone_g)):
         for _ in range(40):
-            phi = random_formula(rng, pool, names, rng.randint(1, 30))
-            # restructured outputs share subtrees in memory
+            phi = random_formula(rng, pool, _SAMPLE_NAMES, rng.randint(1, 30))
             sample += [phi, restructure(phi)]
+    return rng, sample
+
+
+def _ref_postorder(*roots, known=()):
+    seen, out = set(known), []
+
+    def visit(phi):
+        if id(phi) not in seen:
+            seen.add(id(phi))
+            for a in phi.args if isinstance(phi, Apply) else ():
+                visit(a)
+            out.append(phi)
+    for root in roots:
+        visit(root)
+    return out
+
+
+def test_postorder_matches_a_recursive_reference():
+    # the same ids in the same order: children first, left to right, the
+    # first visit wins, and a node in ``known`` is neither listed nor entered
+    def agree(*roots, known=()):
+        got = formula._postorder(*roots, known=known)
+        assert [id(n) for n in got] == [id(n) for n in _ref_postorder(*roots, known=known)]
+
+    _, sample = _walker_sample()
+    d = Prop("x")
+    for _ in range(64):
+        d = Apply(AND, (d, d))
+    for phi in sample + [d]:
+        agree(phi)
+    phi = next(phi for phi in sample if phi.depth > 3)
+    inner = phi.args[0]
+    agree(phi, inner, phi)
+    agree(inner, phi, inner, d.args[0], d)
+    agree(*sample)
+    agree(phi, d, known={id(phi), id(d.args[0].args[0])})
+    agree(inner, phi, known={id(inner)})
+    assert formula._postorder(d, known={id(d.args[0])}) == [d]
+    one = Apply(AND, (TRUE_F, Prop("x")))
+    agree(TRUE_F, FALSE_F, TRUE_F)
+    agree(one, Apply(OR, (one, TRUE_F)), FALSE_F)
+
+
+def test_parse_shares_one_leaf_per_name():
+    phi = parse("x & (y | x)")
+    assert phi.args[0] is phi.args[1].args[1]
+    assert phi.args[0] is not phi.args[1].args[0]
+    # within one call only: no table outlives it
+    other = parse("x & (y | x)")
+    assert other == phi
+    assert not {id(n) for n in formula._postorder(phi)} & {
+        id(n) for n in formula._postorder(other)}
+    # a 256-leaf chain over 16 names holds 16 leaf objects
+    text = render(chain([AND, OR], 256, [f"x{j}" for j in range(16)]))
+    leaves = [n for n in formula._postorder(parse(text)) if isinstance(n, Prop)]
+    assert len(leaves) == 16
+
+
+def test_walkers_agree_with_recursive_references():
+    rng, sample = _walker_sample()
     for phi in sample:
         assert size(phi) == _ref_size(phi)
         assert depth(phi) == _ref_depth(phi)
@@ -545,7 +608,7 @@ def test_walkers_agree_with_recursive_references():
         assert phi.max_arity == _ref_arity(phi)
         assert fold(phi) == _ref_fold(phi)
         assert render(phi) == _ref_render(phi)[0]
-        alpha = random_formula(rng, FULL_POOL, names, rng.randint(1, 4))
+        alpha = random_formula(rng, FULL_POOL, _SAMPLE_NAMES, rng.randint(1, 4))
         for old in (alpha, Prop("x"), TRUE_F):
             assert substitute(phi, old, Prop("v")) == _ref_substitute(phi, old, Prop("v"))
         order = sorted(vars_of(phi) | {"x"})
