@@ -9,13 +9,16 @@ share one, and the catalog lists every clone, so [B] is a row.  The
 compositional closure is kept alongside as an independent oracle.
 
 ``closure`` and ``represent`` share one smallest-witness search in plain
-Python: it settles one witness size at a time and composes thousands of
-argument tuples per kernel call, one tuple per lane of an int.
+Python, kept per base and arity and grown on demand: it settles one
+witness size at a time and composes thousands of argument tuples per
+kernel call, one tuple per lane of an int.
 """
 
 from __future__ import annotations
 
+import threading
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import ge
@@ -349,21 +352,6 @@ class ClosureSet:
 _function = lru_cache(maxsize=4096)(boolfun._unpack)
 
 
-@lru_cache(maxsize=1024)
-def _start(base: Base, k: int) -> tuple:
-    """The fixed start of every search over the base at arity k: its
-    connectives of arity at least 1, their kernels and arities, and the
-    leaves (projections, then constants) as formulas, tables and lanes."""
-    full = (1 << (1 << k)) - 1
-    conns = tuple(c for c in base if c.arity >= 1)
-    leaves: dict[int, Formula] = {_projection_mask(j, k): Prop(f"x{j + 1}") for j in range(k)}
-    for c in base:
-        if c.arity == 0:
-            leaves.setdefault(full if c.fn.bits[0] else 0, Apply(c))
-    return (conns, tuple((_kernel(c.fn), c.arity) for c in conns), tuple(leaves.values()),
-            tuple(leaves), tuple(t.to_bytes(1 if k <= 3 else 2, byteorder) for t in leaves))
-
-
 class _Search:
     """Smallest-witness-first search over the packed arity-k tables of
     the clone generated by a base: Dijkstra on witness node count, ties
@@ -385,27 +373,42 @@ class _Search:
     table to its settle index (in settle order).  The search stops when
     every pending table (the targets, or all) is settled, or when the
     next size passes 1 + (largest arity) x (largest settled size), which
-    no tuple of settled tables reaches.  Its start is :func:`_start`'s,
-    cached per (base, k); it visits only the filled layers, and pays only
+    no tuple of settled tables reaches.  It stops only between layers, so
+    every search over (base, k) is a prefix of the one to the end, and
+    :meth:`grow` resumes a search where it stopped: :func:`_kept` keeps
+    one per (base, k).  It visits only the filled layers, and pays only
     for the tuples it composes."""
 
     def __init__(self, base: Base, k: int, targets: tuple[int, ...] = ()):
         full = (1 << (1 << k)) - 1
-        w = 1 if k <= 3 else 2                     # bytes per lane
-        self.conns, kernels, self.leaves, tables, lanes = _start(base, k)
-        arity = max((r for _, r in kernels), default=0)
+        self.k, w = k, 1 if k <= 3 else 2         # bytes per lane
+        self.conns = tuple(c for c in base if c.arity >= 1)
+        self.kernels = tuple((_kernel(c.fn), c.arity) for c in self.conns)
+        self.arity = max((c.arity for c in self.conns), default=0)
+        leaves: dict[int, Formula] = {_projection_mask(j, k): Prop(f"x{j + 1}") for j in range(k)}
+        for c in base:
+            if c.arity == 0:
+                leaves.setdefault(full if c.fn.bits[0] else 0, Apply(c))
+        self.leaves = tuple(leaves.values())
         # per settle index, past the leaves: the key (connective, *arguments)
-        self.index = {t: i for i, t in enumerate(tables)}   # table -> settle index
-        self.lane_of = list(lanes)
+        self.index = {t: i for i, t in enumerate(leaves)}   # table -> settle index
+        self.lane_of = [t.to_bytes(w, byteorder) for t in leaves]
         self.keys: list[tuple[int, ...]] = []
-        self.layers = [(1, range(len(tables)))]     # filled: (size, settle indices)
+        self.layers = [(1, range(len(leaves)))]     # filled: (size, settle indices)
         # counts[r][t]: the r-tuples of settled tables whose sizes sum to t
-        self.counts = [[1]] + [[0] for _ in range(arity)]
-        self.blocks: dict = {}      # per whole block (r, t): its lanes
-        settled = set(tables)       # index's keys, as a set: fastest for issuperset
+        self.counts = [[1]] + [[0] for _ in range(self.arity)]
+        self.blocks: dict = {}      # per whole block (r, t): its lanes, while growing
+        self.settled = set(leaves)  # index's keys, as a set: fastest for issuperset
+        self.spent, self.size = 0, 1
+        self.grow(targets)
+
+    def grow(self, targets: tuple[int, ...] = ()) -> None:
+        """Settle further layers until every target is settled, or, with
+        none, to the end; a grown search composes what a new one would."""
+        full, w = (1 << (1 << self.k)) - 1, 1 if self.k <= 3 else 2
+        kernels, settled, size = self.kernels, self.settled, self.size
         ones = full.to_bytes(w, byteorder)
-        self.spent, size = 0, 1
-        while (size < 1 + arity * self.layers[-1][0] and len(self.index) <= full
+        while (size < 1 + self.arity * self.layers[-1][0] and len(self.index) <= full
                and not (targets and settled.issuperset(targets))):
             for r, counts in enumerate(self.counts):
                 counts.append(sum(len(ids) * self.counts[r - 1][size - i]
@@ -441,9 +444,10 @@ class _Search:
                                 column[lane], byteorder)] for column in columns)))
                             self.index[t] = len(self.index)
                             self.lane_of.append(t.to_bytes(w, byteorder))
-            size += 1
+            self.size = size = size + 1
             if len(self.index) > start:
                 self.layers.append((size, range(start, len(self.index))))
+        self.blocks.clear()
 
     def _lanes(self, r: int, t: int, lo: int, hi: int) -> list[bytes]:
         """Lanes lo to hi of block (r, t), one string per argument
@@ -498,6 +502,34 @@ class _Search:
         return built
 
 
+def _slot(base: Base, k: int) -> tuple[threading.Lock, list]:
+    """A lock, and a list that holds the kept search over (base, k) or
+    nothing: kept least recently used first, at most 256 up to k = 3,
+    where a search holds at most 256 tables, and 16 at k = 4."""
+    return threading.Lock(), []
+
+
+_slots = (lru_cache(maxsize=256)(_slot), lru_cache(maxsize=16)(_slot))
+
+
+@contextmanager
+def _kept(base: Base, k: int, targets: tuple[int, ...] = ()):
+    """The kept search over the base at arity k, grown until every target
+    is settled (every table, with none), held under its slot's lock.  A
+    search that raises as it grows is dropped: the next call starts afresh."""
+    lock, slot = _slots[k > 3](base, k)
+    with lock:
+        try:
+            if slot:
+                slot[0].grow(targets)
+            else:
+                slot.append(_Search(base, k, targets))
+        except BaseException:
+            slot.clear()
+            raise
+        yield slot[0]
+
+
 def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
     """The arity-k part of the clone generated by the base.
 
@@ -511,9 +543,9 @@ def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
     """
     if not 0 <= k <= CLOSURE_ARITY_MAX:
         raise ArityError(f"closure arity {k} outside 0..{CLOSURE_ARITY_MAX}")
-    search = _Search(base, k)
-    built = search.formulas() if witnesses else [None] * len(search.index)
-    return ClosureSet(k, base, {_function(t, k): w for t, w in zip(search.index, built)})
+    with _kept(base, k) as search:
+        built = search.formulas() if witnesses else [None] * len(search.index)
+        return ClosureSet(k, base, {_function(t, k): w for t, w in zip(search.index, built)})
 
 
 def represent(f: BooleanFunction, base: Base) -> Formula:
@@ -536,9 +568,8 @@ def represent_variants(f: BooleanFunction, base: Base) -> dict[tuple[int, int], 
 def _represent(f: BooleanFunction, base: Base,
                keys: list[tuple[int, int]]) -> dict[tuple[int, int], Formula]:
     """The smallest formulas of the variants ``keys`` of ``f`` that the
-    base generates, from one search with every one of them a target
-    (the search stops once all are settled, so each formula is the one
-    a search for it alone finds)."""
+    base generates, from the kept search grown until all are settled
+    (each formula is the one a search for it alone finds)."""
     if f.arity > CLOSURE_ARITY_MAX:
         raise ArityError(
             f"representation search capped at arity {CLOSURE_ARITY_MAX}")
@@ -548,16 +579,16 @@ def _represent(f: BooleanFunction, base: Base,
         raise NotInCloneError(
             f"{f.bitstring} is not generated by {base!r} (clone {clone})")
     tables = {key: _pack(g) for key in keys if predicate(g := _variant(f, *key))}
-    search = _Search(base, f.arity, tuple(sorted(set(tables.values()))))
-    if tables[0, 0] not in search.index:
-        # the clone predicate reads a constant of arity 0 like the unary
-        # one, which needs no nullary connective; the nullary one does
-        if f.arity == 0:
-            raise NotInCloneError(
-                f"{f.bitstring} is not generated by {base!r} without a variable")
-        raise CloneError("representation search failed on a member function")
-    found = {key: search.index[t] for key, t in tables.items() if t in search.index}
-    built = search.formulas(found.values())
+    with _kept(base, f.arity, tuple(sorted(set(tables.values())))) as search:
+        if tables[0, 0] not in search.index:
+            # the clone predicate reads a constant of arity 0 like the unary
+            # one, which needs no nullary connective; the nullary one does
+            if f.arity == 0:
+                raise NotInCloneError(
+                    f"{f.bitstring} is not generated by {base!r} without a variable")
+            raise CloneError("representation search failed on a member function")
+        found = {key: search.index[t] for key, t in tables.items() if t in search.index}
+        built = search.formulas(found.values())
     return {key: built[i] for key, i in found.items()}
 
 

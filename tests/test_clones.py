@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -544,9 +545,21 @@ def test_closure_s1_3_witnesses_match_predicate():
         assert truth_table(w, ["x1", "x2", "x3"]) == fn
 
 
+def forget_searches():
+    """Drop every kept search, so that the next call searches afresh."""
+    for slots in clones._slots:
+        slots.cache_clear()
+
+
+def kept_searches(base, k):
+    """The search kept over the base at arity k, in a list, or nothing."""
+    return clones._slots[k > 3](base, k)[1]
+
+
 def test_witnesses_do_not_depend_on_the_batch_size(monkeypatch):
     # at 7 lanes a kernel call almost never holds a whole block, so lanes
-    # are cut mid-run and new tables turn up past many batch boundaries
+    # are cut mid-run and new tables turn up past many batch boundaries;
+    # the searches are kept, so the 7-lane run must drop them first
     def searches():
         found = [render(w) for name in ("BF", "S12", "D")
                  for w in closure(catalog_entry(name).base, 3).entries.values()]
@@ -556,7 +569,17 @@ def test_witnesses_do_not_depend_on_the_batch_size(monkeypatch):
         return found + [(key, render(w)) for key, w in variants.items()]
     default = searches()
     monkeypatch.setattr(clones, "_LANES", 7)
+    forget_searches()
+    widths = []
+    lanes = clones._Search._lanes
+
+    def spy(self, r, t, lo, hi):
+        widths.append(hi - lo)
+        return lanes(self, r, t, lo, hi)
+
+    monkeypatch.setattr(clones._Search, "_lanes", spy)
     assert searches() == default
+    assert len(widths) > 1000 and max(widths) == 7
 
 
 @pytest.mark.parametrize("witnesses", [False, True])
@@ -631,3 +654,132 @@ def test_cached_searches_leak_nothing():
             assert truth_table(w, ["x1", "x2", "x3"]) == g
 
     assert boolfun._variant(AND_FN, 0, 0) is AND_FN
+
+
+def test_search_history_does_not_matter():
+    # a kept search is grown from wherever earlier calls left it: every
+    # result, and the search itself, must be what one new search gives
+    rng = random.Random(0x48)
+    bases = [catalog_entry(name).base for name in SEARCH_WORK]
+    bases += [random_base(rng, f"h{i}_") for i in range(3)]
+    for base in bases:
+        fresh = clones._Search(base, 3)
+        state = list(fresh.index), fresh.keys, fresh.spent
+        witnesses = {clones._function(t, 3): render(w)
+                     for t, w in zip(fresh.index, fresh.formulas())}
+        fns = list(witnesses)
+        early, late = fns[len(fns) // 2], fns[-1]
+        variants = {(q, p): witnesses[v] for q in (0, 1) for p in range(8)
+                    if (v := boolfun._variant(early, q, p)) in witnesses}
+        calls = {
+            "early": lambda: render(represent(early, base)),
+            "late": lambda: render(represent(late, base)),
+            "variants": lambda: {key: render(w)
+                                 for key, w in represent_variants(early, base).items()},
+            "sets": lambda: set(closure(base, 3, witnesses=False).entries),
+            "witnesses": lambda: {f: render(w) for f, w in closure(base, 3).entries.items()},
+        }
+        expected = {"early": witnesses[early], "late": witnesses[late],
+                    "variants": variants, "sets": set(witnesses), "witnesses": witnesses}
+        for order in (["early", "late", "variants", "sets", "witnesses"],
+                      ["variants", "late", "early", "witnesses", "sets"]):
+            forget_searches()
+            for name in order:
+                assert calls[name]() == expected[name], (base, order, name)
+            [kept] = kept_searches(base, 3)
+            assert (list(kept.index), kept.keys, kept.spent) == state, base
+            assert not kept.blocks
+
+    # at k = 4, forwards each call but the first resumes the search the
+    # one before left, and backwards each reads a search grown past it
+    rows = itertools.groupby(GOLDEN_REPRESENT4, key=lambda row: row[0])
+    for clone, group in rows:
+        base = catalog_entry(CloneName.parse(clone)).base
+        group = [(truth_table(parse(source, base), ["x1", "x2", "x3", "x4"]), expected)
+                 for _, source, expected in group]
+        for order in (group, group[::-1]):
+            forget_searches()
+            for fn, expected in order:
+                assert render(represent(fn, base)) == expected
+
+
+def test_interrupted_search_is_discarded(monkeypatch):
+    # a search that raises as it grows may stop mid-layer; the next call
+    # must start afresh, not resume it
+    class Interrupt(BaseException):
+        pass
+
+    bf = catalog_entry("BF").base
+    early = truth_table(parse("x1 & x2", bf), ["x1", "x2", "x3"])
+    lanes = clones._Search._lanes
+
+    def third_call_raises():
+        calls = itertools.count(1)
+
+        def interrupted(self, *args):
+            if next(calls) == 3:
+                raise Interrupt
+            return lanes(self, *args)
+        monkeypatch.setattr(clones._Search, "_lanes", interrupted)
+
+    failures = [
+        (CloneError, lambda: monkeypatch.setattr(
+            clones, "CLOSURE_COMPOSITION_BUDGET", SEARCH_WORK["BF"][1] - 1)),
+        (Interrupt, third_call_raises),
+    ]
+    for (error, fail), warm in itertools.product(failures, (False, True)):
+        forget_searches()
+        if warm:        # the failing call resumes a kept search
+            assert render(represent(early, bf)) == "x1 & x2"
+        fail()
+        with pytest.raises(error):
+            closure(bf, 3)
+        assert kept_searches(bf, 3) == []
+        monkeypatch.undo()
+        cs = closure(bf, 3)
+        digest = hashlib.sha256()
+        for fn in cs.functions():
+            digest.update(f"{fn.bitstring}\t{render(cs.witness(fn))}\n".encode())
+        assert (len(cs), digest.hexdigest()) == (256, GOLDEN_CLOSURE3_BF_SHA256)
+        [search] = kept_searches(bf, 3)
+        assert (len(search.index), search.spent) == SEARCH_WORK["BF"]
+
+
+
+def test_threads_share_kept_searches():
+    # more threads than cores grow and read the same kept searches at
+    # once, with frequent thread switches: every result must still be the
+    # one a new search gives
+    bases = [catalog_entry(name).base for name in ("BF", "R2", "S0^2", "D")]
+    expected = {}
+    for base in bases:
+        search = clones._Search(base, 3)
+        expected[base] = {clones._function(t, 3): render(w)
+                          for t, w in zip(search.index, search.formulas())}
+    forget_searches()
+    wrong, done = [], []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(12):
+            base = rng.choice(bases)
+            if rng.random() < 0.2:
+                found = {f: render(w) for f, w in closure(base, 3).entries.items()}
+                wrong.extend([base] if found != expected[base] else [])
+            else:
+                fn = rng.choice(list(expected[base]))
+                wrong.extend([base] if render(represent(fn, base)) != expected[base][fn] else [])
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == list(range(6)) and wrong == []
