@@ -377,7 +377,8 @@ class _Search:
     every search over (base, k) is a prefix of the one to the end, and
     :meth:`grow` resumes a search where it stopped: :func:`_kept` keeps
     one per (base, k).  It visits only the filled layers, and pays only
-    for the tuples it composes."""
+    for the tuples it composes.  :meth:`witness` builds a settled
+    table's formula when first asked for and keeps it in ``built``."""
 
     def __init__(self, base: Base, k: int, targets: tuple[int, ...] = ()):
         full = (1 << (1 << k)) - 1
@@ -389,7 +390,7 @@ class _Search:
         for c in base:
             if c.arity == 0:
                 leaves.setdefault(full if c.fn.bits[0] else 0, Apply(c))
-        self.leaves = tuple(leaves.values())
+        self.built = dict(enumerate(leaves.values()))   # settle index -> witness
         # per settle index, past the leaves: the key (connective, *arguments)
         self.index = {t: i for i, t in enumerate(leaves)}   # table -> settle index
         self.lane_of = [t.to_bytes(w, byteorder) for t in leaves]
@@ -483,23 +484,15 @@ class _Search:
             self.blocks[key] = columns
         return columns
 
-    def formulas(self, wanted=None) -> list[Formula | None]:
-        """The witness formula of every settled function, by settle index,
-        or with ``wanted`` only those of the wanted settle indices and of
-        the arguments they are built from (None elsewhere)."""
-        lo = len(self.leaves)
-        need = [wanted is None] * len(self.index)
-        for i in wanted or ():
-            need[i] = True
-        for i in reversed(range(lo, len(need))) if wanted else ():
-            if need[i]:     # its arguments settled before it
-                for a in self.keys[i - lo][1:]:
-                    need[a] = True
-        built = list(self.leaves)
-        for c, *args in self.keys:
-            built.append(Apply(self.conns[c], tuple(built[a] for a in args))
-                         if need[len(built)] else None)
-        return built
+    def witness(self, i: int) -> Formula:
+        """The witness formula of settle index i, built once, when first
+        asked for: its key's connective over the witnesses of its
+        arguments, which settled before it."""
+        w = self.built.get(i)
+        if w is None:
+            c, *args = self.keys[i - len(self.index)]     # counted from the last
+            w = self.built[i] = Apply(self.conns[c], tuple(map(self.witness, args)))
+        return w
 
 
 def _slot(base: Base, k: int) -> tuple[threading.Lock, list]:
@@ -535,8 +528,9 @@ def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
 
     Every function carries a smallest witness formula over variables
     x1..xk (fewest nodes; ties by connective declaration order, then by
-    the order in which the arguments were found).  ``witnesses=False``
-    runs the same search and skips building the formulas.  Raises
+    the order in which the arguments were found), built once by the kept
+    search and shared by every later call.  ``witnesses=False`` runs the
+    same search and reads no formulas.  Raises
     :class:`CloneError` when the search would compose more than
     ``CLOSURE_COMPOSITION_BUDGET`` argument tuples (``closure`` of a
     functionally complete base at k = 4 does).
@@ -544,8 +538,8 @@ def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
     if not 0 <= k <= CLOSURE_ARITY_MAX:
         raise ArityError(f"closure arity {k} outside 0..{CLOSURE_ARITY_MAX}")
     with _kept(base, k) as search:
-        built = search.formulas() if witnesses else [None] * len(search.index)
-        return ClosureSet(k, base, {_function(t, k): w for t, w in zip(search.index, built)})
+        return ClosureSet(k, base, {_function(t, k): search.witness(i) if witnesses else None
+                                    for t, i in search.index.items()})
 
 
 def represent(f: BooleanFunction, base: Base) -> Formula:
@@ -587,9 +581,8 @@ def _represent(f: BooleanFunction, base: Base,
                 raise NotInCloneError(
                     f"{f.bitstring} is not generated by {base!r} without a variable")
             raise CloneError("representation search failed on a member function")
-        found = {key: search.index[t] for key, t in tables.items() if t in search.index}
-        built = search.formulas(found.values())
-    return {key: built[i] for key, i in found.items()}
+        return {key: search.witness(search.index[t])
+                for key, t in tables.items() if t in search.index}
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,8 @@ from .clones import (
     XOR3,
     CloneName,
     NotInCloneError,
-    _Search,
     clone_of,
+    closure,
     includes,
     member,
     represent,
@@ -366,18 +366,13 @@ def _cuts(target: Base) -> dict[int, tuple[int, Formula]]:
     smallest witness over the target's connectives of arity 1 to 3, and
     the witness, cached: wider ones would slow the search, and a nullary
     one could bring a constant.  A function of fewer propositions ignores
-    more slots, and its witness is no larger than over those alone.
-    Targets with the same such connectives share a search."""
-    return _closure3(Base([c for c in target if 1 <= c.arity <= 3]))
-
-
-@lru_cache(maxsize=1024)
-def _closure3(base: Base) -> dict[int, tuple[int, Formula]]:
-    """``closure(base, 3)`` as :func:`_cuts` reads it, row r of each
-    table spread over the rows 8r to 8r + 7 of six slots."""
-    search = _Search(base, 3)
-    return {sum(0xFF << 8 * r for r in range(8) if t >> r & 1): (w.size, w)
-            for t, w in zip(search.index, search.formulas())}
+    more slots, and its witness is no larger than over those alone.  It
+    reads ``closure(·, 3)``, row r of each function spread over the rows
+    8r to 8r + 7 of six slots, so targets with the same such connectives
+    share its kept search and witnesses."""
+    small = closure(Base([c for c in target if 1 <= c.arity <= 3]), 3)
+    return {sum(0xFF << 8 * r for r, b in enumerate(f.bits) if b): (w.size, w)
+            for f, w in small.entries.items()}
 
 
 @lru_cache(maxsize=4096)

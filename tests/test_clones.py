@@ -61,6 +61,7 @@ from postlattice.formula import (
     render,
     truth_table,
     Prop,
+    _postorder,
 )
 
 from conftest import all_functions, random_base, random_function
@@ -582,6 +583,27 @@ def test_witnesses_do_not_depend_on_the_batch_size(monkeypatch):
     assert len(widths) > 1000 and max(widths) == 7
 
 
+def test_witnesses_are_built_once_and_on_demand():
+    # a kept search builds the witness of a settled table only when a call
+    # returns it, or one built over it, and then once: a later call that
+    # reads it gets the same object
+    bf = catalog_entry("BF").base
+    forget_searches()
+    wanted = [truth_table(parse(text, bf), ["x1", "x2", "x3"])
+              for text in ("x1 & x2", "!(x1 & !x3) & x2")]
+    returned = [represent(fn, bf) for fn in wanted]
+    [search] = kept_searches(bf, 3)
+    leaves = list(search.built.values())[:len(search.index) - len(search.keys)]
+    nodes = {id(node) for node in leaves + _postorder(*returned)}
+    assert {id(w) for w in search.built.values()} == nodes
+    assert len(search.built) == len(nodes) < len(search.index)
+
+    first, second = closure(bf, 3), closure(bf, 3)
+    assert all(w is second.entries[fn] for fn, w in first.entries.items())
+    for fn, w in zip(wanted, returned):
+        assert represent(fn, bf) is first.witness(fn) is w
+
+
 @pytest.mark.parametrize("witnesses", [False, True])
 def test_closure_budget_raises_clone_error(witnesses):
     # the arity-4 fragment of BF has 65,536 functions; composing all pairs
@@ -665,8 +687,8 @@ def test_search_history_does_not_matter():
     for base in bases:
         fresh = clones._Search(base, 3)
         state = list(fresh.index), fresh.keys, fresh.spent
-        witnesses = {clones._function(t, 3): render(w)
-                     for t, w in zip(fresh.index, fresh.formulas())}
+        witnesses = {clones._function(t, 3): render(fresh.witness(i))
+                     for t, i in fresh.index.items()}
         fns = list(witnesses)
         early, late = fns[len(fns) // 2], fns[-1]
         variants = {(q, p): witnesses[v] for q in (0, 1) for p in range(8)
@@ -754,8 +776,8 @@ def test_threads_share_kept_searches():
     expected = {}
     for base in bases:
         search = clones._Search(base, 3)
-        expected[base] = {clones._function(t, 3): render(w)
-                          for t, w in zip(search.index, search.formulas())}
+        expected[base] = {clones._function(t, 3): render(search.witness(i))
+                          for t, i in search.index.items()}
     forget_searches()
     wrong, done = [], []
 

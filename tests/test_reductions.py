@@ -15,7 +15,6 @@ from postlattice.clones import (
     SD1,
     XNOR3,
     CloneName,
-    _Search,
     catalog,
     catalog_entry,
     clone_of,
@@ -696,6 +695,21 @@ def test_functional_support_within_small_closure_witnesses():
         assert out.certificate.equivalent is True
 
 
+def test_cut_tables_pinned():
+    # the whole-subformula table of every catalog base: each table over
+    # six slots, the size of its witness and the witness; it changes
+    # exactly when a cut witness, or the table it is filed under, does
+    digest, entries = hashlib.sha256(), 0
+    for entry in catalog():
+        cuts = reductions._cuts(entry.base)
+        for table in sorted(cuts):
+            size_, w = cuts[table]
+            digest.update(f"{entry.name}\t{table:016x}\t{size_}\t{render(w)}\n".encode())
+        entries += len(cuts)
+    assert (entries, digest.hexdigest()) == (
+        1516, "38428337497264b8e4a0ae7279017c3742d5653b72e907c647aa2b005a0d11c4")
+
+
 def test_slot_moves_against_row_oracle():
     # every pair of masks sub <= support of at most six propositions out
     # of seven: a seeded table over sub's propositions, lifted to
@@ -759,13 +773,12 @@ def test_small_closure_skips_wide_connectives(monkeypatch, clone):
     # searched over its connectives of arity at most 3 only: the search
     # over all of them is slow or runs out of its budget
     seen = []
-    class Spy(_Search):
-        def __init__(self, base, k, targets=()):
-            seen.append(max(c.arity for c in base))
-            super().__init__(base, k, targets)
-    monkeypatch.setattr(reductions, "_Search", Spy)
+
+    def spy(base, k=3, witnesses=True):
+        seen.append(max(c.arity for c in base))
+        return closure(base, k, witnesses)
+    monkeypatch.setattr(reductions, "closure", spy)
     reductions._cuts.cache_clear()
-    reductions._closure3.cache_clear()
     base = catalog_entry(clone).base
     rng = random.Random(0x5C)
     for _ in range(6):
