@@ -9,9 +9,10 @@ side reads and writes its own bytecode cache (``PYTHONPYCACHEPREFIX``),
 byte-compiled before the first pair, so that neither side imports
 compiled modules the other lacks.  For every workload of
 ``BENCHMARK.json`` and every end-to-end metric it writes the per-side
-median and quartiles, the relative change of the medians and the number
-of pairs the change wins, plus every run's digest, op counts and
-failures.  Standard library only.
+median and quartiles, the relative change of the medians, the number
+of pairs the change wins and each pair's change/parent ratio (in seed
+order, with their least and greatest), plus every run's digest, op
+counts and failures.  Standard library only.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def _summary(values: list[float]) -> dict:
 
 
 def _compare(spec: dict, parent: list[dict], change: list[dict]) -> dict:
-    """Medians, quartiles and wins of one metric over the paired runs."""
+    """Medians, quartiles, wins and per-pair change/parent ratios of one
+    metric over the paired runs; a ratio over a parent value of 0 is None."""
     name, lower = spec["name"], spec["better"] == "lower"
     pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(parent, change)
              if name in p["metrics"] and name in c["metrics"]]
@@ -88,9 +90,12 @@ def _compare(spec: dict, parent: list[dict], change: list[dict]) -> dict:
     after = _summary([c for _, c in pairs])
     wins = sum((c < p) if lower else (c > p) for p, c in pairs)
     rel = (after["median"] - before["median"]) / before["median"] if before["median"] else None
+    ratios = [c / p if p else None for p, c in pairs]
+    known = [r for r in ratios if r is not None]
     return {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             "pairs": len(pairs), "parent": before, "change": after,
-            "median_rel_change": rel, "change_wins": wins}
+            "median_rel_change": rel, "change_wins": wins, "ratios": ratios,
+            "ratio_min": min(known, default=None), "ratio_max": max(known, default=None)}
 
 
 def main(argv=None) -> int:

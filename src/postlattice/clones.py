@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import threading
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import ge
@@ -375,8 +374,8 @@ class _Search:
     next size passes 1 + (largest arity) x (largest settled size), which
     no tuple of settled tables reaches.  It stops only between layers, so
     every search over (base, k) is a prefix of the one to the end, and
-    :meth:`grow` resumes a search where it stopped: :func:`_kept` keeps
-    one per (base, k).  It visits only the filled layers, and pays only
+    :meth:`grow` resumes a search where it stopped: one per (base, k)
+    is kept, and :func:`_grown` resumes it.  It visits only the filled layers, and pays only
     for the tuples it composes.  :meth:`witness` builds a settled
     table's formula when first asked for and keeps it in ``built``."""
 
@@ -401,6 +400,7 @@ class _Search:
         self.blocks: dict = {}      # per whole block (r, t): its lanes, while growing
         self.settled = set(leaves)  # index's keys, as a set: fastest for issuperset
         self.spent, self.size = 0, 1
+        self.entries: dict[bool, dict] = {}     # closure's answer, per `witnesses`
         self.grow(targets)
 
     def grow(self, targets: tuple[int, ...] = ()) -> None:
@@ -498,29 +498,27 @@ class _Search:
 def _slot(base: Base, k: int) -> tuple[threading.Lock, list]:
     """A lock, and a list that holds the kept search over (base, k) or
     nothing: kept least recently used first, at most 256 up to k = 3,
-    where a search holds at most 256 tables, and 16 at k = 4."""
+    where a search holds at most 256 tables, and 16 at k = 4.  Callers
+    read, grow or replace the search only while they hold the lock."""
     return threading.Lock(), []
 
 
 _slots = (lru_cache(maxsize=256)(_slot), lru_cache(maxsize=16)(_slot))
 
 
-@contextmanager
-def _kept(base: Base, k: int, targets: tuple[int, ...] = ()):
-    """The kept search over the base at arity k, grown until every target
-    is settled (every table, with none), held under its slot's lock.  A
+def _grown(slot: list, base: Base, k: int, targets: tuple[int, ...] = ()) -> _Search:
+    """The search in the slot, grown (or started) until every target is
+    settled, every table with none; the caller holds the slot's lock.  A
     search that raises as it grows is dropped: the next call starts afresh."""
-    lock, slot = _slots[k > 3](base, k)
-    with lock:
-        try:
-            if slot:
-                slot[0].grow(targets)
-            else:
-                slot.append(_Search(base, k, targets))
-        except BaseException:
-            slot.clear()
-            raise
-        yield slot[0]
+    try:
+        if slot:
+            slot[0].grow(targets)
+        else:
+            slot.append(_Search(base, k, targets))
+    except BaseException:
+        slot.clear()
+        raise
+    return slot[0]
 
 
 def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
@@ -530,16 +528,23 @@ def closure(base: Base, k: int = 3, witnesses: bool = True) -> ClosureSet:
     x1..xk (fewest nodes; ties by connective declaration order, then by
     the order in which the arguments were found), built once by the kept
     search and shared by every later call.  ``witnesses=False`` runs the
-    same search and reads no formulas.  Raises
-    :class:`CloneError` when the search would compose more than
-    ``CLOSURE_COMPOSITION_BUDGET`` argument tuples (``closure`` of a
-    functionally complete base at k = 4 does).
+    same search and reads no formulas.  A search grown to the end never
+    changes again, so it keeps its answer, per ``witnesses``: a later call
+    copies that dict.  Raises :class:`CloneError` when the search would
+    compose more than ``CLOSURE_COMPOSITION_BUDGET`` argument tuples
+    (``closure`` of a functionally complete base at k = 4 does).
     """
     if not 0 <= k <= CLOSURE_ARITY_MAX:
         raise ArityError(f"closure arity {k} outside 0..{CLOSURE_ARITY_MAX}")
-    with _kept(base, k) as search:
-        return ClosureSet(k, base, {_function(t, k): search.witness(i) if witnesses else None
-                                    for t, i in search.index.items()})
+    lock, slot = _slots[k > 3](base, k)
+    with lock:
+        entries = slot[0].entries.get(witnesses) if slot else None
+        if entries is None:
+            search = _grown(slot, base, k)
+            entries = search.entries[witnesses] = {
+                _function(t, k): search.witness(i) if witnesses else None
+                for t, i in search.index.items()}
+    return ClosureSet(k, base, entries.copy())
 
 
 def represent(f: BooleanFunction, base: Base) -> Formula:
@@ -563,18 +568,25 @@ def _represent(f: BooleanFunction, base: Base,
                keys: list[tuple[int, int]]) -> dict[tuple[int, int], Formula]:
     """The smallest formulas of the variants ``keys`` of ``f`` that the
     base generates, from the kept search grown until all are settled
-    (each formula is the one a search for it alone finds)."""
+    (each formula is the one a search for it alone finds).  ``f`` alone,
+    once the kept search has settled it, is one lookup: a settled table
+    is generated by the base, so the clone test could not fail."""
     if f.arity > CLOSURE_ARITY_MAX:
         raise ArityError(
             f"representation search capped at arity {CLOSURE_ARITY_MAX}")
-    clone = clone_of(base)
-    predicate = catalog_entry(clone).predicate
-    if not predicate(f):
-        raise NotInCloneError(
-            f"{f.bitstring} is not generated by {base!r} (clone {clone})")
-    tables = {key: _pack(g) for key in keys if predicate(g := _variant(f, *key))}
-    with _kept(base, f.arity, tuple(sorted(set(tables.values())))) as search:
-        if tables[0, 0] not in search.index:
+    table = _pack(f)
+    lock, slot = _slots[f.arity > 3](base, f.arity)
+    with lock:
+        if keys == [(0, 0)] and slot and (i := slot[0].index.get(table)) is not None:
+            return {(0, 0): slot[0].witness(i)}
+        clone = clone_of(base)
+        predicate = catalog_entry(clone).predicate
+        if not predicate(f):
+            raise NotInCloneError(
+                f"{f.bitstring} is not generated by {base!r} (clone {clone})")
+        tables = {key: _pack(g) for key in keys if predicate(g := _variant(f, *key))}
+        search = _grown(slot, base, f.arity, tuple(sorted(set(tables.values()))))
+        if table not in search.index:
             # the clone predicate reads a constant of arity 0 like the unary
             # one, which needs no nullary connective; the nullary one does
             if f.arity == 0:

@@ -604,6 +604,70 @@ def test_witnesses_are_built_once_and_on_demand():
         assert represent(fn, bf) is first.witness(fn) is w
 
 
+def test_warm_reads_are_lookups(monkeypatch):
+    # a search grown to the end never changes again: a later closure copies
+    # the answer it kept, interning no function, and a represent of a table
+    # the kept search has settled reads it without a clone test
+    bf = catalog_entry("BF").base
+    forget_searches()
+    first, sets = closure(bf, 3), closure(bf, 3, witnesses=False)
+    interned, tested = [], []
+    function, identify = clones._function, clones.clone_of
+    monkeypatch.setattr(clones, "_function", lambda *a: interned.append(a) or function(*a))
+    monkeypatch.setattr(clones, "clone_of", lambda base: tested.append(base) or identify(base))
+    for witnesses, earlier in ((True, first), (False, sets)):
+        again, later = closure(bf, 3, witnesses), closure(bf, 3, witnesses)
+        assert len({id(earlier.entries), id(again.entries), id(later.entries)}) == 3
+        assert list(again.entries) == list(later.entries) == list(first.entries)
+        for fn, w in first.entries.items():
+            assert again.entries[fn] is later.entries[fn] is (w if witnesses else None)
+    assert interned == []
+    for fn in list(first.entries)[::37]:
+        assert represent(fn, bf) is first.witness(fn)
+    assert tested == []
+
+    # a search grown only until its targets settled reads them as well
+    forget_searches()
+    late = truth_table(parse("!(x1 & !x3) & x2", bf), ["x1", "x2", "x3"])
+    early = truth_table(parse("x1 & x2", bf), ["x1", "x2", "x3"])
+    represent(late, bf)
+    tested.clear()
+    assert render(represent(early, bf)) == "x1 & x2"
+    assert tested == []
+
+
+def test_errors_survive_complete_searches():
+    # after closure has grown a search to the end, represent still raises
+    # for what the base does not generate, and represent_variants still
+    # returns only the variants the base generates
+    for name in ("M", "S0", "D", "L", "E2"):
+        base = catalog_entry(name).base
+        cs = closure(base, 3)
+        outside = next(f for f in all_functions(3) if f not in cs)
+        with pytest.raises(NotInCloneError, match="clone"):
+            represent(outside, base)
+        with pytest.raises(NotInCloneError, match="clone"):
+            represent_variants(outside, base)
+
+    # and/not generates the constants only at a variable
+    bf = Base([AND, NOT])
+    assert len(closure(bf, 0)) == 0
+    for f in (boolfun.CONST0_FN, boolfun.CONST1_FN):
+        with pytest.raises(NotInCloneError, match="without a variable"):
+            represent(f, bf)
+
+    rng = random.Random(0x51)
+    for name in ("M", "S0", "D", "S12", "L3"):
+        base = catalog_entry(name).base
+        fns = sorted(closure(base, 3, witnesses=False).entries, key=lambda f: f.bits)
+        for fn in rng.sample(fns, 4):
+            forget_searches()
+            fresh = {key: render(w) for key, w in represent_variants(fn, base).items()}
+            forget_searches()
+            closure(base, 3)
+            assert {key: render(w) for key, w in represent_variants(fn, base).items()} == fresh
+
+
 @pytest.mark.parametrize("witnesses", [False, True])
 def test_closure_budget_raises_clone_error(witnesses):
     # the arity-4 fragment of BF has 65,536 functions; composing all pairs
